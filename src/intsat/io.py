@@ -238,6 +238,8 @@ def write_solution(outcome: SolveOutcome, problem: Problem) -> str:
 def _render_terms(pairs, problem) -> str:
     parts = []
     for v, c in pairs:
+        if c == 0:
+            continue
         mag = f"{abs(c)}*{problem.name_of(v)}"
         if not parts:
             parts.append(mag if c > 0 else f"-{mag}")

@@ -7,8 +7,13 @@ Constraints live in three tiers:
   touching the constraint;
 * clauses (input set-covering style constraints over binary variables),
   propagated with two watched literals;
-* binary clauses, kept as edges of a binary implication graph, plus
-  optional implicit edges recomputed on demand from general constraints.
+* binary clauses, kept as edges of a binary implication graph.
+
+A general-row visit takes three passes over the trail's flat bound
+lists, all through ``slack_and_widest``: ``find_conflict``, then
+``propagate_constraint``, then the exact filter once the propagated
+bounds are pushed.  One-variable rows the initial box implies, such as
+the seed box rows, are never visited.
 
 All three tiers share one extraction rule for conflict sets and reason
 sets: the height of the current strongest bound of each variable on the
@@ -17,10 +22,11 @@ side its coefficient uses.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from typing import NamedTuple, Optional
 
-from .model import Bound, Constraint, Monomial
+from .model import Bound, Constraint
 from .trail import ReasonInfo, Trail
 
 
@@ -29,22 +35,41 @@ class Conflict(NamedTuple):
     cs: tuple  # trail heights falsifying it
 
 
-def min_contribution(coeff: int, lb, ub):
-    """Minimum of coeff*x over [lb, ub]; None encodes minus infinity."""
-    assert coeff != 0
-    if coeff > 0:
-        return coeff * lb if lb is not None else None
-    return coeff * ub if ub is not None else None
+class OutOfTime(Exception):
+    """The propagator's deadline passed during a fixpoint."""
 
 
-def constraint_min(c: Constraint, trail: Trail) -> int:
-    total = 0
+PUSHES_PER_DEADLINE_CHECK = 1024
+
+
+def slack_and_widest(c: Constraint, trail: Trail):
+    """The row's slack, rhs minus its minimum over the current bounds,
+    and its widest term, the largest |a|*(ub-lb).  The row is false iff
+    slack < 0; otherwise it propagates a fresh bound on x iff
+    |a_x|*(ub-lb) > slack, so it propagates something iff widest > slack.
+    """
+    lb, ub = trail.lb, trail.ub
+    slack = c.rhs
+    widest = 0
     for var, coeff in c.monomials:
         if coeff > 0:
-            total += coeff * trail.current_lb(var)
+            low = lb[var]
+            slack -= coeff * low
+            width = coeff * (ub[var] - low)
         else:
-            total += coeff * trail.current_ub(var)
-    return total
+            high = ub[var]
+            slack -= coeff * high
+            width = coeff * (lb[var] - high)
+        if width > widest:
+            widest = width
+    return slack, widest
+
+
+def exact_filter(c: Constraint, trail: Trail) -> int:
+    """widest - slack: positive iff the row is false or propagates a fresh
+    bound.  The general tier keeps an upper bound of it per row."""
+    slack, widest = slack_and_widest(c, trail)
+    return widest - slack
 
 
 def falsifying_heights(c: Constraint, trail: Trail, skip_var=None) -> tuple:
@@ -60,10 +85,8 @@ def falsifying_heights(c: Constraint, trail: Trail, skip_var=None) -> tuple:
 
 
 def find_conflict(c: Constraint, trail: Trail, cid: int = -1) -> Optional[Conflict]:
-    """The constraint is false iff the sum of minima exceeds the rhs."""
-    if not c.monomials:
-        return Conflict(cid, ()) if c.rhs < 0 else None
-    if constraint_min(c, trail) > c.rhs:
+    """The constraint is false iff its slack is negative."""
+    if slack_and_widest(c, trail)[0] < 0:
         return Conflict(cid, falsifying_heights(c, trail))
     return None
 
@@ -72,35 +95,29 @@ def propagate_constraint(c: Constraint, trail: Trail):
     """All fresh bounds the constraint propagates under the current trail.
 
     For each variable, the bound obtained by moving every other variable
-    to its minimum and rounding.  Returns (bound, reason heights) pairs;
-    the caller must have ruled out a conflict first.
+    to its minimum and rounding: ``x <= lb + floor(slack/a)`` for a > 0,
+    ``ub - floor(slack/|a|) <= x`` for a < 0.  It is fresh iff
+    |a|*(ub-lb) > slack.  Returns (bound, reason heights) pairs in row
+    order, all taken from the current trail; the caller must have ruled
+    out a conflict first.
     """
-    smin = constraint_min(c, trail)
+    slack, widest = slack_and_widest(c, trail)
+    if widest <= slack:
+        return []
+    lb, ub = trail.lb, trail.ub
+    heights = falsifying_heights(c, trail)
     out = []
-    for var, coeff in c.monomials:
-        lb, ub = trail.current_bounds(var)
-        own_min = coeff * lb if coeff > 0 else coeff * ub
-        e_num = c.rhs - (smin - own_min)
+    for i, (var, coeff) in enumerate(c.monomials):
         if coeff > 0:
-            b = Bound(var, False, e_num // coeff)  # floor
+            if coeff * (ub[var] - lb[var]) <= slack:
+                continue
+            b = Bound(var, False, lb[var] + slack // coeff)
         else:
-            b = Bound(var, True, -((-e_num) // coeff))  # ceil
-        if trail.is_fresh(b):
-            out.append((b, falsifying_heights(c, trail, skip_var=var)))
+            if coeff * (lb[var] - ub[var]) <= slack:
+                continue
+            b = Bound(var, True, ub[var] - slack // -coeff)
+        out.append((b, heights[:i] + heights[i + 1:]))
     return out
-
-
-def would_propagate(c: Constraint, trail: Trail) -> bool:
-    """Exact predicate: does the constraint propagate some fresh bound?"""
-    if not c.monomials:
-        return False
-    smin = 0
-    widest = 0
-    for var, coeff in c.monomials:
-        lb, ub = trail.current_bounds(var)
-        smin += coeff * lb if coeff > 0 else coeff * ub
-        widest = max(widest, abs(coeff) * (ub - lb))
-    return -c.rhs + widest + smin > 0
 
 
 class ConstraintStore:
@@ -141,9 +158,14 @@ class ConstraintStore:
             return None
         return lits
 
-    def add(self, c: Constraint, initial: bool) -> int:
+    def add(self, c: Constraint, initial: bool, mid_search: bool = False) -> int:
+        """File the row in its tier.  Only initial rows added before the
+        search are clauses: the clause tiers see bounds pushed after the
+        row exists, so a row added mid-search (learned, or strengthening
+        the objective) goes to the general tier, which checks it against
+        the current trail when it is registered."""
         cid = len(self.constraints)
-        lits = self._as_clause(c) if initial else None
+        lits = self._as_clause(c) if initial and not mid_search else None
         if lits is not None and len(lits) >= 3:
             kind = self.CLAUSE
         elif lits is not None and len(lits) == 2:
@@ -172,37 +194,6 @@ class ConstraintStore:
             self.learned_bytes -= 64 + 16 * len(self.constraints[cid].monomials)
 
 
-def detect_implicit_binaries(store: ConstraintStore, trail: Trail) -> dict:
-    """Index of general constraints that imply binary clauses at the root.
-
-    For each variable x the list holds the constraints that, together
-    with the root bounds, imply some clause (not x or not y): fixing two
-    unassigned binary variables with positive coefficients to 1 would
-    falsify the constraint.
-    """
-    index = {}
-    for cid in store.alive_cids():
-        if store.kind[cid] != ConstraintStore.GENERAL:
-            continue
-        c = store.constraints[cid]
-        if len(c.monomials) < 2:
-            continue
-        candidates = []
-        for var, coeff in c.monomials:
-            lb, ub = trail.current_bounds(var)
-            if coeff > 0 and store.problem.is_binary(var) and lb == 0 and ub == 1:
-                candidates.append((var, coeff))
-        if len(candidates) < 2:
-            continue
-        slack = c.rhs - constraint_min(c, trail)
-        best = sorted((a for _, a in candidates), reverse=True)
-        for var, coeff in candidates:
-            partner = best[1] if coeff == best[0] else best[0]
-            if coeff + partner > slack:
-                index.setdefault(var, []).append(cid)
-    return index
-
-
 REGISTERED = object()  # undo-log sentinel for mid-trail registrations
 
 
@@ -214,14 +205,15 @@ class Propagator:
     """
 
     def __init__(self, problem, store: ConstraintStore, trail: Trail,
-                 use_implicit_binaries=False, stats=None, trace=None):
+                 stats=None, trace=None):
         self.problem = problem
         self.store = store
         self.trail = trail
-        self.use_implicit_binaries = use_implicit_binaries
         self.stats = stats
         self.trace = trace
         n = problem.num_vars
+        # (cid, |coeff|) of the general rows whose minimum rises with the
+        # lower (occ_pos) or falls with the upper (occ_neg) bound of a var
         self.occ_pos = [[] for _ in range(n)]
         self.occ_neg = [[] for _ in range(n)]
         self.filters = []
@@ -236,14 +228,13 @@ class Propagator:
         self.watch = {}  # (var, lit_is_lower) -> clause cids watching that literal
         self.watched = {}  # cid -> [lit index, lit index]
         self.bin_adj = {}  # (var, lit_is_lower) -> [(implied lit, cid)]
-        self.implicit_index = {}
         self.binary_cursor = 0
         self.clause_cursor = 0
         self.num_defined = 0
         self.last_value = [None] * n  # phase saving: last defined value
         self.post_push = None  # optional hook, called after every push
         self.on_undefined = None  # optional hook, var became undefined by a pop
-        self.implicit_ready = False
+        self.deadline = None  # time.monotonic() value checked during fixpoints
 
     # -- index construction -------------------------------------------------
 
@@ -255,9 +246,14 @@ class Propagator:
         c = store.constraints[cid]
         kind = store.kind[cid]
         if kind == ConstraintStore.GENERAL:
+            if self._implied_by_box(c):
+                return  # e.g. the seed box rows: never false, never propagate
             for var, coeff in c.monomials:
-                (self.occ_pos if coeff > 0 else self.occ_neg)[var].append((cid, coeff))
-            self.filters[cid] = self._exact_filter(c)
+                if coeff > 0:
+                    self.occ_pos[var].append((cid, coeff))
+                else:
+                    self.occ_neg[var].append((cid, -coeff))
+            self.filters[cid] = exact_filter(c, self.trail)
             if self.filter_marks:  # registered mid-trail: recompute on unwind
                 self.filter_log.append((cid, REGISTERED))
             if self.filters[cid] > 0 and not self.in_queue[cid]:
@@ -292,24 +288,17 @@ class Propagator:
         for cid in self.store.alive_cids():
             self.register_constraint(cid)
         self.filter_marks = [0] * len(self.trail)
-        if self.use_implicit_binaries and self.implicit_ready:
-            self.implicit_index = detect_implicit_binaries(self.store, self.trail)
 
-    def detect_implicit(self, at_root: bool):
-        self.implicit_index = detect_implicit_binaries(self.store, self.trail)
-        if at_root:
-            self.implicit_ready = True
-
-    def _exact_filter(self, c: Constraint) -> int:
-        if not c.monomials:
-            return 1 if c.rhs < 0 else 0  # degenerate conflicts must be visited
-        smin = 0
-        widest = 0
-        for var, coeff in c.monomials:
-            lb, ub = self.trail.current_bounds(var)
-            smin += coeff * lb if coeff > 0 else coeff * ub
-            widest = max(widest, abs(coeff) * (ub - lb))
-        return -c.rhs + widest + smin
+    def _implied_by_box(self, c: Constraint) -> bool:
+        """A one-variable row that the initial box satisfies: bounds only
+        tighten inside the box, so it is never false and never propagates.
+        It stays in the store (seed box rows are the seeds' reasons)."""
+        if len(c.monomials) != 1:
+            return False
+        var, coeff = c.monomials[0]
+        if coeff > 0:
+            return coeff * self.problem.initial_ub[var] <= c.rhs
+        return coeff * self.problem.initial_lb[var] <= c.rhs
 
     # -- push / pop ----------------------------------------------------------
 
@@ -319,24 +308,32 @@ class Propagator:
 
     def push_bound(self, b: Bound, info: ReasonInfo, tier=None) -> int:
         trail = self.trail
-        prev = trail.current_lb(b.var) if b.is_lower else trail.current_ub(b.var)
+        var = b.var
+        if b.is_lower:
+            delta = b.value - trail.lb[var]
+            occs = self.occ_pos[var]
+        else:
+            delta = trail.ub[var] - b.value
+            occs = self.occ_neg[var]
         height = trail.push(b, info)
-        self.filter_marks.append(len(self.filter_log))
-        occs = self.occ_pos[b.var] if b.is_lower else self.occ_neg[b.var]
-        delta = b.value - prev
-        for cid, coeff in occs:
-            if not self.store.alive[cid]:
+        log, filters, in_queue = self.filter_log, self.filters, self.in_queue
+        self.filter_marks.append(len(log))
+        alive = self.store.alive
+        for cid, weight in occs:
+            if not alive[cid]:
                 continue
-            self.filter_log.append((cid, self.filters[cid]))
-            self.filters[cid] += abs(coeff * delta)
-            if self.filters[cid] > 0 and not self.in_queue[cid]:
-                self.in_queue[cid] = True
+            old = filters[cid]
+            log.append((cid, old))
+            new = old + weight * delta
+            filters[cid] = new
+            if new > 0 and not in_queue[cid]:
+                in_queue[cid] = True
                 self.queue.append(cid)
-        if trail.is_defined(b.var):
+        if trail.lb[var] == trail.ub[var]:
             self.num_defined += 1
-            self.last_value[b.var] = trail.current_lb(b.var)
+            self.last_value[var] = trail.lb[var]
         if self.stats is not None and tier is not None:
-            self.stats.count_propagation(tier)
+            self.stats.propagations[tier] += 1
         if self.trace is not None and not info.is_decision:
             cid = info.reason_constraint
             self.trace.emit(
@@ -350,23 +347,27 @@ class Propagator:
 
     def pop_one(self):
         trail = self.trail
-        was_defined = trail.is_defined(trail.entries[-1].bound.var)
+        var = trail.entries[-1].bound.var
+        was_defined = trail.lb[var] == trail.ub[var]
         entry = trail.pop()
-        b = entry.bound
-        if was_defined and not trail.is_defined(b.var):
+        if was_defined and trail.lb[var] != trail.ub[var]:
             self.num_defined -= 1
             if self.on_undefined is not None:
-                self.on_undefined(b.var)
+                self.on_undefined(var)
         mark = self.filter_marks.pop()
-        while len(self.filter_log) > mark:
-            cid, old = self.filter_log.pop()
-            if old is REGISTERED:
-                old = self._exact_filter(self.store.constraints[cid])
-            self.filters[cid] = old
-            if old > 0 and self.store.alive[cid] and not self.in_queue[cid]:
-                self.in_queue[cid] = True
-                self.queue.append(cid)
-        top = len(trail)
+        log = self.filter_log
+        if len(log) > mark:
+            undone = log[mark:]
+            del log[mark:]
+            filters, alive, in_queue = self.filters, self.store.alive, self.in_queue
+            for cid, old in reversed(undone):  # the oldest value is written last
+                if old is REGISTERED:
+                    old = exact_filter(self.store.constraints[cid], trail)
+                filters[cid] = old
+                if old > 0 and alive[cid] and not in_queue[cid]:
+                    in_queue[cid] = True
+                    self.queue.append(cid)
+        top = len(trail.entries)
         if self.binary_cursor > top:
             self.binary_cursor = top
         if self.clause_cursor > top:
@@ -420,32 +421,6 @@ class Propagator:
             if status == -1:
                 return self._clause_conflict(cid)
             self._push_from_clause(other, cid, ConstraintStore.BINARY)
-        if self.use_implicit_binaries and key[1] is False:
-            conflict = self._process_implicit(key[0])
-            if conflict is not None:
-                return conflict
-        return None
-
-    def _process_implicit(self, var: int) -> Optional[Conflict]:
-        """Simulated binary edges: var just became true; imply partners false."""
-        trail = self.trail
-        for cid in self.implicit_index.get(var, ()):
-            if not self.store.alive[cid]:
-                continue
-            c = self.store.constraints[cid]
-            smin = constraint_min(c, trail)
-            if smin > c.rhs:
-                return Conflict(cid, falsifying_heights(c, trail))
-            # pushing "other <= 0" never moves the constraint minimum (the
-            # coefficient is positive, so the minimum sits at the lower bound)
-            slack = c.rhs - smin
-            for other, coeff in c.monomials:
-                if other == var or coeff <= 0:
-                    continue
-                lb, ub = trail.current_bounds(other)
-                if lb == 0 and ub == 1 and coeff > slack:
-                    self._push_from_clause(Bound(other, False, 0), cid,
-                                           ConstraintStore.BINARY)
         return None
 
     def _process_clause_entry(self, height: int) -> Optional[Conflict]:
@@ -508,7 +483,7 @@ class Propagator:
                             tier=ConstraintStore.GENERAL)
         if self.filter_marks:
             self.filter_log.append((cid, self.filters[cid]))
-        self.filters[cid] = self._exact_filter(c)
+        self.filters[cid] = exact_filter(c, self.trail)
         return None
 
     # -- the fixpoint loop ------------------------------------------------------
@@ -516,25 +491,37 @@ class Propagator:
     def propagate_fixpoint(self) -> Optional[Conflict]:
         """Advance all tiers to the top of the trail; binary first, then
         clauses, then general constraints, restarting at the cheapest
-        tier after every push."""
-        trail = self.trail
+        tier after every push.
+
+        With a deadline set, raises OutOfTime once it has passed, checked
+        every PUSHES_PER_DEADLINE_CHECK trail entries.
+        """
+        entries = self.trail.entries
+        queue, alive, filters = self.queue, self.store.alive, self.filters
+        deadline = self.deadline
+        entries_seen = 0
         while True:
-            if self.binary_cursor < len(trail):
+            if self.binary_cursor < len(entries):
+                if deadline is not None:
+                    entries_seen += 1
+                    if (entries_seen % PUSHES_PER_DEADLINE_CHECK == 0
+                            and time.monotonic() >= deadline):
+                        raise OutOfTime
                 conflict = self._process_binary_entry(self.binary_cursor)
                 self.binary_cursor += 1
                 if conflict is not None:
                     return conflict
                 continue
-            if self.clause_cursor < len(trail):
+            if self.clause_cursor < len(entries):
                 conflict = self._process_clause_entry(self.clause_cursor)
                 self.clause_cursor += 1
                 if conflict is not None:
                     return conflict
                 continue
-            if self.queue:
-                cid = self.queue.popleft()
+            if queue:
+                cid = queue.popleft()
                 self.in_queue[cid] = False
-                if not self.store.alive[cid] or self.filters[cid] <= 0:
+                if not alive[cid] or filters[cid] <= 0:
                     continue
                 conflict = self._visit_general(cid)
                 if conflict is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .model import Bound, Constraint, Objective, Problem, Solution, normalize
-from .propagation import ConstraintStore, Propagator
+from .propagation import ConstraintStore, OutOfTime, Propagator
 from .trail import ReasonInfo, Trail
 from . import analysis
 
@@ -47,7 +47,6 @@ class SolverConfig:
     time_limit: Optional[float] = None
     max_conflicts: Optional[int] = None
     random_seed: int = 0
-    use_implicit_binaries: bool = False
     user_hint: Optional[dict] = None  # value strategy 11
 
     def validate(self):
@@ -74,9 +73,6 @@ class SolverStats:
     propagations: dict = field(default_factory=lambda: {
         ConstraintStore.BINARY: 0, ConstraintStore.CLAUSE: 0,
         ConstraintStore.GENERAL: 0})
-
-    def count_propagation(self, tier):
-        self.propagations[tier] += 1
 
     def as_dict(self):
         d = {
@@ -190,9 +186,7 @@ class Solver:
         self.trail = Trail(problem.num_vars, problem.initial_lb, problem.initial_ub)
         self.store = ConstraintStore(problem)
         self.propagator = Propagator(
-            problem, self.store, self.trail,
-            use_implicit_binaries=self.config.use_implicit_binaries,
-            stats=self.stats, trace=trace)
+            problem, self.store, self.trail, stats=self.stats, trace=trace)
         rng = random.Random(self.config.random_seed)
         self.activity = ActivityQueue(
             problem.num_vars, self.config.activity_bump_factor,
@@ -229,8 +223,6 @@ class Solver:
             if self.trail.is_defined(var):
                 self.propagator.num_defined += 1
                 self.propagator.last_value[var] = p.initial_lb[var]
-        for cid in range(len(self.store)):
-            self.propagator.register_constraint(cid)
 
     def _init_restart_schedule(self):
         policy = self.config.restart
@@ -393,13 +385,13 @@ class Solver:
     def _run_core(self, budget: Budget) -> str:
         """Search until a total assignment, infeasibility, or budget: the
         returned tag is one of 'sat', 'unsat', 'limit'."""
+        self.propagator.deadline = budget.deadline
         while True:
-            conflict = self.propagator.propagate_fixpoint()
+            try:
+                conflict = self.propagator.propagate_fixpoint()
+            except OutOfTime:
+                return "limit"
             if conflict is None:
-                if (self.config.use_implicit_binaries
-                        and not self.propagator.implicit_ready):
-                    # detection wants the root fixpoint, before any decision
-                    self.propagator.detect_implicit(self.stats.decisions == 0)
                 if self.propagator.num_defined == self.problem.num_vars:
                     return "sat"
                 b = self.decide()
@@ -431,9 +423,9 @@ class Solver:
 
     def _extract_solution(self) -> Solution:
         values = [self.trail.current_lb(v) for v in range(self.problem.num_vars)]
-        sol = Solution(values)
-        assert self.problem.check_solution(values), "internal error: bad model"
-        return sol
+        if not self.problem.check_solution(values):
+            raise RuntimeError("internal error: bad model")
+        return Solution(values)
 
     def _install_strengthening(self, value: int) -> bool:
         """Require the next solution to be strictly better; False if impossible."""
@@ -448,7 +440,7 @@ class Solver:
                 self.retired_pending.add(old)
             else:
                 self.store.alive[old] = False
-        cid = self.store.add(c, initial=True)
+        cid = self.store.add(c, initial=True, mid_search=True)
         self.propagator.register_constraint(cid)
         self.strengthening_cid = cid
         return True
@@ -477,8 +469,8 @@ class Solver:
                 return SolveOutcome(BOUNDED, best, best_value)
             sol = self._extract_solution()
             value = self.problem.objective.value_of(sol.values)
-            assert best_value is None or value < best_value, \
-                "objective did not strictly improve"
+            if best_value is not None and value >= best_value:
+                raise RuntimeError("internal error: objective did not strictly improve")
             best, best_value = sol, value
             self.last_solution = sol
             if on_incumbent is not None:

@@ -1,5 +1,6 @@
-"""The assignment stack: bounds with reason metadata plus a per-variable
-bounds vector giving the current lower/upper bound in O(1).
+"""The assignment stack: bounds with reason metadata, plus flat value
+lists `lb[]` / `ub[]` so that reading a current bound is one list index.
+`pop` restores them from the entry's `pos` link or the initial bounds.
 
 Reason sets are stored as trail heights.  Heights are stable while the
 bound is on the stack, and a reason bound is always popped after every
@@ -40,16 +41,18 @@ class TrailEntry(NamedTuple):
 class Trail:
     """Stack of bound entries over a fixed set of variables.
 
-    `pl[v]` / `pu[v]` hold the height of the current strongest lower /
-    upper bound entry of `v`, or -1 before any has been pushed.  The
-    `pos` field of each entry chains to the previous entry of the same
-    (variable, kind), so popping restores the vector in O(1).
+    `lb[v]` / `ub[v]` hold the current bounds of `v`, and `pl[v]` /
+    `pu[v]` the height of the entry that set them, or -1 before any has
+    been pushed.  The `pos` field of each entry chains to the previous
+    entry of the same (variable, kind), so popping restores both in O(1).
     """
 
     def __init__(self, num_vars, initial_lb, initial_ub):
         self.num_vars = num_vars
         self.initial_lb = list(initial_lb)
         self.initial_ub = list(initial_ub)
+        self.lb = list(initial_lb)
+        self.ub = list(initial_ub)
         self.entries = []
         self.pl = [-1] * num_vars
         self.pu = [-1] * num_vars
@@ -63,28 +66,23 @@ class Trail:
         return len(self.decision_heights)
 
     def current_lb(self, var: int) -> int:
-        p = self.pl[var]
-        return self.entries[p].bound.value if p >= 0 else self.initial_lb[var]
+        return self.lb[var]
 
     def current_ub(self, var: int) -> int:
-        p = self.pu[var]
-        return self.entries[p].bound.value if p >= 0 else self.initial_ub[var]
+        return self.ub[var]
 
     def current_bounds(self, var: int):
-        return self.current_lb(var), self.current_ub(var)
+        return self.lb[var], self.ub[var]
 
     def is_defined(self, var: int) -> bool:
-        return self.current_lb(var) == self.current_ub(var)
+        return self.lb[var] == self.ub[var]
 
     def is_fresh(self, b: Bound) -> bool:
         """True iff pushing b would strictly tighten a non-empty interval."""
-        lb, ub = self.current_bounds(b.var)
-        if b.is_lower:
-            return lb < b.value <= ub
-        return lb <= b.value < ub
-
-    def height_of_strongest(self, var: int, lower: bool) -> int:
-        return self.pl[var] if lower else self.pu[var]
+        var, is_lower, value = b
+        if is_lower:
+            return self.lb[var] < value <= self.ub[var]
+        return self.lb[var] <= value < self.ub[var]
 
     def push(self, b: Bound, info: ReasonInfo, seed: bool = False) -> int:
         if seed:
@@ -94,12 +92,15 @@ class Trail:
             assert self.is_fresh(b), f"pushing non-fresh bound {b}"
         height = len(self.entries)
         assert all(h < height for h in info.reason_set)
-        if b.is_lower:
-            pos = self.pl[b.var]
-            self.pl[b.var] = height
+        var, is_lower, value = b
+        if is_lower:
+            pos = self.pl[var]
+            self.pl[var] = height
+            self.lb[var] = value
         else:
-            pos = self.pu[b.var]
-            self.pu[b.var] = height
+            pos = self.pu[var]
+            self.pu[var] = height
+            self.ub[var] = value
         self.entries.append(TrailEntry(b, pos, info))
         if info.is_decision:
             self.decision_heights.append(height)
@@ -108,11 +109,14 @@ class Trail:
     def pop(self) -> TrailEntry:
         assert self.entries, "pop on empty trail"
         entry = self.entries.pop()
-        b = entry.bound
-        if b.is_lower:
-            self.pl[b.var] = entry.pos
+        var = entry.bound.var
+        pos = entry.pos
+        if entry.bound.is_lower:
+            self.pl[var] = pos
+            self.lb[var] = self.entries[pos].bound.value if pos >= 0 else self.initial_lb[var]
         else:
-            self.pu[b.var] = entry.pos
+            self.pu[var] = pos
+            self.ub[var] = self.entries[pos].bound.value if pos >= 0 else self.initial_ub[var]
         if entry.info.is_decision:
             self.decision_heights.pop()
         return entry

@@ -9,8 +9,8 @@ suite (200+ cases each).
 import itertools
 
 from intsat.model import Bound, Constraint, Monomial, cut, normalize
-from intsat.propagation import (constraint_min, find_conflict,
-                                propagate_constraint, would_propagate)
+from intsat.propagation import (exact_filter, find_conflict,
+                                propagate_constraint, slack_and_widest)
 from intsat.trail import ReasonInfo, Trail
 
 
@@ -55,7 +55,8 @@ def _per_var_propagates(c, trail, var):
     """Direct evaluation of the per-variable non-redundant-propagation test."""
     coeff = c.coeff_of(var)
     lb, ub = trail.current_bounds(var)
-    return -c.rhs + abs(coeff) * (ub - lb) + constraint_min(c, trail) > 0
+    slack, _ = slack_and_widest(c, trail)
+    return abs(coeff) * (ub - lb) > slack
 
 
 def _constraint_grid(c, t, margin=4):
@@ -117,7 +118,7 @@ def lemma3_no_rounding_case(rng):
     c2 = Constraint(tuple(Monomial(v, c) for v, c in sorted(terms2.items())), 0)
     lbj, ubj = t.current_bounds(j)
     e_j = rng.randint(lbj - 2, ubj)  # propagated value, kept at or below the ub
-    others_min = constraint_min(c2, t) - 1 * lbj
+    others_min = c2.rhs - slack_and_widest(c2, t)[0] - 1 * lbj
     c2 = Constraint(c2.monomials, e_j + others_min)
     # conflicting constraint: negative on x_j, false once x_j <= e_j
     terms1 = {j: -rng.randint(1, 3)}
@@ -140,7 +141,7 @@ def lemma4_filter_case(rng):
     c = _random_constraint(rng, t.num_vars)
     if find_conflict(c, t) is not None:
         return
-    predicted = would_propagate(c, t)
+    predicted = exact_filter(c, t) > 0
     actual = bool(propagate_constraint(c, t))
     assert predicted == actual, (c, [t.current_bounds(v) for v in range(t.num_vars)])
 
@@ -178,17 +179,13 @@ def lemma6_disjoint_cut_case(rng):
     c1 = Constraint(tuple(Monomial(v, c) for v, c in sorted(t1)), 0)
     c2 = Constraint(tuple(Monomial(v, c) for v, c in sorted(t2)), 0)
     # lift each rhs until the premise propagates nothing at this state
-    c1 = Constraint(c1.monomials, c1.rhs + max(
-        0, -c1.rhs + max(abs(c) * (t.current_ub(v) - t.current_lb(v))
-                         for v, c in c1.monomials) + constraint_min(c1, t)))
-    c2 = Constraint(c2.monomials, c2.rhs + max(
-        0, -c2.rhs + max(abs(c) * (t.current_ub(v) - t.current_lb(v))
-                         for v, c in c2.monomials) + constraint_min(c2, t)))
-    assert not would_propagate(c1, t) and not would_propagate(c2, t)
+    c1 = Constraint(c1.monomials, c1.rhs + max(0, exact_filter(c1, t)))
+    c2 = Constraint(c2.monomials, c2.rhs + max(0, exact_filter(c2, t)))
+    assert exact_filter(c1, t) <= 0 and exact_filter(c2, t) <= 0
     c3 = cut(c1, c2, 0)
     if c3 is None or c3.is_degenerate():
         return
-    assert not would_propagate(c3, t), (c1, c2, c3)
+    assert exact_filter(c3, t) <= 0, (c1, c2, c3)
 
 
 ALL_SUITES = [

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,19 @@ var x int [0, 1]
 var y int [0, 1]
 min: x + y
 -x - y <= -1
+"""
+
+# the strengthening row 3*x1 - 3*x3 <= v-1 is a clause over binaries
+STRENGTHEN_BINARIES = """\
+var x0 int [0, 1]
+var x1 int [0, 1]
+var x2 int [0, 1]
+var x3 int [0, 1]
+var x4 int [0, 1]
+min: 3*x1 - 3*x3
+x0 - x1 - x2 + x4 <= 1
+x0 + x1 + x3 - x4 <= 1
+-x0 - x1 + x2 + x3 - x4 <= -2
 """
 
 
@@ -147,3 +164,18 @@ class TestTrace:
         text = trace_path.read_text()
         assert "early-backjump" in text
         assert "→ -y <= -1" in text  # the learned bound 1 <= y
+
+
+class TestOptimisedInterpreter:
+    def test_verified_answer_without_asserts(self, tmp_path):
+        """No answer may rest on an assert: run the CLI under python -O."""
+        path = write(tmp_path, "strengthen.ilp", STRENGTHEN_BINARIES)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "intsat.cli", path,
+             "--strategies", "8,6,2", "--verify"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert "OPTIMAL 3" in done.stdout and "c verify=ok" in done.stdout

@@ -135,6 +135,15 @@ class TestRoundTrip:
             if ref1.status == OPTIMAL:
                 assert ref1.objective_value == ref2.objective_value
 
+    def test_zero_objective_terms_are_not_written(self):
+        p = Problem(2, [0, 0], [1, 1], objective=Objective({0: 0, 1: -2}))
+        text = write_problem(p)
+        assert "min: -2*x1\n" in text and "0*" not in text
+        assert parse(text).objective.coeffs == {1: -2}
+        zero = Problem(1, [0], [1], objective=Objective({0: 0}))
+        assert "min: 0\n" in write_problem(zero)
+        assert parse(write_problem(zero)).objective.coeffs == {}
+
 
 class TestRationalRewriting:
     def test_verdicts_agree_with_exact_rational_check(self, rng):

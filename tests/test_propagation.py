@@ -1,10 +1,10 @@
 import random
+from collections import deque
 
 from intsat.model import Bound, Problem, normalize
-from intsat.propagation import (ConstraintStore, detect_implicit_binaries,
-                                find_conflict, min_contribution,
-                                propagate_constraint, would_propagate)
-from intsat.search import Solver, SolverConfig
+from intsat.propagation import (ConstraintStore, exact_filter, find_conflict,
+                                propagate_constraint, slack_and_widest)
+from intsat.search import Solver
 from intsat.trail import DECISION, ReasonInfo, Trail
 from conftest import C, lo, up, random_problem
 from lemma_suites import ALL_SUITES
@@ -21,16 +21,15 @@ def state(lbs, ubs, *bounds):
 
 
 class TestMinContribution:
+    """The row minimum behind slack_and_widest: slack = rhs - minimum."""
+
     def test_negative_coeff_uses_upper(self):
-        assert min_contribution(-2, None, 2) == -4
+        assert slack_and_widest(C([(0, -2)], 0), state([-7], [2])) == (4, 18)
 
     def test_positive_coeff_uses_lower(self):
-        assert min_contribution(3, 1, None) == 3
-        assert min_contribution(5, 0, 7) == 0
-
-    def test_absent_bound_is_minus_infinity(self):
-        assert min_contribution(3, None, 5) is None
-        assert min_contribution(-3, 1, None) is None
+        assert slack_and_widest(C([(0, 3)], 3), state([1], [9])) == (0, 24)
+        assert slack_and_widest(C([(0, 5)], 0), state([0], [7])) == (0, 35)
+        assert slack_and_widest(C([(0, 3), (1, -2)], 10), state([1, -7], [9, 2])) == (11, 24)
 
 
 class TestFindConflict:
@@ -78,19 +77,95 @@ class TestPropagateConstraint:
 
 
 class TestWouldPropagate:
+    """A row that is not false propagates iff its exact filter is positive."""
+
     def test_exact_zero_slack(self):
         t = state([0, 0], [1, 1])
-        assert would_propagate(C([(0, 1), (1, 1)], 1), t) is False
+        assert exact_filter(C([(0, 1), (1, 1)], 1), t) == 0
 
     def test_becomes_true_after_push(self):
         t = state([0, 0], [1, 1], lo(0, 1))
         c = C([(0, 1), (1, 1)], 1)
-        assert would_propagate(c, t) is True
+        assert exact_filter(c, t) == 1
         assert [b for b, _ in propagate_constraint(c, t)] == [up(1, 0)]
 
     def test_degenerate_is_false(self):
         t = state([0], [1])
-        assert would_propagate(C([], 0), t) is False
+        assert exact_filter(C([], 0), t) <= 0
+        assert exact_filter(C([], -1), t) > 0  # a false empty row is visited
+
+
+def reference_visit(c, t):
+    """(conflict, propagations, filter) recomputed directly from current_bounds."""
+    def side(v, a):
+        return t.pl[v] if a > 0 else t.pu[v]
+
+    bounds = {v: t.current_bounds(v) for v, _ in c.monomials}
+    row_min = sum(a * (bounds[v][0] if a > 0 else bounds[v][1]) for v, a in c.monomials)
+    conflict = tuple(side(v, a) for v, a in c.monomials) if row_min > c.rhs else None
+    props = []
+    for v, a in c.monomials:
+        lb, ub = bounds[v]
+        rest = c.rhs - (row_min - (a * lb if a > 0 else a * ub))
+        b = up(v, rest // a) if a > 0 else lo(v, -((-rest) // a))
+        if conflict is None and t.is_fresh(b):
+            props.append((b, tuple(side(w, x) for w, x in c.monomials if w != v)))
+    widest = max((abs(a) * (bounds[v][1] - bounds[v][0]) for v, a in c.monomials), default=0)
+    return conflict, props, widest + row_min - c.rhs
+
+
+class TestOnePassVisit:
+    def test_matches_the_reference_on_random_rows(self):
+        rng = random.Random(21)
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            lbs = [rng.randint(-6, 2) for _ in range(n)]
+            ubs = [lb + rng.randint(0, 8) for lb in lbs]
+            t = state(lbs, ubs)
+            for _ in range(rng.randint(0, 6)):
+                var = rng.randrange(n)
+                lb, ub = t.current_bounds(var)
+                if lb < ub:
+                    t.push(lo(var, rng.randint(lb + 1, ub)) if rng.random() < 0.5
+                           else up(var, rng.randint(lb, ub - 1)), DECISION)
+            terms = [(v, rng.choice([-7, -3, -2, -1, 1, 2, 3, 7]))
+                     for v in rng.sample(range(n), rng.randint(0, n))]
+            c = C(terms, rng.randint(-15, 15))
+            conflict, props, filt = reference_visit(c, t)
+            got = find_conflict(c, t, cid=3)
+            assert (None if got is None else got.cs) == conflict
+            if conflict is None:
+                assert propagate_constraint(c, t) == props
+            assert exact_filter(c, t) == filt
+
+
+class RecordingQueue(deque):
+    def __init__(self, items):
+        super().__init__(items)
+        self.seen = list(items)
+
+    def append(self, cid):
+        self.seen.append(cid)
+        super().append(cid)
+
+
+class TestBoxRows:
+    def test_box_rows_are_stored_but_never_queued(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            p = random_problem(rng, objective=True)
+            s = Solver(p)
+            box = set(range(2 * p.num_vars))  # the seed bounds' reason rows
+            assert {e.info.reason_constraint for e in s.trail.entries} == box
+            for rebuilt in (False, True):
+                if rebuilt:  # registers every alive row again, box rows included
+                    s.propagator.rebuild_indexes()
+                occurring = {cid for occs in s.propagator.occ_pos + s.propagator.occ_neg
+                             for cid, _ in occs}
+                assert occurring.isdisjoint(box)
+            s.propagator.queue = RecordingQueue(s.propagator.queue)
+            s.solve()
+            assert s.propagator.queue.seen and box.isdisjoint(s.propagator.queue.seen)
 
 
 class TestFilters:
@@ -141,8 +216,8 @@ class TestFilters:
                     if s.store.kind[cid] != ConstraintStore.GENERAL:
                         continue
                     c = s.store.constraints[cid]
-                    assert s.propagator.filters[cid] >= s.propagator._exact_filter(c)
-                    if would_propagate(c, s.trail):
+                    assert s.propagator.filters[cid] >= exact_filter(c, s.trail)
+                    if propagate_constraint(c, s.trail):
                         assert s.propagator.filters[cid] > 0
 
 
@@ -200,33 +275,6 @@ class TestClauseTiers:
         assert s.trail.current_bounds(1) == (1, 1)
 
 
-class TestImplicitBinaries:
-    def _index(self, constraints, lbs, ubs):
-        p = Problem(len(lbs), lbs, ubs, constraints)
-        s = Solver(p, SolverConfig(use_implicit_binaries=True))
-        assert s.propagator.propagate_fixpoint() is None
-        s.propagator.detect_implicit(at_root=True)
-        return s, s.propagator.implicit_index
-
-    def test_set_packing_implies_all_pairs(self):
-        s, index = self._index([normalize([(0, 1), (1, 1), (2, 1)], 1)],
-                               [0] * 3, [1] * 3)
-        assert set(index) == {0, 1, 2}
-
-    def test_loose_packing_implies_nothing(self):
-        s, index = self._index([normalize([(0, 1), (1, 1)], 2)], [0, 0], [1, 1])
-        assert index == {}
-
-    def test_weighted_with_general_variable(self):
-        s, index = self._index([normalize([(0, 2), (1, 2), (2, 1)], 3)],
-                               [0, 0, 0], [1, 1, 5])
-        assert set(index) == {0, 1}
-        # firing the edge: setting x0 true forces x1 false
-        s.propagator.push_bound(lo(0, 1), DECISION)
-        assert s.propagator.propagate_fixpoint() is None
-        assert s.trail.current_bounds(1) == (0, 0)
-
-
 class TestFixpoint:
     def core_solver(self):
         cs = [
@@ -273,7 +321,9 @@ class TestFixpoint:
             s = Solver(p)
             if s.propagator.propagate_fixpoint() is None:
                 for cid in s.store.alive_cids():
-                    assert not would_propagate(s.store.constraints[cid], s.trail)
+                    c = s.store.constraints[cid]
+                    assert find_conflict(c, s.trail) is None
+                    assert propagate_constraint(c, s.trail) == []
 
 
 class TestLemmaSuites:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -222,6 +223,24 @@ class TestSolveFeasibility:
         out = s.solve()
         assert out.status == TIMELIMIT and out.solution is None
 
+    def test_time_limit_holds_inside_propagation(self):
+        # x < y and y < x: root propagation walks the upper bounds down
+        # one step per push, about a million pushes before the conflict
+        rows = [normalize([(0, 1), (1, -1)], -1), normalize([(0, -1), (1, 1)], -1)]
+        t0 = time.monotonic()
+        out = solver_for([0, 0], [10 ** 6, 10 ** 6], rows, time_limit=0.2).solve()
+        assert out.status == TIMELIMIT
+        assert time.monotonic() - t0 < 2.0
+
+
+def strengthening_on_binaries():
+    """Objective rows over binaries with unit coefficients look like
+    clauses; added mid-search they must still be checked at once."""
+    rows = [normalize([(0, 1), (1, -1), (2, -1), (4, 1)], 1),
+            normalize([(0, 1), (1, 1), (3, 1), (4, -1)], 1),
+            normalize([(0, -1), (1, -1), (2, 1), (3, 1), (4, -1)], -2)]
+    return Problem(5, [0] * 5, [1] * 5, rows, Objective({1: 3, 3: -3}))
+
 
 class TestSolveOptimize:
     def test_unconstrained_minimum_at_lower_bound(self):
@@ -257,6 +276,17 @@ class TestSolveOptimize:
         out = solver_for([0], [1], [normalize([(0, 1)], -1)],
                          objective=Objective({0: 1})).solve()
         assert out.status == INFEASIBLE
+
+    @pytest.mark.parametrize("mode", ["cut", "resolution"])
+    def test_strengthening_row_on_binaries_is_checked(self, mode):
+        p = strengthening_on_binaries()
+        ref = oracle_solve(p)
+        for seed in range(5):
+            s = Solver(p, SolverConfig(mode=mode, strategy_order=(8, 6, 2),
+                                       random_seed=seed))
+            out = s.solve()
+            assert (out.status, out.objective_value) == (OPTIMAL, ref.objective_value)
+            assert s.store.kind[s.strengthening_cid] == s.store.GENERAL
 
     def test_budget_with_incumbent_reports_bounded(self):
         rng = random.Random(2)

@@ -146,6 +146,26 @@ class TestBoundsVectorInvariant:
                         ub = min(ub, e.bound.value)
                 assert t.current_bounds(var) == (lb, ub)
 
+    def test_flat_lists_match_the_chains_after_every_step(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            n = 3
+            t = Trail(n, [-4] * n, [4] * n)
+            for _ in range(80):
+                if len(t) and rng.random() < 0.4:
+                    t.pop()
+                else:
+                    var = rng.randrange(n)
+                    lb, ub = t.lb[var], t.ub[var]
+                    if lb == ub:
+                        continue
+                    if rng.random() < 0.5:
+                        t.push(lo(var, rng.randint(lb + 1, ub)), DECISION)
+                    else:
+                        t.push(up(var, rng.randint(lb, ub - 1)), DECISION)
+                for var in range(n):
+                    assert (t.lb[var], t.ub[var]) == t.bounds_at_height(var, len(t))
+
     def test_pos_chain_enumerates_history(self):
         t = fresh_trail()
         heights = [t.push(lo(0, v), DECISION) for v in (1, 2, 3)]
