@@ -1,21 +1,25 @@
 """Conflict analysis, backjumping and learning.
 
-Two interchangeable engines share the same skeleton: the falsifying set
-of trail heights is rewritten by replacing its topmost bound with that
-bound's reason set until exactly one bound of the set remains at the
-highest decision level involved.  The resolution engine learns by
-converting the negated set into a constraint when its shape allows; the
-hybrid engine additionally carries a conflicting constraint, updated by
-eliminating cuts against reason constraints, which is always learned
-and can justify an early backjump to a lower level.
+One rewrite loop serves both engines: the falsifying set of trail
+heights is rewritten by replacing its topmost bound with that bound's
+reason set until exactly one bound of the set remains at the highest
+decision level involved.  The resolution engine then learns the negated
+set as a constraint when its shape allows; the hybrid (cut) engine
+additionally carries a conflicting constraint, updated by eliminating
+cuts against reason constraints, which is always learned and can
+justify an early backjump to a lower level.  ``analyze_resolution`` and
+``analyze_hybrid`` stay the two entry points, for the search and for
+hooks that wrap them by name.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .model import Bound, Constraint, cut, normalize
-from .propagation import Conflict, ConstraintStore, falsifying_heights
+from .propagation import (Conflict, ConstraintStore, propagated_bounds,
+                          slack_and_widest)
 from .trail import Trail
 
 
@@ -68,68 +72,34 @@ def _backjump_height(rest_top: int, trail: Trail) -> int:
 
 def analyze_resolution(conflict: Conflict, trail: Trail, store: ConstraintStore,
                        problem, trace=None, probe=None) -> AnalysisResult:
-    cs = set(conflict.cs)
-    bumped = {trail.entries[h].bound.var for h in cs}
-    touched = [conflict.cid]
-    if probe is not None:
-        probe(frozenset(cs))
-    while True:
-        stop = _stop_state(cs, trail)
-        if stop is not None:
-            h_top, rest_top = stop
-            break
-        h = max(cs)
-        entry = trail.entries[h]
-        assert not entry.info.is_decision
-        if entry.info.reason_constraint is not None:
-            touched.append(entry.info.reason_constraint)
-        cs.discard(h)
-        cs.update(entry.info.reason_set)
-        for rh in entry.info.reason_set:
-            bumped.add(trail.entries[rh].bound.var)
-        if trace is not None:
-            names = problem.var_names
-            added = ", ".join(trail.entries[rh].bound.format(names)
-                              for rh in entry.info.reason_set)
-            trace.emit(f"analyze step: drop {entry.bound.format(names)} add {{{added}}}")
-        if probe is not None:
-            probe(frozenset(cs))
-    b_top = trail.entries[h_top].bound
-    rest = tuple(sorted(cs - {h_top}))
-    pop_to = _backjump_height(rest_top, trail)
-    lits = [trail.entries[h].bound.negated() for h in sorted(cs)]
-    learned = clause_to_constraint(lits, problem)
-    return AnalysisResult(
-        pop_to=pop_to,
-        bound=b_top.negated(),
-        reason_set=rest,
-        attach_cc=None,
-        learned=(learned,) if learned is not None else (),
-        early=False,
-        bumped_vars=frozenset(bumped),
-        touched_cids=tuple(touched),
-    )
+    return _analyze(conflict, trail, store, problem, trace, probe, cut_mode=False)
 
 
 def analyze_hybrid(conflict: Conflict, trail: Trail, store: ConstraintStore,
                    problem, trace=None, probe=None) -> AnalysisResult:
+    return _analyze(conflict, trail, store, problem, trace, probe, cut_mode=True)
+
+
+def _analyze(conflict, trail, store, problem, trace, probe, cut_mode):
     cs = set(conflict.cs)
-    cc = store.constraints[conflict.cid]
+    cc = store.constraints[conflict.cid] if cut_mode else None
     cc_label = str(conflict.cid)
     bumped = {trail.entries[h].bound.var for h in cs}
     touched = [conflict.cid]
-    pending_scan = True  # scan once per distinct conflicting constraint
+    pending_scan = cut_mode  # scan once per distinct conflicting constraint
+    hit = None
     if probe is not None:
         probe(frozenset(cs))
-    while True:
+    while hit is None:
         stop = _stop_state(cs, trail)
         if stop is not None:
-            h_top, rest_top = stop
             break
         h = max(cs)
         entry = trail.entries[h]
         assert not entry.info.is_decision
         rc_cid = entry.info.reason_constraint
+        if rc_cid is not None:
+            touched.append(rc_cid)
         cs.discard(h)
         cs.update(entry.info.reason_set)
         for rh in entry.info.reason_set:
@@ -141,8 +111,9 @@ def analyze_hybrid(conflict: Conflict, trail: Trail, store: ConstraintStore,
             trace.emit(f"analyze step: drop {entry.bound.format(names)} add {{{added}}}")
         if probe is not None:
             probe(frozenset(cs))
+        if not cut_mode:
+            continue
         if rc_cid is not None:
-            touched.append(rc_cid)
             rc = store.constraints[rc_cid]
             new_cc = cut(cc, rc, entry.bound.var)
             if new_cc is not None:
@@ -162,31 +133,32 @@ def analyze_hybrid(conflict: Conflict, trail: Trail, store: ConstraintStore,
         if pending_scan and cc.monomials:
             pending_scan = False
             hit = early_backjump_scan(cc, trail)
-            if hit is not None:
-                if trace is not None:
-                    k = len(trail) - hit.cutoff
-                    trace.emit(f"early-backjump k={k} push "
-                               f"{hit.bound.format(problem.var_names)}")
-                return AnalysisResult(
-                    pop_to=hit.cutoff,
-                    bound=hit.bound,
-                    reason_set=hit.reason_set,
-                    attach_cc=cc,
-                    learned=(cc,),
-                    early=True,
-                    bumped_vars=frozenset(bumped),
-                    touched_cids=tuple(touched),
-                )
-    b_top = trail.entries[h_top].bound
-    rest = tuple(sorted(cs - {h_top}))
-    pop_to = _backjump_height(rest_top, trail)
+    if hit is not None:
+        if trace is not None:
+            trace.emit(f"early-backjump k={len(trail) - hit.cutoff} push "
+                       f"{hit.bound.format(problem.var_names)}")
+        pop_to, bound, reason_set = hit
+    else:
+        h_top, rest_top = stop
+        pop_to = _backjump_height(rest_top, trail)
+        bound = trail.entries[h_top].bound.negated()
+        reason_set = tuple(sorted(cs - {h_top}))
+    if cut_mode:
+        learned = (cc,)
+    else:
+        # level-0 bounds hold in every later state, so their negations
+        # can be left out of the learned clause
+        level0_end = trail.level_start(1)
+        lits = [trail.entries[h].bound.negated() for h in sorted(cs) if h >= level0_end]
+        clause = clause_to_constraint(lits, problem)
+        learned = (clause,) if clause is not None else ()
     return AnalysisResult(
         pop_to=pop_to,
-        bound=b_top.negated(),
-        reason_set=rest,
+        bound=bound,
+        reason_set=reason_set,
         attach_cc=cc,
-        learned=(cc,),
-        early=False,
+        learned=learned,
+        early=hit is not None,
         bumped_vars=frozenset(bumped),
         touched_cids=tuple(touched),
     )
@@ -217,34 +189,24 @@ def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[EarlyBackjump]
         return None
     for level in range(trail.num_decisions):
         cutoff = trail.decision_heights[level]
-        bounds = {var: trail.bounds_at_height(var, cutoff) for var in cc.vars()}
-        smin = 0
-        for var, coeff in cc.monomials:
-            lb, ub = bounds[var]
-            smin += coeff * lb if coeff > 0 else coeff * ub
-        if smin > cc.rhs:
+        prefix = SimpleNamespace(lb={}, ub={})  # read like the trail's lists
+        for var in cc.vars():
+            prefix.lb[var], prefix.ub[var] = trail.bounds_at_height(var, cutoff)
+        slack, widest = slack_and_widest(cc, prefix)
+        if slack < 0:
             if level == 0:
                 raise AnalysisInfeasible
             return None
-        for var, coeff in cc.monomials:
-            lb, ub = bounds[var]
-            own_min = coeff * lb if coeff > 0 else coeff * ub
-            e_num = cc.rhs - (smin - own_min)
-            if coeff > 0:
-                b = Bound(var, False, e_num // coeff)
-                fresh = lb <= b.value < ub
-            else:
-                b = Bound(var, True, -((-e_num) // coeff))
-                fresh = lb < b.value <= ub
-            if fresh:
-                reason = []
-                for other, ocoeff in cc.monomials:
-                    if other == var:
-                        continue
-                    h = trail.height_of_strongest_below(other, ocoeff > 0, cutoff)
-                    assert h >= 0
-                    reason.append(h)
-                return EarlyBackjump(cutoff, b, tuple(sorted(reason)))
+        if widest <= slack:
+            continue
+        i, b = propagated_bounds(cc, prefix, slack)[0]
+        reason = []
+        for j, (other, ocoeff) in enumerate(cc.monomials):
+            if j != i:
+                h = trail.height_of_strongest_below(other, ocoeff > 0, cutoff)
+                assert h >= 0
+                reason.append(h)
+        return EarlyBackjump(cutoff, b, tuple(sorted(reason)))
     return None
 
 
@@ -278,25 +240,22 @@ def clause_to_constraint(lits, problem) -> Optional[Constraint]:
     if not general:
         terms = [(v, -1) for v in binary_true] + [(v, 1) for v in binary_false]
         return normalize(terms, n_false - 1)
-    g = general[0]
-    lb0 = problem.initial_lb[g.var]
-    ub0 = problem.initial_ub[g.var]
-    if g.is_lower:
-        k = g.value
+    var, is_lower, k = general[0]
+    lb0 = problem.initial_lb[var]
+    ub0 = problem.initial_ub[var]
+    if is_lower:
         if not lb0 < k <= ub0:
             return None
         w = k - lb0
-        terms = [(v, -w) for v in binary_true] + [(v, w) for v in binary_false]
-        terms.append((g.var, -1))
-        rhs = n_false * w - k
+        sign = -1
     else:
-        k = g.value
         if not lb0 <= k < ub0:
             return None
         w = ub0 - k
-        terms = [(v, -w) for v in binary_true] + [(v, w) for v in binary_false]
-        terms.append((g.var, 1))
-        rhs = n_false * w + k
+        sign = 1
+    terms = [(v, -w) for v in binary_true] + [(v, w) for v in binary_false]
+    terms.append((var, sign))
+    rhs = n_false * w + sign * k
     if any(abs(c) > COEFF_CAP for _, c in terms) or abs(rhs) > COEFF_CAP:
         return None
     return normalize(terms, rhs)

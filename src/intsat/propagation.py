@@ -15,6 +15,11 @@ lists, all through ``slack_and_widest``: ``find_conflict``, then
 bounds are pushed.  One-variable rows the initial box implies, such as
 the seed box rows, are never visited.
 
+``propagated_bounds`` is the one rule for the bounds a row propagates.
+It and ``slack_and_widest`` read only the ``lb``/``ub`` of their bounds
+argument, so the early-backjump scan applies both to past trail
+prefixes as well.
+
 All three tiers share one extraction rule for conflict sets and reason
 sets: the height of the current strongest bound of each variable on the
 side its coefficient uses.
@@ -91,33 +96,38 @@ def find_conflict(c: Constraint, trail: Trail, cid: int = -1) -> Optional[Confli
     return None
 
 
-def propagate_constraint(c: Constraint, trail: Trail):
-    """All fresh bounds the constraint propagates under the current trail.
+def propagated_bounds(c: Constraint, bounds, slack: int) -> list:
+    """Every fresh bound the row propagates, as (monomial index, bound)
+    pairs in row order, given its slack >= 0 under ``bounds`` (anything
+    with per-variable ``lb``/``ub``, like the trail).
 
     For each variable, the bound obtained by moving every other variable
     to its minimum and rounding: ``x <= lb + floor(slack/a)`` for a > 0,
     ``ub - floor(slack/|a|) <= x`` for a < 0.  It is fresh iff
-    |a|*(ub-lb) > slack.  Returns (bound, reason heights) pairs in row
-    order, all taken from the current trail; the caller must have ruled
-    out a conflict first.
+    |a|*(ub-lb) > slack.
+    """
+    lb, ub = bounds.lb, bounds.ub
+    out = []
+    for i, (var, coeff) in enumerate(c.monomials):
+        if coeff > 0:
+            if coeff * (ub[var] - lb[var]) > slack:
+                out.append((i, Bound(var, False, lb[var] + slack // coeff)))
+        elif coeff * (lb[var] - ub[var]) > slack:
+            out.append((i, Bound(var, True, ub[var] - slack // -coeff)))
+    return out
+
+
+def propagate_constraint(c: Constraint, trail: Trail):
+    """All fresh bounds the constraint propagates under the current trail,
+    as (bound, reason heights) pairs in row order, all taken from the
+    current trail; the caller must have ruled out a conflict first.
     """
     slack, widest = slack_and_widest(c, trail)
     if widest <= slack:
         return []
-    lb, ub = trail.lb, trail.ub
     heights = falsifying_heights(c, trail)
-    out = []
-    for i, (var, coeff) in enumerate(c.monomials):
-        if coeff > 0:
-            if coeff * (ub[var] - lb[var]) <= slack:
-                continue
-            b = Bound(var, False, lb[var] + slack // coeff)
-        else:
-            if coeff * (lb[var] - ub[var]) <= slack:
-                continue
-            b = Bound(var, True, ub[var] - slack // -coeff)
-        out.append((b, heights[:i] + heights[i + 1:]))
-    return out
+    return [(b, heights[:i] + heights[i + 1:])
+            for i, b in propagated_bounds(c, trail, slack)]
 
 
 class ConstraintStore:
@@ -288,6 +298,9 @@ class Propagator:
         for cid in self.store.alive_cids():
             self.register_constraint(cid)
         self.filter_marks = [0] * len(self.trail)
+        # both literal tiers re-read the level-0 trail: the new watches
+        # and edges may sit on literals that are already false there
+        self.binary_cursor = self.clause_cursor = 0
 
     def _implied_by_box(self, c: Constraint) -> bool:
         """A one-variable row that the initial box satisfies: bounds only

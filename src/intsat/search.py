@@ -318,13 +318,10 @@ class Solver:
         probe = None
         if self.instr is not None and hasattr(self.instr, "on_cs"):
             probe = lambda cs: self.instr.on_cs(self, cs)
-        if self.config.mode == RESOLUTION:
-            return analysis.analyze_resolution(
-                conflict, self.trail, self.store, self.problem,
-                trace=self.trace, probe=probe)
-        return analysis.analyze_hybrid(
-            conflict, self.trail, self.store, self.problem,
-            trace=self.trace, probe=probe)
+        analyze = (analysis.analyze_resolution if self.config.mode == RESOLUTION
+                   else analysis.analyze_hybrid)
+        return analyze(conflict, self.trail, self.store, self.problem,
+                       trace=self.trace, probe=probe)
 
     def _install_learned(self, c: Constraint) -> Optional[int]:
         cid = self.store.add(c, initial=False)

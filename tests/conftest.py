@@ -188,6 +188,37 @@ def refutation_violated(feasible_s0, strengthening):
                for pt in feasible_s0)
 
 
+def _objective(rng, n):
+    terms = {v: rng.randint(-5, 5) for v in range(n)}
+    return Objective({v: c for v, c in terms.items() if c} or {0: 1})
+
+
+def cover_packing_problem(rng, n=7):
+    """Binaries under at-least-one and at-most-one rows over 2-4 of them,
+    with a random objective."""
+    from intsat.model import normalize
+    rows = []
+    for _ in range(rng.randint(4, 8)):
+        vs = rng.sample(range(n), rng.randint(2, 4))
+        sign = -1 if rng.random() < 0.5 else 1
+        rows.append(normalize([(v, sign) for v in vs], sign))
+    return Problem(n, [0] * n, [1] * n, rows, _objective(rng, n))
+
+
+def small_integer_problem(rng, n=4, dom=3):
+    """Variables in [-dom, dom] under 3-6 rows of 2..n terms whose
+    right-hand sides sit near a random point, with a random objective."""
+    from intsat.model import normalize
+    anchor = [rng.randint(-dom, dom) for _ in range(n)]
+    coeffs = [c for c in range(-5, 6) if c != 0]
+    rows = []
+    for _ in range(rng.randint(3, 6)):
+        terms = [(v, rng.choice(coeffs)) for v in rng.sample(range(n), rng.randint(2, n))]
+        at_anchor = sum(c * anchor[v] for v, c in terms)
+        rows.append(normalize(terms, at_anchor + rng.randint(-1, 3)))
+    return Problem(n, [-dom] * n, [dom] * n, rows, _objective(rng, n))
+
+
 def php_problem(pigeons, holes):
     from intsat.model import normalize
     n = pigeons * holes

@@ -7,9 +7,10 @@ from intsat.analysis import (AnalysisInfeasible, analyze_hybrid,
                              cut_skip_check, early_backjump_scan)
 from intsat.model import Bound, Objective, Problem, normalize
 from intsat.search import Solver, SolverConfig
-from intsat.trail import DECISION, ReasonInfo
+from intsat.trail import DECISION, ReasonInfo, Trail
 from conftest import (C, RecordingSolver, ValidityProbe, box_points,
-                      feasible_points, lo, refutation_violated, up)
+                      feasible_points, lo, php_problem, refutation_violated,
+                      small_integer_problem, up)
 
 
 def core_solver(**cfg):
@@ -66,7 +67,8 @@ class TestResolutionAnalysis:
         assert as_bounds[2] == {up(0, 1), lo(0, 1)}
         assert res.bound == up(0, 0)  # not(1 <= x) is x <= 0
         assert [s.trail.entries[h].bound for h in res.reason_set] == [up(0, 1)]
-        assert res.learned == ()  # 2 <= x or x <= 0 is not convertible
+        # x <= 1 sits at level 0, so only the negated decision is learned
+        assert res.learned == (C([(0, 1)], 0),)  # x <= 0
         assert len(s.trail) - res.pop_to == 3  # pops z<=0, y<=0, 1<=x
         assert s.trail.entries[res.pop_to].info.is_decision
 
@@ -99,6 +101,13 @@ class TestResolutionAnalysis:
         conflict = core_conflict(s)
         res = analyze_resolution(conflict, s.trail, s.store, s.problem)
         assert res.bumped_vars == {0, 1, 2}
+
+    def test_learns_despite_level_zero_bounds(self):
+        # every conflict set holds seed bounds such as 0 <= x; their
+        # negations are left out, so pigeonhole conflicts are learned
+        s = Solver(php_problem(6, 5), SolverConfig(mode="resolution"))
+        assert s.solve().status == "infeasible"
+        assert s.stats.learned > 0
 
 
 class TestHybridAnalysis:
@@ -173,6 +182,105 @@ class TestEarlyBackjumpScan:
         hit = early_backjump_scan(C([(0, 1), (1, 1)], 0), s.trail)
         if hit is not None:
             assert all(h < hit.cutoff for h in hit.reason_set)
+
+
+def reference_scan(cc, t):
+    """The scan recomputed per level from the trail entries below each
+    cutoff: the hit as (cutoff, bound, reason heights), None, or
+    "infeasible"."""
+    for level, cutoff in enumerate(t.decision_heights):
+        last = {}  # (var, is_lower) -> height of the latest bound below cutoff
+        for h in range(cutoff):
+            b = t.entries[h].bound
+            last[b.var, b.is_lower] = h
+        bounds = {v: (t.entries[last[v, True]].bound.value,
+                      t.entries[last[v, False]].bound.value) for v, _ in cc.monomials}
+        smin = sum(a * (bounds[v][0] if a > 0 else bounds[v][1]) for v, a in cc.monomials)
+        if smin > cc.rhs:
+            return "infeasible" if level == 0 else None
+        for v, a in cc.monomials:
+            lb, ub = bounds[v]
+            rest = cc.rhs - (smin - (a * lb if a > 0 else a * ub))
+            if a > 0:
+                b, fresh = up(v, rest // a), lb <= rest // a < ub
+            else:
+                b, fresh = lo(v, -((-rest) // a)), lb < -((-rest) // a) <= ub
+            if fresh:
+                reason = sorted(last[w, x > 0] for w, x in cc.monomials if w != v)
+                return cutoff, b, tuple(reason)
+    return None
+
+
+class TestScanAgainstReference:
+    def test_matches_the_reference_on_random_rows(self):
+        rng = random.Random(46)
+        outcomes = {"hit": 0, "none": 0, "infeasible": 0}
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            lbs = [rng.randint(-6, 2) for _ in range(n)]
+            ubs = [lb + rng.randint(0, 8) for lb in lbs]
+            t = Trail(n, lbs, ubs)
+            for var in range(n):
+                t.push(lo(var, lbs[var]), ReasonInfo.propagated((), None), seed=True)
+                t.push(up(var, ubs[var]), ReasonInfo.propagated((), None), seed=True)
+            for _ in range(rng.randint(1, 10)):
+                var = rng.randrange(n)
+                lb, ub = t.current_bounds(var)
+                if lb < ub:
+                    info = (DECISION if rng.random() < 0.4
+                            else ReasonInfo.propagated((), None))
+                    t.push(lo(var, rng.randint(lb + 1, ub)) if rng.random() < 0.5
+                           else up(var, rng.randint(lb, ub - 1)), info)
+            terms = [(v, rng.choice([-7, -3, -2, -1, 1, 2, 3, 7]))
+                     for v in rng.sample(range(n), rng.randint(1, n))]
+            cc = C(terms, rng.randint(-20, 20))
+            want = reference_scan(cc, t)
+            try:
+                hit = early_backjump_scan(cc, t)
+            except AnalysisInfeasible:
+                hit = "infeasible"
+            if hit is not None and hit != "infeasible":
+                hit = (hit.cutoff, hit.bound, hit.reason_set)
+                outcomes["hit"] += 1
+            else:
+                outcomes[hit or "none"] += 1
+            assert hit == want, (cc, t.dump_lines())
+        assert min(outcomes.values()) >= 20, outcomes
+
+
+class TwinSolver(Solver):
+    """Cut-mode solver that also runs resolution analysis on every
+    conflict state and records both results with their rewrite steps."""
+
+    def _analyze(self, conflict):
+        args = (conflict, self.trail, self.store, self.problem)
+        steps = ([], [])
+        try:
+            hybrid = analyze_hybrid(*args, probe=steps[0].append)
+        except AnalysisInfeasible:
+            hybrid = None
+        if hybrid is not None and not hybrid.early:
+            resolution = analyze_resolution(*args, probe=steps[1].append)
+            self.twins.append((hybrid, resolution, steps))
+        return super()._analyze(conflict)
+
+
+class TestOneRewriteLoop:
+    def test_hybrid_without_early_backjump_matches_resolution(self):
+        rng = random.Random(52)
+        twins = []
+        for _ in range(100):
+            s = TwinSolver(small_integer_problem(rng),
+                           SolverConfig(mode="cut", strategy_order=(1,)))
+            s.twins = twins
+            s.solve()
+        assert len(twins) >= 300
+        assert sum(len(steps[0]) > 2 for _, _, steps in twins) >= 50
+        fields = ("pop_to", "bound", "reason_set", "bumped_vars", "touched_cids")
+        for hybrid, resolution, (hybrid_steps, resolution_steps) in twins:
+            for name in fields:
+                assert getattr(hybrid, name) == getattr(resolution, name), name
+            assert hybrid_steps == resolution_steps
 
 
 class TestCutSkipCheck:

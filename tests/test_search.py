@@ -8,7 +8,8 @@ from intsat.oracle import oracle_solve
 from intsat.search import (ActivityQueue, Solver, SolverConfig, luby,
                            BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT)
 from intsat.trail import DECISION
-from conftest import lo, up, random_problem
+from conftest import (cover_packing_problem, lo, random_problem,
+                      small_integer_problem, up)
 
 
 def solver_for(lbs, ubs, constraints=(), objective=None, **cfg):
@@ -190,6 +191,25 @@ class TestCleanup:
         s._cleanup()
         assert s.store.alive[cid]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rebuild_rewatches_literals_false_at_level_zero(self, seed):
+        # with cleanup after every second learned row, rebuilt clause
+        # watches land on literals already false at level 0
+        rows = [normalize([(0, -1), (3, -1), (4, -1), (6, -1)], -1),
+                normalize([(0, 1), (1, 1), (3, 1), (5, 1)], 1),
+                normalize([(0, 1), (3, 1), (5, 1)], 1),
+                normalize([(0, 1), (5, 1)], 1),
+                normalize([(1, -1), (2, -1), (5, -1), (6, -1)], -1),
+                normalize([(0, -1), (4, -1), (5, -1)], -1)]
+        p = Problem(7, [0] * 7, [1] * 7, rows,
+                    Objective({0: 5, 1: -2, 2: 5, 3: 1, 4: 1, 5: -3, 6: 1}))
+        ref = oracle_solve(p)
+        s = Solver(p, SolverConfig(mode="cut", cleanup_learned_threshold=2,
+                                   restart=("luby", 1), random_seed=seed))
+        out = s.solve()
+        assert (out.status, out.objective_value) == (OPTIMAL, ref.objective_value)
+        assert s.stats.cleanups > 0
+
 
 class TestSolveFeasibility:
     def test_trivial_fixed_variable(self):
@@ -329,3 +349,53 @@ class TestOracleAgreement:
                          tuple(out.solution.values) if out.solution else None,
                          s.stats.conflicts, s.stats.decisions))
         assert runs[0] == runs[1]
+
+
+AGGRESSIVE_CLEANUP = dict(cleanup_learned_threshold=2, restart=("luby", 1))
+CONFIG_SPACE = [
+    dict(mode=mode, strategy_order=order, **settings)
+    for mode in ("cut", "resolution")
+    for order in ((7, 5, 1), (10, 4))
+    for settings in ({}, AGGRESSIVE_CLEANUP)
+]
+
+
+def config_space_problems():
+    rng = random.Random(5)
+    return ([cover_packing_problem(rng) for _ in range(300)]
+            + [small_integer_problem(rng) for _ in range(60)])
+
+
+def test_config_space_matches_the_oracle():
+    """Every configuration in CONFIG_SPACE answers as the oracle does on
+    seeded binary cover/packing and small general-integer instances.
+
+    Runs are capped at 300 conflicts.  Only aggressive cleanup may hit
+    the cap (see test_aggressive_cleanup_terminates); a capped run that
+    found an incumbent must carry a valid one no better than the optimum.
+    """
+    capped = 0
+    for i, p in enumerate(config_space_problems()):
+        ref = oracle_solve(p)
+        for cfg in CONFIG_SPACE:
+            out = Solver(p, SolverConfig(random_seed=i % 3, max_conflicts=300,
+                                         **cfg)).solve()
+            if (out.status in (BOUNDED, TIMELIMIT)
+                    and AGGRESSIVE_CLEANUP.items() <= cfg.items()):
+                capped += 1
+                if out.solution is not None:
+                    assert p.check_solution(out.solution.values), (i, cfg)
+                    assert out.objective_value >= ref.objective_value, (i, cfg)
+                continue
+            assert (out.status, out.objective_value) == (ref.status, ref.objective_value), (
+                i, cfg)
+    assert capped <= 10
+
+
+@pytest.mark.xfail(strict=True, reason="cleanup after every two learned rows also "
+                   "restarts, and can repeat the same two conflicts forever")
+def test_aggressive_cleanup_terminates():
+    p = config_space_problems()[321]
+    out = Solver(p, SolverConfig(mode="cut", strategy_order=(10, 4), max_conflicts=300,
+                                 **AGGRESSIVE_CLEANUP)).solve()
+    assert out.status == OPTIMAL
