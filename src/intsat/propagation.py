@@ -9,11 +9,11 @@ Constraints live in three tiers:
   propagated with two watched literals;
 * binary clauses, kept as edges of a binary implication graph.
 
-A general-row visit takes three passes over the trail's flat bound
-lists, all through ``slack_and_widest``: ``find_conflict``, then
-``propagate_constraint``, then the exact filter once the propagated
-bounds are pushed.  One-variable rows the initial box implies, such as
-the seed box rows, are never visited.
+A general-row visit reads the row's bounds in one ``slack_and_widest``
+pass and calls ``find_conflict`` or ``propagate_constraint`` only when
+that pass says they fire; a visit that propagates reads the new widths
+once more for its filter.  One-variable rows the initial box implies,
+such as the seed box rows, are never visited.
 
 ``propagated_bounds`` is the one rule for the bounds a row propagates.
 It and ``slack_and_widest`` read only the ``lb``/``ub`` of their bounds
@@ -117,14 +117,16 @@ def propagated_bounds(c: Constraint, bounds, slack: int) -> list:
     return out
 
 
-def propagate_constraint(c: Constraint, trail: Trail):
+def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = None):
     """All fresh bounds the constraint propagates under the current trail,
     as (bound, reason heights) pairs in row order, all taken from the
-    current trail; the caller must have ruled out a conflict first.
+    current trail; the caller must have ruled out a conflict first, and
+    may pass the row's slack if it holds it.
     """
-    slack, widest = slack_and_widest(c, trail)
-    if widest <= slack:
-        return []
+    if slack is None:
+        slack, widest = slack_and_widest(c, trail)
+        if widest <= slack:
+            return []
     heights = falsifying_heights(c, trail)
     return [(b, heights[:i] + heights[i + 1:])
             for i, b in propagated_bounds(c, trail, slack)]
@@ -488,15 +490,18 @@ class Propagator:
 
     def _visit_general(self, cid: int) -> Optional[Conflict]:
         c = self.store.constraints[cid]
-        conflict = find_conflict(c, self.trail, cid)
-        if conflict is not None:
-            return conflict
-        for b, reason in propagate_constraint(c, self.trail):
-            self.push_bound(b, ReasonInfo.propagated(reason, cid),
-                            tier=ConstraintStore.GENERAL)
+        trail = self.trail
+        slack, widest = slack_and_widest(c, trail)
+        if slack < 0:
+            return find_conflict(c, trail, cid)
+        if widest > slack:
+            for b, reason in propagate_constraint(c, trail, slack):
+                self.push_bound(b, ReasonInfo.propagated(reason, cid),
+                                tier=ConstraintStore.GENERAL)
+            slack, widest = slack_and_widest(c, trail)
         if self.filter_marks:
             self.filter_log.append((cid, self.filters[cid]))
-        self.filters[cid] = exact_filter(c, self.trail)
+        self.filters[cid] = widest - slack
         return None
 
     # -- the fixpoint loop ------------------------------------------------------

@@ -195,6 +195,7 @@ class Solver:
         self.last_solution = None
         self.strengthening_cid = None
         self.retired_pending = set()
+        self.cleanup_mark = 0  # rows with cid >= it were added since the last cleanup
         self.conflicts_since_restart = 0
         self._init_restart_schedule()
         self._seed_initial_bounds()
@@ -355,11 +356,13 @@ class Solver:
                 or self.store.learned_bytes > self.config.cleanup_memory_cap)
 
     def _cleanup(self):
-        """Drop inactive long learned constraints; must run at level 0."""
+        """Drop inactive long learned constraints; must run at level 0.  Rows
+        learned since the last cleanup are kept and not aged: dropping them at
+        the restart each cleanup brings can repeat the same conflicts forever."""
         assert self.trail.num_decisions == 0
         referenced = {e.info.reason_constraint for e in self.trail.entries}
         for cid in self.store.alive_cids():
-            if self.store.initial[cid]:
+            if self.store.initial[cid] or cid >= self.cleanup_mark:
                 continue
             c = self.store.constraints[cid]
             if (len(c.monomials) > 2 and self.store.activity[cid] == 0
@@ -372,6 +375,7 @@ class Solver:
                 self.store.alive[cid] = False
                 self.retired_pending.discard(cid)
         self.store.learned_since_cleanup = 0
+        self.cleanup_mark = len(self.store)
         self.propagator.rebuild_indexes()
         self.stats.cleanups += 1
         if self.instr is not None:

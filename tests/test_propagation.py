@@ -1,12 +1,13 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
+from intsat import propagation
 from intsat.model import Bound, Problem, normalize
 from intsat.propagation import (ConstraintStore, exact_filter, find_conflict,
                                 propagate_constraint, slack_and_widest)
-from intsat.search import Solver
+from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
-from conftest import C, lo, up, random_problem
+from conftest import C, lo, up, random_problem, small_integer_problem
 from lemma_suites import ALL_SUITES
 
 
@@ -137,6 +138,77 @@ class TestOnePassVisit:
             if conflict is None:
                 assert propagate_constraint(c, t) == props
             assert exact_filter(c, t) == filt
+
+
+def solvers_in_both_modes(seed, count):
+    """Solvers over seeded random optimisation problems, cut and resolution."""
+    rng = random.Random(seed)
+    for i in range(count):
+        p = random_problem(rng, objective=True) if i % 2 else small_integer_problem(rng)
+        for mode in ("cut", "resolution"):
+            yield Solver(p, SolverConfig(mode=mode, max_conflicts=200, random_seed=i))
+
+
+class TestVisitsInSearch:
+    def test_each_visit_matches_the_reference_and_leaves_the_exact_filter(self):
+        seen = Counter()
+        for s in solvers_in_both_modes(33, 80):
+            pr = s.propagator
+            visit = pr._visit_general
+
+            def checked(cid, pr=pr, visit=visit, s=s):
+                c, t = pr.store.constraints[cid], pr.trail
+                conflict, props, _ = reference_visit(c, t)
+                height = len(t)
+                got = visit(cid)
+                assert (None if got is None else got.cs) == conflict
+                assert [(e.bound, e.info.reason_set) for e in t.entries[height:]] == props
+                if got is None:
+                    assert pr.filters[cid] == exact_filter(c, t)
+                    seen["propagating" if props else "idle"] += 1
+                    if cid == s.strengthening_cid:
+                        seen["strengthening"] += 1
+                else:
+                    seen["conflict"] += 1
+                return got
+
+            pr._visit_general = checked
+            s.solve()
+        assert min(seen[k] for k in ("propagating", "idle", "conflict", "strengthening")) >= 20
+
+    def test_wrapped_calls_fire_and_an_idle_visit_takes_one_pass(self, monkeypatch):
+        # the benchmark's tracer counts a visit as useful when a wrapped
+        # find_conflict or propagate_constraint call finds something
+        calls = Counter()
+
+        def counting(name, fn, fires=lambda out: True):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                out = fn(*args, **kwargs)
+                assert fires(out), name
+                return out
+            return wrapped
+
+        monkeypatch.setattr(propagation, "find_conflict", counting(
+            "find_conflict", propagation.find_conflict, lambda out: out is not None))
+        monkeypatch.setattr(propagation, "propagate_constraint", counting(
+            "propagate_constraint", propagation.propagate_constraint, lambda out: len(out) > 0))
+        monkeypatch.setattr(propagation, "slack_and_widest", counting(
+            "slack_and_widest", propagation.slack_and_widest))
+        visit = propagation.Propagator._visit_general
+
+        def counted(self, cid):
+            before, height = calls["slack_and_widest"], len(self.trail)
+            got = visit(self, cid)
+            if got is None and len(self.trail) == height:
+                calls["idle"] += 1
+                assert calls["slack_and_widest"] == before + 1
+            return got
+
+        monkeypatch.setattr(propagation.Propagator, "_visit_general", counted)
+        for s in solvers_in_both_modes(34, 20):
+            s.solve()
+        assert min(calls[k] for k in ("find_conflict", "propagate_constraint", "idle")) >= 20
 
 
 class RecordingQueue(deque):

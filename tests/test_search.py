@@ -167,6 +167,9 @@ class TestCleanup:
     def test_removes_long_inactive_learned(self):
         s, (c3, c2, c3b) = self.setup_store()
         s.store.activity[c3b] = 5
+        s._cleanup()  # rows learned since the last cleanup are kept, not aged
+        assert all(s.store.alive[c] for c in (c3, c2, c3b))
+        assert s.store.activity[c3b] == 5
         s._cleanup()
         assert not s.store.alive[c3]      # 3 monomials, counter 0
         assert s.store.alive[c2]          # only 2 monomials
@@ -368,34 +371,27 @@ def config_space_problems():
 
 def test_config_space_matches_the_oracle():
     """Every configuration in CONFIG_SPACE answers as the oracle does on
-    seeded binary cover/packing and small general-integer instances.
-
-    Runs are capped at 300 conflicts.  Only aggressive cleanup may hit
-    the cap (see test_aggressive_cleanup_terminates); a capped run that
-    found an incumbent must carry a valid one no better than the optimum.
-    """
-    capped = 0
+    seeded binary cover/packing and small general-integer instances,
+    each run within 300 conflicts."""
     for i, p in enumerate(config_space_problems()):
         ref = oracle_solve(p)
         for cfg in CONFIG_SPACE:
             out = Solver(p, SolverConfig(random_seed=i % 3, max_conflicts=300,
                                          **cfg)).solve()
-            if (out.status in (BOUNDED, TIMELIMIT)
-                    and AGGRESSIVE_CLEANUP.items() <= cfg.items()):
-                capped += 1
-                if out.solution is not None:
-                    assert p.check_solution(out.solution.values), (i, cfg)
-                    assert out.objective_value >= ref.objective_value, (i, cfg)
-                continue
             assert (out.status, out.objective_value) == (ref.status, ref.objective_value), (
                 i, cfg)
-    assert capped <= 10
 
 
-@pytest.mark.xfail(strict=True, reason="cleanup after every two learned rows also "
-                   "restarts, and can repeat the same two conflicts forever")
 def test_aggressive_cleanup_terminates():
-    p = config_space_problems()[321]
-    out = Solver(p, SolverConfig(mode="cut", strategy_order=(10, 4), max_conflicts=300,
-                                 **AGGRESSIVE_CLEANUP)).solve()
-    assert out.status == OPTIMAL
+    # cleanup after every two learned rows, each with a restart, used to
+    # delete the two rows just learned and meet the same conflicts forever
+    problems = config_space_problems()
+    for i in (300, 321, 326, 339):
+        ref = oracle_solve(problems[i])
+        for order in ((7, 5, 1), (10, 4)):
+            s = Solver(problems[i], SolverConfig(mode="cut", strategy_order=order,
+                                                 max_conflicts=300, **AGGRESSIVE_CLEANUP))
+            out = s.solve()
+            assert (out.status, out.objective_value) == (OPTIMAL, ref.objective_value), (
+                i, order)
+            assert s.stats.cleanups > 0
