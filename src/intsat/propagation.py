@@ -124,9 +124,7 @@ def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = Non
     may pass the row's slack if it holds it.
     """
     if slack is None:
-        slack, widest = slack_and_widest(c, trail)
-        if widest <= slack:
-            return []
+        slack = slack_and_widest(c, trail)[0]
     heights = falsifying_heights(c, trail)
     return [(b, heights[:i] + heights[i + 1:])
             for i, b in propagated_bounds(c, trail, slack)]

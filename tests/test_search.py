@@ -181,6 +181,7 @@ class TestCleanup:
         s = solver_for([0, 0, 0], [3, 3, 3],
                        [normalize([(0, 1), (1, 1), (2, 1)], 5)])
         s._cleanup()
+        s._cleanup()  # the first one keeps every row as fresh
         assert all(s.store.alive[c] for c in range(len(s.store))
                    if s.store.initial[c])
 
@@ -192,6 +193,7 @@ class TestCleanup:
         assert conflict is None
         assert s.trail.pu[0] >= 0  # it propagated upper bounds at level 0
         s._cleanup()
+        s._cleanup()  # the first one keeps every row as fresh
         assert s.store.alive[cid]
 
     @pytest.mark.parametrize("seed", range(3))
@@ -393,5 +395,23 @@ def test_aggressive_cleanup_terminates():
                                                  max_conflicts=300, **AGGRESSIVE_CLEANUP))
             out = s.solve()
             assert (out.status, out.objective_value) == (OPTIMAL, ref.objective_value), (
+                i, order)
+            assert s.stats.cleanups > 0
+
+
+@pytest.mark.xfail(strict=True, reason="over the memory cap, a cleanup and restart "
+                   "follow every conflict, and each learned row that is not bumped is "
+                   "deleted at the second cleanup after it (ROADMAP P0-7)")
+@pytest.mark.parametrize("mode", ["cut", "resolution"])
+def test_memory_capped_cleanup_terminates(mode):
+    # a cap below one learned row makes a cleanup due after every conflict
+    problems = config_space_problems()
+    for i in (300, 304):
+        ref = oracle_solve(problems[i])
+        for order in ((7, 5, 1), (10, 4)):
+            s = Solver(problems[i], SolverConfig(mode=mode, strategy_order=order,
+                                                 max_conflicts=300, cleanup_memory_cap=1))
+            out = s.solve()
+            assert (out.status, out.objective_value) == (ref.status, ref.objective_value), (
                 i, order)
             assert s.stats.cleanups > 0
