@@ -8,19 +8,19 @@ derives new constraints with eliminating cuts.
 """
 
 from .model import (Bound, Constraint, Monomial, Objective, Problem, Solution,
-                    cut, evaluate, negate_bound, normalize)
+                    cut, normalize)
 from .oracle import SearchSpaceTooLarge, oracle_solve
 from .search import (CUT, RESOLUTION, SolveOutcome, Solver, SolverConfig,
-                     SolverStats, solve, solve_feasibility, solve_optimize)
+                     SolverStats, solve)
 from .io import ParseError, parse, parse_file, write_problem, write_solution
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bound", "Constraint", "Monomial", "Objective", "Problem", "Solution",
-    "cut", "evaluate", "negate_bound", "normalize",
+    "cut", "normalize",
     "SearchSpaceTooLarge", "oracle_solve",
     "CUT", "RESOLUTION", "SolveOutcome", "Solver", "SolverConfig", "SolverStats",
-    "solve", "solve_feasibility", "solve_optimize",
+    "solve",
     "ParseError", "parse", "parse_file", "write_problem", "write_solution",
 ]

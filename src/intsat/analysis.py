@@ -14,12 +14,12 @@ hooks that wrap them by name.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
-from .model import Bound, Constraint, cut, normalize
-from .propagation import (Conflict, ConstraintStore, propagated_bounds,
-                          slack_and_widest)
+from .model import COEFF_CAP, Bound, Constraint, cut, normalize
+from .propagation import Conflict, ConstraintStore, propagated_bounds
 from .trail import Trail
 
 
@@ -180,34 +180,60 @@ def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[EarlyBackjump]
 
     Candidate states are the trail prefixes ending just below each
     decision, scanned from level 0 upward; the first hit gives the
-    maximal number of popped bounds.  Bound histories are walked through
-    the pos chains, so nothing is actually popped.  Once cc is false in
-    a prefix it stays false above it and can propagate nothing fresh, so
-    the scan ends; falsity at level 0 means the problem is infeasible.
+    maximal number of popped bounds.  One walk down the chains of cc's
+    variables gives their level-0 bounds and later entries, applied in
+    height order to the slack and their term's width; a prefix that adds
+    no entry is not tested again.  Once cc is false the scan ends (false
+    at level 0: the problem is infeasible).  The hit's bound comes from
+    ``propagated_bounds``, its reasons from ``height_of_strongest_below``.
     """
-    if not cc.monomials:
+    decisions = trail.decision_heights
+    if not cc.monomials or not decisions:
         return None
-    for level in range(trail.num_decisions):
-        cutoff = trail.decision_heights[level]
-        prefix = SimpleNamespace(lb={}, ub={})  # read like the trail's lists
-        for var in cc.vars():
-            prefix.lb[var], prefix.ub[var] = trail.bounds_at_height(var, cutoff)
-        slack, widest = slack_and_widest(cc, prefix)
+    entries, first, last = trail.entries, decisions[0], decisions[-1]
+    lb, ub, widths, coeffs = {}, {}, {}, dict(cc.monomials)
+    above = []  # heights of cc's entries from level 1 to the last but one
+    slack = cc.rhs
+    for var, coeff in cc.monomials:
+        p = trail.pl[var]
+        while p >= first:
+            if p < last:  # the top level lies in no prefix
+                above.append(p)
+            p = entries[p].pos
+        lb[var] = entries[p].bound.value if p >= 0 else trail.initial_lb[var]
+        p = trail.pu[var]
+        while p >= first:
+            if p < last:
+                above.append(p)
+            p = entries[p].pos
+        ub[var] = entries[p].bound.value if p >= 0 else trail.initial_ub[var]
+        slack -= coeff * (lb[var] if coeff > 0 else ub[var])
+        widths[var] = abs(coeff) * (ub[var] - lb[var])
+    above.sort()
+    k = level = 0
+    while True:
+        cutoff = decisions[level]
+        while k < len(above) and above[k] < cutoff:
+            var, is_lower, value = entries[above[k]].bound
+            coeff, bounds = coeffs[var], lb if is_lower else ub
+            if is_lower == (coeff > 0):  # the slack reads this bound
+                slack -= coeff * (value - bounds[var])
+            bounds[var] = value
+            widths[var] = abs(coeff) * (ub[var] - lb[var])
+            k += 1
         if slack < 0:
             if level == 0:
                 raise AnalysisInfeasible
             return None
-        if widest <= slack:
-            continue
-        i, b = propagated_bounds(cc, prefix, slack)[0]
-        reason = []
-        for j, (other, ocoeff) in enumerate(cc.monomials):
-            if j != i:
-                h = trail.height_of_strongest_below(other, ocoeff > 0, cutoff)
-                assert h >= 0
-                reason.append(h)
-        return EarlyBackjump(cutoff, b, tuple(sorted(reason)))
-    return None
+        if max(widths.values()) > slack:
+            break
+        if k == len(above):
+            return None
+        level = bisect_right(decisions, above[k])  # next prefix with a new entry
+    i, b = propagated_bounds(cc, SimpleNamespace(lb=lb, ub=ub), slack)[0]
+    reason = sorted(trail.height_of_strongest_below(other, ocoeff > 0, cutoff)
+                    for j, (other, ocoeff) in enumerate(cc.monomials) if j != i)
+    return EarlyBackjump(cutoff, b, tuple(reason))
 
 
 def clause_to_constraint(lits, problem) -> Optional[Constraint]:
@@ -218,8 +244,6 @@ def clause_to_constraint(lits, problem) -> Optional[Constraint]:
     All variables must be distinct.  Returns None when the shape does
     not match or a coefficient would exceed the cap.
     """
-    from .model import COEFF_CAP
-
     if not lits:
         return None
     if len({l.var for l in lits}) != len(lits):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 COEFF_CAP = 2 ** 30
 RHS_CAP = 2 ** 62
+_END = ((math.inf, 0),)  # appended to rows so that a merge needs no index checks
 
 
 class Monomial(NamedTuple):
@@ -45,10 +46,6 @@ class Bound(NamedTuple):
 
     def __str__(self) -> str:
         return self.format()
-
-
-def negate_bound(b: Bound) -> Bound:
-    return b.negated()
 
 
 @dataclass(frozen=True)
@@ -111,10 +108,6 @@ class Constraint:
         return self.format()
 
 
-def evaluate(c: Constraint, values) -> bool:
-    return c.satisfied_by(values)
-
-
 def normalize(monomials: Iterable, rhs: int) -> Constraint:
     """Canonical form: merge terms, sort by var, divide by the gcd.
 
@@ -144,8 +137,8 @@ def cut(c1: Constraint, c2: Constraint, var: int) -> Optional[Constraint]:
 
     Requires opposite-sign coefficients on ``var``.  The multipliers are
     the minimal pair (|b|/g, |a|/g).  Returns None when the coefficients
-    have the same sign or when any coefficient of the (normalised)
-    result would exceed the cap.
+    have the same sign or when any coefficient of the result, normalised
+    in one merge of the sorted rows, would exceed the cap.
     """
     a = c1.coeff_of(var)
     b = c2.coeff_of(var)
@@ -154,21 +147,39 @@ def cut(c1: Constraint, c2: Constraint, var: int) -> Optional[Constraint]:
     g = math.gcd(a, b)
     m1 = abs(b) // g
     m2 = abs(a) // g
-    combined = {}
-    for v, c in c1.monomials:
-        combined[v] = combined.get(v, 0) + m1 * c
-    for v, c in c2.monomials:
-        combined[v] = combined.get(v, 0) + m2 * c
     rhs = m1 * c1.rhs + m2 * c2.rhs
     if abs(rhs) > RHS_CAP:
         return None
-    for v, c in combined.items():
+    t1, t2 = c1.monomials + _END, c2.monomials + _END
+    i = j = d = 0
+    terms = []
+    while True:
+        (v1, x1), (v2, x2) = t1[i], t2[j]
+        if v1 < v2:
+            v, c = v1, m1 * x1
+            i += 1
+        elif v2 < v1:
+            v, c = v2, m2 * x2
+            j += 1
+        elif v1 == math.inf:
+            break
+        else:
+            v, c = v1, m1 * x1 + m2 * x2
+            i += 1
+            j += 1
+            if c == 0:
+                continue
         if abs(c) > COEFF_CAP:
             return None
-    result = normalize(combined.items(), rhs)
-    if abs(result.rhs) > COEFF_CAP:
+        terms.append((v, c))
+        d = math.gcd(d, c)
+    if d > 1:
+        terms = [(v, c // d) for v, c in terms]
+        rhs //= d  # Python floor division rounds toward -inf
+    if abs(rhs) > COEFF_CAP:
         # learned constraints keep the same cap as coefficients
         return None
+    result = Constraint(tuple(map(Monomial._make, terms)), rhs)
     assert result.coeff_of(var) == 0
     return result
 

@@ -16,9 +16,9 @@ once more for its filter.  One-variable rows the initial box implies,
 such as the seed box rows, are never visited.
 
 ``propagated_bounds`` is the one rule for the bounds a row propagates.
-It and ``slack_and_widest`` read only the ``lb``/``ub`` of their bounds
-argument, so the early-backjump scan applies both to past trail
-prefixes as well.
+It reads only the ``lb``/``ub`` of its bounds argument, so the
+early-backjump scan, which finds its level in one sweep, applies it and
+the reason rule below to a past trail prefix at its hit.
 
 All three tiers share one extraction rule for conflict sets and reason
 sets: the height of the current strongest bound of each variable on the

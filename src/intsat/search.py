@@ -196,6 +196,7 @@ class Solver:
         self.strengthening_cid = None
         self.retired_pending = set()
         self.cleanup_mark = 0  # rows with cid >= it were added since the last cleanup
+        self.memory_limit = self.config.cleanup_memory_cap  # raised past what cleanups keep
         self.conflicts_since_restart = 0
         self._init_restart_schedule()
         self._seed_initial_bounds()
@@ -353,7 +354,7 @@ class Solver:
 
     def _cleanup_due(self) -> bool:
         return (self.store.learned_since_cleanup >= self.config.cleanup_learned_threshold
-                or self.store.learned_bytes > self.config.cleanup_memory_cap)
+                or self.store.learned_bytes > self.memory_limit)
 
     def _cleanup(self):
         """Drop inactive long learned constraints; must run at level 0.  Rows
@@ -376,6 +377,9 @@ class Solver:
                 self.retired_pending.discard(cid)
         self.store.learned_since_cleanup = 0
         self.cleanup_mark = len(self.store)
+        if self.store.learned_bytes > self.memory_limit:
+            # grown as in MiniSat, lest a cleanup follow every conflict over it
+            self.memory_limit = self.store.learned_bytes * 3 // 2
         self.propagator.rebuild_indexes()
         self.stats.cleanups += 1
         if self.instr is not None:
@@ -486,13 +490,3 @@ def solve(problem: Problem, config: Optional[SolverConfig] = None,
           on_incumbent=None, trace=None, instrumentation=None) -> SolveOutcome:
     return Solver(problem, config, trace=trace,
                   instrumentation=instrumentation).solve(on_incumbent)
-
-
-def solve_feasibility(problem: Problem, config=None, **kw) -> SolveOutcome:
-    assert problem.objective is None
-    return solve(problem, config, **kw)
-
-
-def solve_optimize(problem: Problem, config=None, **kw) -> SolveOutcome:
-    assert problem.objective is not None
-    return solve(problem, config, **kw)

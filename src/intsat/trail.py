@@ -139,7 +139,8 @@ class Trail:
         """Strongest (lb, ub) of var among entries below `cutoff`.
 
         Walks the pos chains, so the cost is the number of entries of
-        this variable above the cutoff.
+        this variable above the cutoff.  Only the tests and the benchmark
+        tracer, which wraps it by name, still call it.
         """
         p = self.pl[var]
         while p >= cutoff:

@@ -184,31 +184,64 @@ class TestEarlyBackjumpScan:
             assert all(h < hit.cutoff for h in hit.reason_set)
 
 
+def reference_level(cc, t, level):
+    """cc over the trail entries below the level-th decision: the first
+    fresh bound as (cutoff, bound, reason heights), "false", or None."""
+    cutoff = t.decision_heights[level]
+    last = {}  # (var, is_lower) -> height of the latest bound below cutoff
+    for h in range(cutoff):
+        b = t.entries[h].bound
+        last[b.var, b.is_lower] = h
+    bounds = {v: (t.entries[last[v, True]].bound.value,
+                  t.entries[last[v, False]].bound.value) for v, _ in cc.monomials}
+    smin = sum(a * (bounds[v][0] if a > 0 else bounds[v][1]) for v, a in cc.monomials)
+    if smin > cc.rhs:
+        return "false"
+    for v, a in cc.monomials:
+        lb, ub = bounds[v]
+        rest = cc.rhs - (smin - (a * lb if a > 0 else a * ub))
+        if a > 0:
+            b, fresh = up(v, rest // a), lb <= rest // a < ub
+        else:
+            b, fresh = lo(v, -((-rest) // a)), lb < -((-rest) // a) <= ub
+        if fresh:
+            reason = sorted(last[w, x > 0] for w, x in cc.monomials if w != v)
+            return cutoff, b, tuple(reason)
+    return None
+
+
 def reference_scan(cc, t):
     """The scan recomputed per level from the trail entries below each
     cutoff: the hit as (cutoff, bound, reason heights), None, or
     "infeasible"."""
-    for level, cutoff in enumerate(t.decision_heights):
-        last = {}  # (var, is_lower) -> height of the latest bound below cutoff
-        for h in range(cutoff):
-            b = t.entries[h].bound
-            last[b.var, b.is_lower] = h
-        bounds = {v: (t.entries[last[v, True]].bound.value,
-                      t.entries[last[v, False]].bound.value) for v, _ in cc.monomials}
-        smin = sum(a * (bounds[v][0] if a > 0 else bounds[v][1]) for v, a in cc.monomials)
-        if smin > cc.rhs:
+    for level in range(t.num_decisions):
+        got = reference_level(cc, t, level)
+        if got == "false":
             return "infeasible" if level == 0 else None
-        for v, a in cc.monomials:
-            lb, ub = bounds[v]
-            rest = cc.rhs - (smin - (a * lb if a > 0 else a * ub))
-            if a > 0:
-                b, fresh = up(v, rest // a), lb <= rest // a < ub
-            else:
-                b, fresh = lo(v, -((-rest) // a)), lb < -((-rest) // a) <= ub
-            if fresh:
-                reason = sorted(last[w, x > 0] for w, x in cc.monomials if w != v)
-                return cutoff, b, tuple(reason)
+        if got is not None:
+            return got
     return None
+
+
+def passes_an_untouched_level(cc, t):
+    """True when the scan, before it ends, reaches a level that adds no
+    entry of cc's variables to the prefix below it."""
+    support = set(cc.vars())
+    for level in range(1, t.num_decisions):
+        if reference_level(cc, t, level - 1) is not None:
+            return False  # the scan ended one level below
+        new = range(t.decision_heights[level - 1], t.decision_heights[level])
+        if not any(t.entries[h].bound.var in support for h in new):
+            return True
+    return False
+
+
+def scan_outcome(cc, t):
+    try:
+        hit = early_backjump_scan(cc, t)
+    except AnalysisInfeasible:
+        return "infeasible"
+    return hit if hit is None else (hit.cutoff, hit.bound, hit.reason_set)
 
 
 class TestScanAgainstReference:
@@ -235,16 +268,52 @@ class TestScanAgainstReference:
                      for v in rng.sample(range(n), rng.randint(1, n))]
             cc = C(terms, rng.randint(-20, 20))
             want = reference_scan(cc, t)
-            try:
-                hit = early_backjump_scan(cc, t)
-            except AnalysisInfeasible:
-                hit = "infeasible"
-            if hit is not None and hit != "infeasible":
-                hit = (hit.cutoff, hit.bound, hit.reason_set)
-                outcomes["hit"] += 1
-            else:
-                outcomes[hit or "none"] += 1
+            hit = scan_outcome(cc, t)
             assert hit == want, (cc, t.dump_lines())
+            outcomes["hit" if hit not in (None, "infeasible") else hit or "none"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_matches_the_reference_on_deep_trails(self):
+        # 20-60 pushes over up to 8 variables: levels that touch none of
+        # cc's variables, variables outside cc, long chains on one variable
+        rng = random.Random(48)
+        outcomes = {"hit": 0, "none": 0, "infeasible": 0, "skip": 0}
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            lbs = [rng.randint(-30, 0) for _ in range(n)]
+            ubs = [lb + rng.randint(10, 40) for lb in lbs]
+            t = Trail(n, lbs, ubs)
+            for var in range(n):
+                t.push(lo(var, lbs[var]), ReasonInfo.propagated((), None), seed=True)
+                t.push(up(var, ubs[var]), ReasonInfo.propagated((), None), seed=True)
+            support = rng.sample(range(n), rng.randint(1, n))
+            outside = [v for v in range(n) if v not in support] or support
+            hot = rng.choice(support)
+            pool = support
+            for _ in range(rng.randint(20, 60)):
+                info = ReasonInfo.propagated((), None)
+                if rng.random() < 0.2:
+                    info = DECISION
+                    # some levels push bounds only on variables outside cc
+                    pool = outside if rng.random() < 0.4 else list(range(n))
+                var = hot if pool is not outside and rng.random() < 0.4 else rng.choice(pool)
+                lb, ub = t.current_bounds(var)
+                if lb == ub:
+                    continue
+                step = 1 if var == hot else rng.randint(1, max(1, (ub - lb) // 3))
+                t.push(lo(var, min(ub, lb + step)) if rng.random() < 0.5
+                       else up(var, max(lb, ub - step)), info)
+            terms = [(v, rng.choice([-7, -3, -2, -1, 1, 2, 3, 7])) for v in sorted(support)]
+            smin = sum(a * (lbs[v] if a > 0 else ubs[v]) for v, a in terms)
+            widest = max(abs(a) * (ubs[v] - lbs[v]) for v, a in terms)
+            offset = (-rng.randint(1, 5) if rng.random() < 0.15
+                      else rng.randint(0, 2 * widest))
+            cc = C(terms, smin + offset)
+            want = reference_scan(cc, t)
+            hit = scan_outcome(cc, t)
+            assert hit == want, (cc, t.dump_lines())
+            outcomes["hit" if hit not in (None, "infeasible") else hit or "none"] += 1
+            outcomes["skip"] += passes_an_untouched_level(cc, t)
         assert min(outcomes.values()) >= 20, outcomes
 
 

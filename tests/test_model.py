@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
-from intsat.model import (COEFF_CAP, Bound, Constraint, Monomial, Problem,
-                          cut, evaluate, negate_bound, normalize)
+from intsat.model import (COEFF_CAP, RHS_CAP, Bound, Constraint, Monomial,
+                          Problem, cut, normalize)
 from conftest import C, box_points, lo, up
 
 
@@ -95,30 +96,129 @@ class TestCut:
                     assert r.satisfied_by(pt), (c1, c2, x, r, pt)
 
 
+def reference_cut(c1, c2, var):
+    """The cut as it was computed before the merged version: two dicts,
+    then ``normalize``."""
+    a = c1.coeff_of(var)
+    b = c2.coeff_of(var)
+    if a == 0 or b == 0 or (a > 0) == (b > 0):
+        return None
+    g = math.gcd(a, b)
+    m1 = abs(b) // g
+    m2 = abs(a) // g
+    combined = {}
+    for v, c in c1.monomials:
+        combined[v] = combined.get(v, 0) + m1 * c
+    for v, c in c2.monomials:
+        combined[v] = combined.get(v, 0) + m2 * c
+    rhs = m1 * c1.rhs + m2 * c2.rhs
+    if abs(rhs) > RHS_CAP:
+        return None
+    for v, c in combined.items():
+        if abs(c) > COEFF_CAP:
+            return None
+    result = normalize(combined.items(), rhs)
+    if abs(result.rhs) > COEFF_CAP:
+        return None
+    assert result.coeff_of(var) == 0
+    return result
+
+
+def refusal_cap(c1, c2, var):
+    """Which cap a cut of opposite-sign premises breaks first, or None."""
+    a, b = c1.coeff_of(var), c2.coeff_of(var)
+    g = math.gcd(a, b)
+    m1, m2 = abs(b) // g, abs(a) // g
+    if abs(m1 * c1.rhs + m2 * c2.rhs) > RHS_CAP:
+        return "rhs"
+    raw = {}
+    for v, c in c1.monomials:
+        raw[v] = raw.get(v, 0) + m1 * c
+    for v, c in c2.monomials:
+        raw[v] = raw.get(v, 0) + m2 * c
+    if any(abs(c) > COEFF_CAP for c in raw.values()):
+        return "coeff"
+    if abs(normalize(raw.items(), m1 * c1.rhs + m2 * c2.rhs).rhs) > COEFF_CAP:
+        return "divided rhs"
+    return None
+
+
+def random_cut_pair(rng):
+    """Two rows over up to 8 variables with opposite signs on the returned
+    pivot; draws favour shared, cancelling and near-cap terms."""
+    kind = rng.choice(["small", "cancel", "opposite", "coeff", "rhs", "divided"])
+    n = 8
+    pivot = rng.randrange(n)
+    mag = {"coeff": lambda: rng.randint(2 ** 28, COEFF_CAP)}.get(
+        kind, lambda: rng.randint(1, 9))
+    s1 = set(rng.sample(range(n), rng.randint(0, 5))) | {pivot}
+    s2 = set(rng.sample(range(n), rng.randint(0, 5))) | {pivot}
+    t1 = {v: rng.choice([-1, 1]) * mag() for v in s1}
+    a = t1[pivot]
+    if kind in ("cancel", "opposite"):
+        # c2 is a multiple of -c1 on some (cancel) or all (opposite) terms
+        k = rng.randint(1, 3)
+        keep = s1 if kind == "opposite" else {v for v in s1 if rng.random() < 0.6}
+        t2 = {v: -k * t1[v] for v in keep | {pivot}}
+        if kind == "cancel":
+            t2.update({v: rng.choice([-1, 1]) * mag() for v in s2 - s1})
+    else:
+        t2 = {v: rng.choice([-1, 1]) * mag() for v in s2}
+        t2[pivot] = -(1 if a > 0 else -1) * mag()
+    big = {"rhs": 2 ** 61, "divided": 2 ** 31}.get(kind, 10)
+    r1, r2 = rng.randint(-big, big), rng.randint(-big, big)
+    return C(t1.items(), r1), C(t2.items(), r2), pivot
+
+
+class TestCutAgainstReference:
+    def test_matches_the_reference_on_random_pairs(self):
+        rng = random.Random(47)
+        seen = dict.fromkeys(["overlap", "disjoint", "cancel", "tautology",
+                              "contradiction", "rhs", "coeff", "divided rhs"], 0)
+        for _ in range(3000):
+            c1, c2, var = random_cut_pair(rng)
+            got, want = cut(c1, c2, var), reference_cut(c1, c2, var)
+            assert got == want, (c1, c2, var)
+            if got is None:
+                seen[refusal_cap(c1, c2, var)] += 1
+                continue
+            shared = set(c1.vars()) & set(c2.vars())
+            seen["overlap" if len(shared) > 1 else "disjoint"] += 1
+            assert all(type(m) is Monomial for m in got.monomials)
+            assert [m.var for m in got.monomials] == sorted({m.var for m in got.monomials})
+            if len(set(got.vars())) < len(set(c1.vars()) | set(c2.vars())) - 1:
+                seen["cancel"] += 1
+            if got.is_tautology():
+                seen["tautology"] += 1
+            elif got.is_contradiction():
+                seen["contradiction"] += 1
+        assert min(seen.values()) >= 20, seen
+
+
 class TestNegateBound:
     def test_lower_becomes_upper(self):
-        assert negate_bound(lo(1, 1)) == up(1, 0)
+        assert lo(1, 1).negated() == up(1, 0)
 
     def test_upper_becomes_lower(self):
-        assert negate_bound(up(0, 0)) == lo(0, 1)
+        assert up(0, 0).negated() == lo(0, 1)
 
     def test_involution(self):
-        assert negate_bound(negate_bound(lo(2, 5))) == lo(2, 5)
+        assert lo(2, 5).negated().negated() == lo(2, 5)
 
     def test_partition_of_the_integer_line(self):
         rng = random.Random(10)
         for _ in range(200):
             b = Bound(0, rng.random() < 0.5, rng.randint(-50, 50))
-            nb = negate_bound(b)
+            nb = b.negated()
             for v in range(-60, 61):
                 assert b.satisfied_by(v) != nb.satisfied_by(v)
 
 
 class TestEvaluate:
     def test_examples(self):
-        assert evaluate(C([(0, 1), (1, 1)], 1), {0: 0, 1: 1}) is True
-        assert evaluate(C([(0, -1), (1, -1), (2, -1)], -2), {0: 1, 1: 0, 2: 0}) is False
-        assert evaluate(C([(1, 11), (2, 4)], 7), {1: 0, 2: 1}) is True
+        assert C([(0, 1), (1, 1)], 1).satisfied_by({0: 0, 1: 1}) is True
+        assert C([(0, -1), (1, -1), (2, -1)], -2).satisfied_by({0: 1, 1: 0, 2: 0}) is False
+        assert C([(1, 11), (2, 4)], 7).satisfied_by({1: 0, 2: 1}) is True
 
     def test_degenerate(self):
         assert Constraint((), 0).satisfied_by({}) is True

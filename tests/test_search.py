@@ -399,12 +399,10 @@ def test_aggressive_cleanup_terminates():
             assert s.stats.cleanups > 0
 
 
-@pytest.mark.xfail(strict=True, reason="over the memory cap, a cleanup and restart "
-                   "follow every conflict, and each learned row that is not bumped is "
-                   "deleted at the second cleanup after it (ROADMAP P0-7)")
 @pytest.mark.parametrize("mode", ["cut", "resolution"])
 def test_memory_capped_cleanup_terminates(mode):
-    # a cap below one learned row makes a cleanup due after every conflict
+    # a cap below one learned row makes the first cleanup due at once; the
+    # limit then grows past what each cleanup keeps, so cleanups thin out
     problems = config_space_problems()
     for i in (300, 304):
         ref = oracle_solve(problems[i])
