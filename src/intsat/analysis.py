@@ -100,14 +100,14 @@ def _analyze(conflict, trail, store, problem, trace, probe, cut_mode):
         rc_cid = entry.info.reason_constraint
         if rc_cid is not None:
             touched.append(rc_cid)
+        reason = trail.reason_heights(h)
         cs.discard(h)
-        cs.update(entry.info.reason_set)
-        for rh in entry.info.reason_set:
+        cs.update(reason)
+        for rh in reason:
             bumped.add(trail.entries[rh].bound.var)
         if trace is not None:
             names = problem.var_names
-            added = ", ".join(trail.entries[rh].bound.format(names)
-                              for rh in entry.info.reason_set)
+            added = ", ".join(trail.entries[rh].bound.format(names) for rh in reason)
             trace.emit(f"analyze step: drop {entry.bound.format(names)} add {{{added}}}")
         if probe is not None:
             probe(frozenset(cs))

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
 COEFF_CAP = 2 ** 30
 RHS_CAP = 2 ** 62
 _END = ((math.inf, 0),)  # appended to rows so that a merge needs no index checks
+_NEW = tuple.__new__  # makes a Monomial from a pair with no Python frame, unlike _make
 
 
 class Monomial(NamedTuple):
@@ -129,7 +131,7 @@ def normalize(monomials: Iterable, rhs: int) -> Constraint:
     if d > 1:
         terms = [(v, c // d) for v, c in terms]
         rhs = rhs // d  # Python floor division rounds toward -inf
-    return Constraint(tuple(Monomial(v, c) for v, c in terms), rhs)
+    return Constraint(tuple(map(_NEW, repeat(Monomial), terms)), rhs)
 
 
 def cut(c1: Constraint, c2: Constraint, var: int) -> Optional[Constraint]:
@@ -179,7 +181,7 @@ def cut(c1: Constraint, c2: Constraint, var: int) -> Optional[Constraint]:
     if abs(rhs) > COEFF_CAP:
         # learned constraints keep the same cap as coefficients
         return None
-    result = Constraint(tuple(map(Monomial._make, terms)), rhs)
+    result = Constraint(tuple(map(_NEW, repeat(Monomial), terms)), rhs)
     assert result.coeff_of(var) == 0
     return result
 

@@ -22,7 +22,8 @@ the reason rule below to a past trail prefix at its hit.
 
 All three tiers share one extraction rule for conflict sets and reason
 sets: the height of the current strongest bound of each variable on the
-side its coefficient uses.
+side its coefficient uses.  Conflict sets are taken at once; a bound is
+pushed with its row, and ``Trail.reason_heights`` derives its reason set.
 """
 
 from __future__ import annotations
@@ -77,12 +78,10 @@ def exact_filter(c: Constraint, trail: Trail) -> int:
     return widest - slack
 
 
-def falsifying_heights(c: Constraint, trail: Trail, skip_var=None) -> tuple:
+def falsifying_heights(c: Constraint, trail: Trail) -> tuple:
     """Heights of the strongest bound of each variable on its min side."""
     heights = []
     for var, coeff in c.monomials:
-        if var == skip_var:
-            continue
         h = trail.pl[var] if coeff > 0 else trail.pu[var]
         assert h >= 0, "variable without a trail bound"
         heights.append(h)
@@ -117,17 +116,14 @@ def propagated_bounds(c: Constraint, bounds, slack: int) -> list:
     return out
 
 
-def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = None):
+def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = None) -> list:
     """All fresh bounds the constraint propagates under the current trail,
-    as (bound, reason heights) pairs in row order, all taken from the
-    current trail; the caller must have ruled out a conflict first, and
+    in row order; the caller must have ruled out a conflict first, and
     may pass the row's slack if it holds it.
     """
     if slack is None:
         slack = slack_and_widest(c, trail)[0]
-    heights = falsifying_heights(c, trail)
-    return [(b, heights[:i] + heights[i + 1:])
-            for i, b in propagated_bounds(c, trail, slack)]
+    return [b for _, b in propagated_bounds(c, trail, slack)]
 
 
 class ConstraintStore:
@@ -352,7 +348,7 @@ class Propagator:
             self.trace.emit(
                 f"propagate {b.format(self.problem.var_names)} "
                 f"reason={cid if cid is not None else 'none'} "
-                f"set={{{','.join(str(h) for h in info.reason_set)}}}"
+                f"set={{{','.join(str(h) for h in trail.reason_heights(height))}}}"
             )
         if self.post_push is not None:
             self.post_push(height)
@@ -388,7 +384,7 @@ class Propagator:
         return entry
 
     def pop_to(self, height: int):
-        while len(self.trail) > height:
+        for _ in range(len(self.trail.entries) - height):
             self.pop_one()
 
     # -- clause / binary tier helpers ----------------------------------------
@@ -413,11 +409,8 @@ class Propagator:
             return 1
         return -1 if lb > lit.value else 0
 
-    def _push_from_clause(self, lit: Bound, cid: int, tier: str) -> bool:
-        c = self.store.constraints[cid]
-        reason = falsifying_heights(c, self.trail, skip_var=lit.var)
-        self.push_bound(lit, ReasonInfo.propagated(reason, cid), tier=tier)
-        return True
+    def _push_from_clause(self, lit: Bound, cid: int, tier: str):
+        self.push_bound(lit, ReasonInfo(None, cid, False, self.store.constraints[cid]), tier)
 
     def _clause_conflict(self, cid: int) -> Conflict:
         c = self.store.constraints[cid]
@@ -493,9 +486,9 @@ class Propagator:
         if slack < 0:
             return find_conflict(c, trail, cid)
         if widest > slack:
-            for b, reason in propagate_constraint(c, trail, slack):
-                self.push_bound(b, ReasonInfo.propagated(reason, cid),
-                                tier=ConstraintStore.GENERAL)
+            info = ReasonInfo(None, cid, False, c)  # reason set derived on demand
+            for b in propagate_constraint(c, trail, slack):
+                self.push_bound(b, info, tier=ConstraintStore.GENERAL)
             slack, widest = slack_and_widest(c, trail)
         if self.filter_marks:
             self.filter_log.append((cid, self.filters[cid]))
@@ -507,28 +500,29 @@ class Propagator:
     def propagate_fixpoint(self) -> Optional[Conflict]:
         """Advance all tiers to the top of the trail; binary first, then
         clauses, then general constraints, restarting at the cheapest
-        tier after every push.
+        tier after every push.  Literal tiers with no edge and no watch
+        skip their entries; their cursors move to the top at the fixpoint.
 
         With a deadline set, raises OutOfTime once it has passed, checked
-        every PUSHES_PER_DEADLINE_CHECK trail entries.
+        every PUSHES_PER_DEADLINE_CHECK trail entries, read by a tier or not.
         """
         entries = self.trail.entries
         queue, alive, filters = self.queue, self.store.alive, self.filters
         deadline = self.deadline
-        entries_seen = 0
+        literal = self.bin_adj or self.watch
+        next_check = self.binary_cursor + PUSHES_PER_DEADLINE_CHECK
         while True:
-            if self.binary_cursor < len(entries):
-                if deadline is not None:
-                    entries_seen += 1
-                    if (entries_seen % PUSHES_PER_DEADLINE_CHECK == 0
-                            and time.monotonic() >= deadline):
-                        raise OutOfTime
+            if deadline is not None and len(entries) >= next_check:
+                next_check += PUSHES_PER_DEADLINE_CHECK
+                if time.monotonic() >= deadline:
+                    raise OutOfTime
+            if literal and self.binary_cursor < len(entries):
                 conflict = self._process_binary_entry(self.binary_cursor)
                 self.binary_cursor += 1
                 if conflict is not None:
                     return conflict
                 continue
-            if self.clause_cursor < len(entries):
+            if literal and self.clause_cursor < len(entries):
                 conflict = self._process_clause_entry(self.clause_cursor)
                 self.clause_cursor += 1
                 if conflict is not None:
@@ -543,4 +537,5 @@ class Propagator:
                 if conflict is not None:
                     return conflict
                 continue
+            self.binary_cursor = self.clause_cursor = len(entries)
             return None

@@ -2,9 +2,10 @@
 lists `lb[]` / `ub[]` so that reading a current bound is one list index.
 `pop` restores them from the entry's `pos` link or the initial bounds.
 
-Reason sets are stored as trail heights.  Heights are stable while the
-bound is on the stack, and a reason bound is always popped after every
-bound it justified, so the references never dangle.
+Reason sets are trail heights, stable while the bound is on the stack;
+a reason bound is always popped after every bound it justified.  A bound
+a row propagated keeps the row, and ``reason_heights`` derives its set
+on demand; seeds, decisions and analysis bounds keep an explicit set.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple, Optional
 
-from .model import Bound
+from .model import Bound, Constraint
 
 
 class ReasonInfo(NamedTuple):
-    reason_set: tuple  # trail heights, empty for decisions
+    reason_set: Optional[tuple]  # trail heights, () for decisions; None: derive from reason_row
     reason_constraint: Optional[int]  # constraint id in the store, or None
     is_decision: bool
+    reason_row: Optional[Constraint] = None  # the row that propagated the bound
 
     @staticmethod
     def decision() -> "ReasonInfo":
@@ -91,7 +93,7 @@ class Trail:
         else:
             assert self.is_fresh(b), f"pushing non-fresh bound {b}"
         height = len(self.entries)
-        assert all(h < height for h in info.reason_set)
+        assert info.reason_set is None or all(h < height for h in info.reason_set)
         var, is_lower, value = b
         if is_lower:
             pos = self.pl[var]
@@ -158,6 +160,24 @@ class Trail:
             p = self.entries[p].pos
         return p
 
+    def reason_heights(self, height: int) -> tuple:
+        """The entry's explicit reason set, or for a bound its row propagated,
+        the height of the strongest bound below it of each other variable of
+        the row on the side the row's minimum reads, in row order: the set at
+        push time, as a row never propagates on the sides its minimum reads."""
+        entry = self.entries[height]
+        info = entry.info
+        if info.reason_set is not None:
+            return info.reason_set
+        skip, entries, out = entry.bound.var, self.entries, []
+        for var, coeff in info.reason_row.monomials:
+            if var != skip:
+                p = self.pl[var] if coeff > 0 else self.pu[var]
+                while p >= height:
+                    p = entries[p].pos
+                out.append(p)
+        return tuple(out)
+
     def dump_lines(self, names=None):
         """Debug dump, one line per entry (see the trace format)."""
         lines = []
@@ -169,7 +189,7 @@ class Trail:
             if entry.info.is_decision:
                 reason = "decision"
             else:
-                hs = ",".join(str(x) for x in entry.info.reason_set)
+                hs = ",".join(str(x) for x in self.reason_heights(h))
                 reason = "reason={" + hs + "}"
             cid = entry.info.reason_constraint
             lines.append(

@@ -59,6 +59,14 @@ def _per_var_propagates(c, trail, var):
     return abs(coeff) * (ub - lb) > slack
 
 
+def pushed_with_reasons(c, trail, cid=None):
+    """Push the bounds c propagates as the propagator does, with the row
+    as their reason, and read each reason back through the trail."""
+    info = ReasonInfo(None, cid, False, c)
+    heights = [trail.push(b, info) for b in propagate_constraint(c, trail)]
+    return [(trail.entries[h].bound, trail.reason_heights(h)) for h in heights]
+
+
 def _constraint_grid(c, t, margin=4):
     """Points over the constraint's own variables, a margin beyond the
     current bounds; unmentioned variables are irrelevant to entailment."""
@@ -90,8 +98,12 @@ def lemma2_entailment_case(rng):
     c = _random_constraint(rng, t.num_vars)
     if find_conflict(c, t) is not None:
         return
-    for bound, reason in propagate_constraint(c, t):
-        rs = [t.entries[h].bound for h in reason]
+    height = len(t)
+    props = [(b, [t.entries[h].bound for h in reason])
+             for b, reason in pushed_with_reasons(c, t)]
+    while len(t) > height:  # the grid below spans the bounds before the pushes
+        t.pop()
+    for bound, rs in props:
         # {C} + reason bounds entail the propagated bound
         for pt in _constraint_grid(c, t, margin=5):
             if not c.satisfied_by(pt):

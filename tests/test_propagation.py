@@ -3,12 +3,13 @@ from collections import Counter, deque
 
 from intsat import propagation
 from intsat.model import Bound, Problem, normalize
-from intsat.propagation import (ConstraintStore, exact_filter, find_conflict,
-                                propagate_constraint, slack_and_widest)
+from intsat.propagation import (ConstraintStore, exact_filter, falsifying_heights,
+                                find_conflict, propagate_constraint, slack_and_widest)
 from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
-from conftest import C, lo, up, random_problem, small_integer_problem
-from lemma_suites import ALL_SUITES
+from conftest import (C, cover_packing_problem, lo, up, random_problem,
+                      small_integer_problem)
+from lemma_suites import ALL_SUITES, pushed_with_reasons
 
 
 def state(lbs, ubs, *bounds):
@@ -54,18 +55,16 @@ class TestPropagateConstraint:
     def test_rounding_down(self):
         # 1 <= x and y <= 2 with x - 2y + 5z <= 5 give z <= 1
         t = state([1, -10, -10], [10, 2, 10])
-        got = propagate_constraint(C([(0, 1), (1, -2), (2, 5)], 5), t)
-        assert (up(2, 1), (t.pl[0], t.pu[1])) in got
+        want = (up(2, 1), (t.pl[0], t.pu[1]))
+        assert want in pushed_with_reasons(C([(0, 1), (1, -2), (2, 5)], 5), t)
 
     def test_half_rounds_to_zero(self):
         t = state([0, 1, -5], [5, 5, 5])
-        got = propagate_constraint(C([(0, 1), (1, 1), (2, 2)], 2), t)
-        bounds = [b for b, _ in got]
-        assert up(2, 0) in bounds
+        assert up(2, 0) in propagate_constraint(C([(0, 1), (1, 1), (2, 2)], 2), t)
 
     def test_reason_is_strongest_other_bounds(self):
         t = state([-10, -10, -10], [1, 1, 10])
-        got = propagate_constraint(C([(0, -1), (1, -1), (2, -1)], -2), t)
+        got = pushed_with_reasons(C([(0, -1), (1, -1), (2, -1)], -2), t)
         by_var = {b.var: (b, reason) for b, reason in got}
         b, reason = by_var[2]
         assert b == lo(2, 0)
@@ -73,8 +72,8 @@ class TestPropagateConstraint:
 
     def test_ceiling_for_negative_coefficients(self):
         t = state([0, 0], [3, 3])
-        got = propagate_constraint(C([(0, 1), (1, -2)], -3), t)
-        assert (lo(1, 2), (t.pl[0],)) in got  # ceil(3/2) = 2
+        want = (lo(1, 2), (t.pl[0],))  # ceil(3/2) = 2
+        assert want in pushed_with_reasons(C([(0, 1), (1, -2)], -3), t)
 
 
 class TestWouldPropagate:
@@ -88,7 +87,7 @@ class TestWouldPropagate:
         t = state([0, 0], [1, 1], lo(0, 1))
         c = C([(0, 1), (1, 1)], 1)
         assert exact_filter(c, t) == 1
-        assert [b for b, _ in propagate_constraint(c, t)] == [up(1, 0)]
+        assert propagate_constraint(c, t) == [up(1, 0)]
 
     def test_degenerate_is_false(self):
         t = state([0], [1])
@@ -135,9 +134,9 @@ class TestOnePassVisit:
             conflict, props, filt = reference_visit(c, t)
             got = find_conflict(c, t, cid=3)
             assert (None if got is None else got.cs) == conflict
-            if conflict is None:
-                assert propagate_constraint(c, t) == props
             assert exact_filter(c, t) == filt
+            if conflict is None:
+                assert pushed_with_reasons(c, t, cid=3) == props
 
 
 def solvers_in_both_modes(seed, count):
@@ -162,7 +161,8 @@ class TestVisitsInSearch:
                 height = len(t)
                 got = visit(cid)
                 assert (None if got is None else got.cs) == conflict
-                assert [(e.bound, e.info.reason_set) for e in t.entries[height:]] == props
+                assert [(t.entries[h].bound, t.reason_heights(h))
+                        for h in range(height, len(t))] == props
                 if got is None:
                     assert pr.filters[cid] == exact_filter(c, t)
                     seen["propagating" if props else "idle"] += 1
@@ -209,6 +209,46 @@ class TestVisitsInSearch:
         for s in solvers_in_both_modes(34, 20):
             s.solve()
         assert min(calls[k] for k in ("find_conflict", "propagate_constraint", "idle")) >= 20
+
+
+class TestLazyReasons:
+    def test_reason_heights_follow_the_row_rule_at_every_push_and_analysis(self):
+        # a bound a row propagated has the row's conflict-set rule as its
+        # reason, taken when it is pushed; reason_heights derives it later
+        # from the trail, so it is checked again with the trail at its
+        # fullest, when analysis reads reasons
+        seen = Counter()
+        rng = random.Random(36)
+        covers = [Solver(cover_packing_problem(rng), SolverConfig(mode=mode, random_seed=i))
+                  for i in range(50) for mode in ("cut", "resolution")]
+        for s in [*solvers_in_both_modes(35, 80), *covers]:
+            pr, t = s.propagator, s.trail
+            push, analyze = pr.push_bound, s._analyze
+            expected = {}  # height -> (entry, reason heights)
+
+            def checked_push(b, info, tier=None, push=push, t=t, expected=expected):
+                row = info.reason_row
+                if row is not None:
+                    want = tuple(h for (v, _), h in zip(row.monomials, falsifying_heights(row, t))
+                                 if v != b.var)
+                height = push(b, info, tier)
+                if row is not None:
+                    assert t.reason_heights(height) == want
+                    expected[height] = (t.entries[height], want)
+                    seen[tier] += 1
+                return height
+
+            def checked_analyze(conflict, analyze=analyze, t=t, expected=expected):
+                for h, (entry, want) in expected.items():
+                    if h < len(t) and t.entries[h] is entry:
+                        assert t.reason_heights(h) == want
+                        seen["rechecked"] += 1
+                return analyze(conflict)
+
+            pr.push_bound, s._analyze = checked_push, checked_analyze
+            s.solve()
+        tiers = (ConstraintStore.GENERAL, ConstraintStore.CLAUSE, ConstraintStore.BINARY)
+        assert min(seen[k] for k in tiers) >= 50 and seen["rechecked"] >= 1000, seen
 
 
 class RecordingQueue(deque):
@@ -323,8 +363,8 @@ class TestClauseTiers:
         s.propagator.push_bound(up(1, 0), DECISION)
         assert s.propagator.propagate_fixpoint() is None
         assert s.trail.current_bounds(2) == (1, 1)  # unit-propagated x2
-        entry = s.trail.entries[s.trail.pl[2]]
-        assert {s.trail.entries[h].bound for h in entry.info.reason_set} == \
+        reason = s.trail.reason_heights(s.trail.pl[2])
+        assert {s.trail.entries[h].bound for h in reason} == \
             {up(0, 0), up(1, 0)}
 
     def test_clause_conflict_detected(self):

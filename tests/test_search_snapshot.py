@@ -1,0 +1,72 @@
+"""Search snapshot: a small seeded corpus, solved in both modes, must
+reproduce the committed per-instance records exactly.
+
+A change to data layout or speed leaves every record as it is.  A change
+that alters the search on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_search_snapshot.py
+
+and says so in its change notes.
+"""
+
+import json
+import random
+from pathlib import Path
+
+from intsat.model import Problem, normalize
+from intsat.search import Solver, SolverConfig
+from conftest import (_objective, cover_packing_problem, php_problem,
+                      random_problem, small_integer_problem)
+
+SNAPSHOT = Path(__file__).with_name("search_snapshot.json")
+
+
+def integer_rows_problem(rng, n=6, rows=16, dom=20):
+    """Rows of four integers in [-dom, dom] that hold at a random point:
+    many bounds per variable and large cut coefficients."""
+    anchor = [rng.randint(-dom, dom) for _ in range(n)]
+    coeffs = [c for c in range(-9, 10) if c != 0]
+    cs = []
+    for _ in range(rows):
+        terms = [(v, rng.choice(coeffs)) for v in rng.sample(range(n), 4)]
+        cs.append(normalize(terms, sum(c * anchor[v] for v, c in terms) + rng.randint(0, 12)))
+    return Problem(n, [-dom] * n, [dom] * n, cs, _objective(rng, n))
+
+
+def corpus():
+    """(name, problem, conflict cap) triples, the same on every run."""
+    rng = random.Random(7001)
+    out = [("php-5-4", php_problem(5, 4), 400), ("php-6-5", php_problem(6, 5), 300)]
+    for i in range(30):
+        out.append((f"random-{i}", random_problem(rng, objective=True), 200))
+        out.append((f"small-integer-{i}", small_integer_problem(rng), 200))
+    for i in range(10):
+        out.append((f"cover-packing-{i}", cover_packing_problem(rng), 200))
+    for i in range(20):
+        out.append((f"integer-rows-{i}", integer_rows_problem(rng), 100))
+    return out
+
+
+def records():
+    """One record per instance and mode: the verdict and the search counters."""
+    got = {}
+    for name, problem, cap in corpus():
+        for mode in ("cut", "resolution"):
+            solver = Solver(problem, SolverConfig(mode=mode, max_conflicts=cap))
+            out = solver.solve()
+            got[f"{name}/{mode}"] = dict(status=out.status, objective=out.objective_value,
+                                         **solver.stats.as_dict())
+    return got
+
+
+def test_search_matches_the_snapshot():
+    want = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    got = records()
+    assert got.keys() == want.keys()
+    changed = [key for key in want if got[key] != want[key]]
+    assert not changed, [(key, want[key], got[key]) for key in changed[:5]]
+
+
+if __name__ == "__main__":
+    SNAPSHOT.write_text(json.dumps(records(), indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
