@@ -9,8 +9,8 @@ Exit codes: 0 answered, 1 budget exhausted without a definitive answer,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-import time
 
 from .io import ParseError, format_objective_value, parse_file, write_problem, write_solution
 from .model import Problem
@@ -68,14 +68,8 @@ def _minimize_disagreement(problem: Problem, config: SolverConfig) -> Problem:
     while changed:
         changed = False
         for i in range(len(current.constraints)):
-            candidate = Problem(
-                num_vars=current.num_vars,
-                initial_lb=current.initial_lb,
-                initial_ub=current.initial_ub,
-                constraints=current.constraints[:i] + current.constraints[i + 1:],
-                objective=current.objective,
-                var_names=current.var_names,
-            )
+            candidate = dataclasses.replace(
+                current, constraints=current.constraints[:i] + current.constraints[i + 1:])
             try:
                 outcome = Solver(candidate, _fresh_config(config)).solve()
                 reference = oracle_solve(candidate)
@@ -89,11 +83,8 @@ def _minimize_disagreement(problem: Problem, config: SolverConfig) -> Problem:
 
 
 def _fresh_config(config: SolverConfig) -> SolverConfig:
-    import copy
-
-    c = copy.copy(config)
-    c.max_conflicts = min(config.max_conflicts or 10 ** 5, 10 ** 5)
-    return c
+    return dataclasses.replace(
+        config, max_conflicts=min(config.max_conflicts or 10 ** 5, 10 ** 5))
 
 
 def main(argv=None) -> int:
@@ -120,10 +111,7 @@ def main(argv=None) -> int:
 
     try:
         problem = parse_file(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

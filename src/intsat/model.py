@@ -97,12 +97,11 @@ class Constraint:
         parts = []
         for var, coeff in self.monomials:
             name = names[var] if names else f"x{var}"
-            if not parts:
-                lead = "" if coeff > 0 else "-"
-                mag = abs(coeff)
-            else:
+            mag = abs(coeff)
+            if parts:
                 lead = " + " if coeff > 0 else " - "
-                mag = abs(coeff)
+            else:
+                lead = "" if coeff > 0 else "-"
             parts.append(f"{lead}{mag}*{name}" if mag != 1 else f"{lead}{name}")
         return "".join(parts) + f" <= {self.rhs}"
 

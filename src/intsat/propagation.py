@@ -24,11 +24,19 @@ All three tiers share one extraction rule for conflict sets and reason
 sets: the height of the current strongest bound of each variable on the
 side its coefficient uses.  Conflict sets are taken at once; a bound is
 pushed with its row, and ``Trail.reason_heights`` derives its reason set.
+
+A general row's filter is at least its ``exact_filter``, and a row with
+a positive filter is queued.  Filters are undone per decision level: the
+first change to a row within a level saves its old filter (nothing is
+saved at level 0), and ``pop_to``, which only lands on a level start,
+writes the oldest saves back.  A row registered above the target is
+recomputed there instead, and saved again for the level that resumes.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import deque
 from typing import NamedTuple, Optional
 
@@ -200,9 +208,6 @@ class ConstraintStore:
             self.learned_bytes -= 64 + 16 * len(self.constraints[cid].monomials)
 
 
-REGISTERED = object()  # undo-log sentinel for mid-trail registrations
-
-
 class Propagator:
     """Owns the trail and the constraint indexes; the single push/pop path.
 
@@ -224,12 +229,11 @@ class Propagator:
         self.occ_neg = [[] for _ in range(n)]
         self.filters = []
         self.in_queue = []
-        # every filter mutation is journaled against the trail height it
-        # happened under, so popping restores the exact earlier values;
-        # REGISTERED entries mark constraints added mid-trail, whose
-        # filter must be recomputed from scratch when unwinding past them
-        self.filter_log = []
-        self.filter_marks = []
+        # saves holds (cid, old filter, or None: recompute), and level k's
+        # begin at save_marks[k - 1]; a row is saved in this level iff
+        # stamp[cid] >= epoch, a clock tick per decision and backjump, 0 at level 0
+        self.saves, self.save_marks, self.stamp = [], [], []
+        self.epoch = self.clock = 0
         self.queue = deque()
         self.watch = {}  # (var, lit_is_lower) -> clause cids watching that literal
         self.watched = {}  # cid -> [lit index, lit index]
@@ -249,6 +253,7 @@ class Propagator:
         while len(self.filters) < len(store):
             self.filters.append(0)
             self.in_queue.append(False)
+            self.stamp.append(0)
         c = store.constraints[cid]
         kind = store.kind[cid]
         if kind == ConstraintStore.GENERAL:
@@ -260,8 +265,9 @@ class Propagator:
                 else:
                     self.occ_neg[var].append((cid, -coeff))
             self.filters[cid] = exact_filter(c, self.trail)
-            if self.filter_marks:  # registered mid-trail: recompute on unwind
-                self.filter_log.append((cid, REGISTERED))
+            if self.epoch:  # registered above level 0: recompute on unwind
+                self.stamp[cid] = self.epoch
+                self.saves.append((cid, None))
             if self.filters[cid] > 0 and not self.in_queue[cid]:
                 self.in_queue[cid] = True
                 self.queue.append(cid)
@@ -277,7 +283,7 @@ class Propagator:
             self.bin_adj.setdefault((l2.var, l2.is_lower), []).append((l1, cid))
 
     def rebuild_indexes(self):
-        """Recompute occurs lists, watches and filters from alive constraints."""
+        """Recompute occurs lists, watches and filters of alive rows at level 0."""
         n = self.problem.num_vars
         self.occ_pos = [[] for _ in range(n)]
         self.occ_neg = [[] for _ in range(n)]
@@ -287,16 +293,18 @@ class Propagator:
         self.queue.clear()
         self.filters = [0] * len(self.store)
         self.in_queue = [False] * len(self.store)
-        # rebuilds happen at level 0; nothing below the current top is
-        # ever popped again, so the journal can start over
-        self.filter_log = []
-        self.filter_marks = []
+        self.stamp = [0] * len(self.store)
         for cid in self.store.alive_cids():
             self.register_constraint(cid)
-        self.filter_marks = [0] * len(self.trail)
         # both literal tiers re-read the level-0 trail: the new watches
         # and edges may sit on literals that are already false there
         self.binary_cursor = self.clause_cursor = 0
+
+    def drop_occurrences(self, cid: int):
+        """Take a dead general row out of the occurs lists."""
+        for var, coeff in self.store.constraints[cid].monomials:
+            occs = self.occ_pos[var] if coeff > 0 else self.occ_neg[var]
+            occs[:] = [occ for occ in occs if occ[0] != cid]
 
     def _implied_by_box(self, c: Constraint) -> bool:
         """A one-variable row that the initial box satisfies: bounds only
@@ -311,10 +319,6 @@ class Propagator:
 
     # -- push / pop ----------------------------------------------------------
 
-    def note_seed_push(self):
-        """Keep the undo journal aligned with seed entries pushed directly."""
-        self.filter_marks.append(len(self.filter_log))
-
     def push_bound(self, b: Bound, info: ReasonInfo, tier=None) -> int:
         trail = self.trail
         var = b.var
@@ -325,14 +329,15 @@ class Propagator:
             delta = trail.ub[var] - b.value
             occs = self.occ_neg[var]
         height = trail.push(b, info)
-        log, filters, in_queue = self.filter_log, self.filters, self.in_queue
-        self.filter_marks.append(len(log))
-        alive = self.store.alive
+        if info.is_decision:
+            self.save_marks.append(len(self.saves))
+            self.epoch = self.clock = self.clock + 1
+        filters, in_queue, stamp, epoch = self.filters, self.in_queue, self.stamp, self.epoch
         for cid, weight in occs:
-            if not alive[cid]:
-                continue
             old = filters[cid]
-            log.append((cid, old))
+            if stamp[cid] < epoch:
+                stamp[cid] = epoch
+                self.saves.append((cid, old))
             new = old + weight * delta
             filters[cid] = new
             if new > 0 and not in_queue[cid]:
@@ -355,37 +360,49 @@ class Propagator:
         return height
 
     def pop_one(self):
+        """Pop the top entry; ``pop_to`` restores filters, queue and cursors."""
         trail = self.trail
         var = trail.entries[-1].bound.var
         was_defined = trail.lb[var] == trail.ub[var]
-        entry = trail.pop()
+        trail.pop()
         if was_defined and trail.lb[var] != trail.ub[var]:
             self.num_defined -= 1
             if self.on_undefined is not None:
                 self.on_undefined(var)
-        mark = self.filter_marks.pop()
-        log = self.filter_log
-        if len(log) > mark:
-            undone = log[mark:]
-            del log[mark:]
-            filters, alive, in_queue = self.filters, self.store.alive, self.in_queue
-            for cid, old in reversed(undone):  # the oldest value is written last
-                if old is REGISTERED:
-                    old = exact_filter(self.store.constraints[cid], trail)
-                filters[cid] = old
-                if old > 0 and alive[cid] and not in_queue[cid]:
-                    in_queue[cid] = True
-                    self.queue.append(cid)
-        top = len(trail.entries)
-        if self.binary_cursor > top:
-            self.binary_cursor = top
-        if self.clause_cursor > top:
-            self.clause_cursor = top
-        return entry
 
     def pop_to(self, height: int):
-        for _ in range(len(self.trail.entries) - height):
+        """Backjump to a level start or the trail's length: saves are exact there."""
+        trail = self.trail
+        if height == len(trail.entries):
+            return
+        level = bisect_left(trail.decision_heights, height)
+        if trail.decision_heights[level:level + 1] != [height]:
+            raise ValueError(f"height {height} is not the start of a decision level")
+        for _ in range(len(trail.entries) - height):
             self.pop_one()
+        self.binary_cursor = min(self.binary_cursor, height)
+        self.clause_cursor = min(self.clause_cursor, height)
+        undone = self.saves[self.save_marks[level]:]
+        del self.saves[self.save_marks[level]:], self.save_marks[level:]
+        self.clock += 1
+        self.epoch = self.clock if level else 0
+        filters, queue, in_queue, alive = self.filters, self.queue, self.in_queue, self.store.alive
+        for cid, old in reversed(undone):  # the oldest value is written last
+            if old is None:  # registered above: exact here, saved for the level
+                old = exact_filter(self.store.constraints[cid], trail)
+                if level:
+                    self.stamp[cid] = self.epoch
+                    self.saves.append((cid, None))
+            filters[cid] = old
+        # at a fixpoint target only recomputed rows can be left positive
+        rows = [*queue, *(cid for cid, _ in undone)]
+        queue.clear()
+        for cid in rows:
+            in_queue[cid] = False
+        for cid in rows:
+            if filters[cid] > 0 and alive[cid] and not in_queue[cid]:
+                in_queue[cid] = True
+                queue.append(cid)
 
     # -- clause / binary tier helpers ----------------------------------------
 
@@ -490,8 +507,9 @@ class Propagator:
             for b in propagate_constraint(c, trail, slack):
                 self.push_bound(b, info, tier=ConstraintStore.GENERAL)
             slack, widest = slack_and_widest(c, trail)
-        if self.filter_marks:
-            self.filter_log.append((cid, self.filters[cid]))
+        if self.stamp[cid] < self.epoch:
+            self.stamp[cid] = self.epoch
+            self.saves.append((cid, self.filters[cid]))
         self.filters[cid] = widest - slack
         return None
 

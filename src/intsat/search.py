@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .model import Bound, Constraint, Objective, Problem, Solution, normalize
+from .model import Bound, Problem, Solution, normalize
 from .propagation import ConstraintStore, OutOfTime, Propagator
 from .trail import ReasonInfo, Trail
 from . import analysis
@@ -216,12 +216,10 @@ class Solver:
             cid = self.store.add(c_lb, initial=True)
             self.trail.push(Bound(var, True, p.initial_lb[var]),
                             ReasonInfo.propagated((), cid), seed=True)
-            self.propagator.note_seed_push()
             c_ub = normalize([(var, 1)], p.initial_ub[var])
             cid = self.store.add(c_ub, initial=True)
             self.trail.push(Bound(var, False, p.initial_ub[var]),
                             ReasonInfo.propagated((), cid), seed=True)
-            self.propagator.note_seed_push()
             if self.trail.is_defined(var):
                 self.propagator.num_defined += 1
                 self.propagator.last_value[var] = p.initial_lb[var]
@@ -325,17 +323,13 @@ class Solver:
         return analyze(conflict, self.trail, self.store, self.problem,
                        trace=self.trace, probe=probe)
 
-    def _install_learned(self, c: Constraint) -> Optional[int]:
-        cid = self.store.add(c, initial=False)
-        self.propagator.register_constraint(cid)
-        self.stats.learned += 1
-        return cid
-
     def _apply_analysis(self, result) -> None:
         self.propagator.pop_to(result.pop_to)
         rc_cid = None
         for c in result.learned:
-            cid = self._install_learned(c)
+            cid = self.store.add(c, initial=False)
+            self.propagator.register_constraint(cid)
+            self.stats.learned += 1
             if result.attach_cc is c:
                 rc_cid = cid
         self.propagator.push_bound(
@@ -445,6 +439,7 @@ class Solver:
                 self.retired_pending.add(old)
             else:
                 self.store.alive[old] = False
+                self.propagator.drop_occurrences(old)
         cid = self.store.add(c, initial=True, mid_search=True)
         self.propagator.register_constraint(cid)
         self.strengthening_cid = cid

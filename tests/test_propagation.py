@@ -1,6 +1,8 @@
 import random
 from collections import Counter, deque
 
+import pytest
+
 from intsat import propagation
 from intsat.model import Bound, Problem, normalize
 from intsat.propagation import (ConstraintStore, exact_filter, falsifying_heights,
@@ -10,6 +12,7 @@ from intsat.trail import DECISION, ReasonInfo, Trail
 from conftest import (C, cover_packing_problem, lo, up, random_problem,
                       small_integer_problem)
 from lemma_suites import ALL_SUITES, pushed_with_reasons
+from test_search_snapshot import integer_rows_problem
 
 
 def state(lbs, ubs, *bounds):
@@ -300,13 +303,88 @@ class TestFilters:
         s.propagator.push_bound(up(0, 2), DECISION)
         assert s.propagator.filters[cid] == before + 9
 
-    def test_pop_reverses_push(self):
+    def test_pop_to_accepts_only_a_level_start(self):
         s = self.solver([normalize([(0, 2), (1, -1)], 4)], [0, 0], [5, 5])
-        cid = len(s.store) - 1
-        before = s.propagator.filters[cid]
-        s.propagator.push_bound(lo(0, 3), DECISION)
-        s.propagator.pop_one()
-        assert s.propagator.filters[cid] == before
+        cid, pr, t = len(s.store) - 1, s.propagator, s.trail
+        before = pr.filters[cid]
+        start = pr.push_bound(lo(0, 3), DECISION)
+        pr.push_bound(up(1, 4), DECISION)
+        pr.push_bound(lo(1, 1), ReasonInfo.propagated((), None))
+        for height in (-1, 0, start - 1, start + 2, len(t) + 1):
+            with pytest.raises(ValueError):
+                pr.pop_to(height)
+        pr.pop_to(len(t))
+        assert len(t) == start + 3
+        pr.pop_to(start)
+        assert len(t) == start and pr.filters[cid] == before
+
+    def test_invariants_hold_after_every_push_visit_and_backjump(self):
+        # filters[cid] >= exact_filter and every positive row queued; the
+        # row a visit reads is off the queue until the visit ends, and a
+        # row that a visit found false stays off it until the backjump
+        seen = Counter()
+        rng = random.Random(42)
+        problems = ([random_problem(rng, objective=True) for _ in range(24)]
+                    + [small_integer_problem(rng) for _ in range(12)]
+                    + [cover_packing_problem(rng) for _ in range(12)]
+                    + [integer_rows_problem(rng) for _ in range(6)])
+        for i, p in enumerate(problems):
+            for mode in ("cut", "resolution"):
+                s = Solver(p, SolverConfig(mode=mode, max_conflicts=60, random_seed=i))
+                self.check_invariants_during(s, seen)
+        assert seen["backjump"] >= 200 and seen["unwound"] >= 20, seen
+
+    @staticmethod
+    def check_invariants_during(s, seen):
+        pr, store, t = s.propagator, s.store, s.trail
+        push, visit, pop_to, register = (
+            pr.push_bound, pr._visit_general, pr.pop_to, pr.register_constraint)
+        off_queue = set()
+        registered = {}  # row registered above level 0 -> trail length then
+
+        def check():
+            queued = set(pr.queue)
+            for cid in store.alive_cids():
+                if store.kind[cid] == ConstraintStore.GENERAL:
+                    assert pr.filters[cid] >= exact_filter(store.constraints[cid], t), cid
+                    if pr.filters[cid] > 0 and cid not in off_queue:
+                        assert pr.in_queue[cid] and cid in queued, cid
+
+        def checked_push(b, info, tier=None):
+            height = push(b, info, tier)
+            check()
+            return height
+
+        def checked_visit(cid):
+            off_queue.add(cid)
+            conflict = visit(cid)
+            if conflict is None:
+                off_queue.discard(cid)
+            check()
+            seen["visit"] += 1
+            return conflict
+
+        def checked_pop_to(height):
+            unwound = [cid for cid, at in registered.items() if at > height]
+            pop_to(height)
+            off_queue.clear()
+            check()
+            seen["backjump"] += 1
+            seen["unwound"] += bool(unwound)
+            for cid in unwound:  # saved again for the resumed level, if above 0
+                if t.num_decisions:
+                    registered[cid] = height
+                else:
+                    del registered[cid]
+
+        def checked_register(cid):
+            register(cid)
+            if t.num_decisions:
+                registered[cid] = len(t)
+
+        pr.push_bound, pr._visit_general = checked_push, checked_visit
+        pr.pop_to, pr.register_constraint = checked_pop_to, checked_register
+        s.solve()
 
     def test_filter_upper_bounds_exact_value(self):
         rng = random.Random(77)
