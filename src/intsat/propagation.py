@@ -25,6 +25,11 @@ sets: the height of the current strongest bound of each variable on the
 side its coefficient uses.  Conflict sets are taken at once; a bound is
 pushed with its row, and ``Trail.reason_heights`` derives its reason set.
 
+Only general rows die (learned rows at a cleanup, a replaced
+strengthening row): a dead row leaves the occurs lists of its variables
+in place, and the store keeps it for the reasons and cuts that read it.
+The clause and binary tiers hold only input rows, which never die.
+
 A general row's filter is at least its ``exact_filter``, and a row with
 a positive filter is queued.  Filters are undone per decision level: the
 first change to a row within a level saves its old filter (nothing is
@@ -202,10 +207,9 @@ class ConstraintStore:
             self.activity[cid] += 1
 
     def remove(self, cid: int):
-        assert not self.initial[cid]
-        if self.alive[cid]:
-            self.alive[cid] = False
-            self.learned_bytes -= 64 + 16 * len(self.constraints[cid].monomials)
+        assert not self.initial[cid] and self.alive[cid]
+        self.alive[cid] = False
+        self.learned_bytes -= 64 + 16 * len(self.constraints[cid].monomials)
 
 
 class Propagator:
@@ -216,7 +220,7 @@ class Propagator:
     """
 
     def __init__(self, problem, store: ConstraintStore, trail: Trail,
-                 stats=None, trace=None):
+                 stats, trace=None):
         self.problem = problem
         self.store = store
         self.trail = trail
@@ -282,29 +286,13 @@ class Propagator:
             self.bin_adj.setdefault((l1.var, l1.is_lower), []).append((l2, cid))
             self.bin_adj.setdefault((l2.var, l2.is_lower), []).append((l1, cid))
 
-    def rebuild_indexes(self):
-        """Recompute occurs lists, watches and filters of alive rows at level 0."""
-        n = self.problem.num_vars
-        self.occ_pos = [[] for _ in range(n)]
-        self.occ_neg = [[] for _ in range(n)]
-        self.watch = {}
-        self.watched = {}
-        self.bin_adj = {}
-        self.queue.clear()
-        self.filters = [0] * len(self.store)
-        self.in_queue = [False] * len(self.store)
-        self.stamp = [0] * len(self.store)
-        for cid in self.store.alive_cids():
-            self.register_constraint(cid)
-        # both literal tiers re-read the level-0 trail: the new watches
-        # and edges may sit on literals that are already false there
-        self.binary_cursor = self.clause_cursor = 0
-
-    def drop_occurrences(self, cid: int):
-        """Take a dead general row out of the occurs lists."""
-        for var, coeff in self.store.constraints[cid].monomials:
-            occs = self.occ_pos[var] if coeff > 0 else self.occ_neg[var]
-            occs[:] = [occ for occ in occs if occ[0] != cid]
+    def drop_occurrences(self, dead: set):
+        """Take the dead general rows out of the occurs lists of their variables."""
+        sides = {(var, coeff > 0) for cid in dead
+                 for var, coeff in self.store.constraints[cid].monomials}
+        for var, positive in sides:
+            occs = self.occ_pos[var] if positive else self.occ_neg[var]
+            occs[:] = [occ for occ in occs if occ[0] not in dead]
 
     def _implied_by_box(self, c: Constraint) -> bool:
         """A one-variable row that the initial box satisfies: bounds only
@@ -346,7 +334,7 @@ class Propagator:
         if trail.lb[var] == trail.ub[var]:
             self.num_defined += 1
             self.last_value[var] = trail.lb[var]
-        if self.stats is not None and tier is not None:
+        if tier is not None:
             self.stats.propagations[tier] += 1
         if self.trace is not None and not info.is_decision:
             cid = info.reason_constraint
@@ -386,7 +374,7 @@ class Propagator:
         del self.saves[self.save_marks[level]:], self.save_marks[level:]
         self.clock += 1
         self.epoch = self.clock if level else 0
-        filters, queue, in_queue, alive = self.filters, self.queue, self.in_queue, self.store.alive
+        filters, queue, in_queue = self.filters, self.queue, self.in_queue
         for cid, old in reversed(undone):  # the oldest value is written last
             if old is None:  # registered above: exact here, saved for the level
                 old = exact_filter(self.store.constraints[cid], trail)
@@ -400,7 +388,7 @@ class Propagator:
         for cid in rows:
             in_queue[cid] = False
         for cid in rows:
-            if filters[cid] > 0 and alive[cid] and not in_queue[cid]:
+            if filters[cid] > 0 and not in_queue[cid]:
                 in_queue[cid] = True
                 queue.append(cid)
 
@@ -459,8 +447,6 @@ class Propagator:
         while i < len(watchers):
             cid = watchers[i]
             i += 1
-            if not self.store.alive[cid]:
-                continue
             lits = self.store.lits[cid]
             w = self.watched[cid]
             # which of the two watches is the falsified literal?

@@ -9,6 +9,7 @@ optimisation wrapper that repeatedly strengthens the objective.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -31,6 +32,23 @@ def luby(i: int) -> int:
     return luby(i - (1 << (k - 1)) + 1)
 
 
+def restart_limits(policy):
+    """Conflicts allowed before each restart: ``unit * luby(i)``, or the
+    inner limit of ``("inout", inner, outer, factor)``, which grows by
+    ``factor`` and, once past the outer limit, resets as the outer grows."""
+    if policy[0] == "luby":
+        for i in itertools.count(1):
+            yield policy[1] * luby(i)
+    _, inner0, outer, factor = policy
+    inner, outer = float(inner0), float(outer)
+    while True:
+        yield int(inner)
+        inner *= factor
+        if inner > outer:
+            inner = float(inner0)
+            outer *= factor
+
+
 RESOLUTION, CUT = "resolution", "cut"
 TOTAL_STRATEGIES = {1, 2, 3, 4}
 
@@ -42,8 +60,6 @@ class SolverConfig:
     restart: tuple = ("inout", 100, 1000, 1.1)  # or ("luby", unit)
     cleanup_learned_threshold: int = 10000
     cleanup_memory_cap: int = 64 * 1024 * 1024  # estimated bytes of learned data
-    activity_bump_factor: float = 1.05
-    activity_rescale_cap: float = 1e100
     time_limit: Optional[float] = None
     max_conflicts: Optional[int] = None
     random_seed: int = 0
@@ -101,6 +117,9 @@ class SolveOutcome:
     @property
     def has_answer(self) -> bool:
         return self.status in (FEASIBLE, INFEASIBLE, OPTIMAL)
+
+
+ACTIVITY_BUMP_FACTOR, ACTIVITY_RESCALE_CAP = 1.05, 1e100
 
 
 class ActivityQueue:
@@ -189,16 +208,15 @@ class Solver:
             problem, self.store, self.trail, stats=self.stats, trace=trace)
         rng = random.Random(self.config.random_seed)
         self.activity = ActivityQueue(
-            problem.num_vars, self.config.activity_bump_factor,
-            self.config.activity_rescale_cap, rng)
+            problem.num_vars, ACTIVITY_BUMP_FACTOR, ACTIVITY_RESCALE_CAP, rng)
         self.propagator.on_undefined = self.activity.on_undefined
         self.last_solution = None
         self.strengthening_cid = None
-        self.retired_pending = set()
         self.cleanup_mark = 0  # rows with cid >= it were added since the last cleanup
-        self.memory_limit = self.config.cleanup_memory_cap  # raised past what cleanups keep
+        self.memory_limit = self.config.cleanup_memory_cap  # grown by cleanups it forces
         self.conflicts_since_restart = 0
-        self._init_restart_schedule()
+        self.restart_limits = restart_limits(self.config.restart)
+        self.restart_threshold = next(self.restart_limits)
         self._seed_initial_bounds()
         for c in problem.constraints:
             cid = self.store.add(c, initial=True)
@@ -223,31 +241,6 @@ class Solver:
             if self.trail.is_defined(var):
                 self.propagator.num_defined += 1
                 self.propagator.last_value[var] = p.initial_lb[var]
-
-    def _init_restart_schedule(self):
-        policy = self.config.restart
-        if policy[0] == "luby":
-            self._luby_index = 1
-            self.restart_threshold = policy[1] * luby(1)
-        else:
-            _, inner, outer, factor = policy
-            self._inner0 = inner
-            self._inner = float(inner)
-            self._outer = float(outer)
-            self._factor = factor
-            self.restart_threshold = int(self._inner)
-
-    def _advance_restart_schedule(self):
-        policy = self.config.restart
-        if policy[0] == "luby":
-            self._luby_index += 1
-            self.restart_threshold = policy[1] * luby(self._luby_index)
-        else:
-            self._inner *= self._factor
-            if self._inner > self._outer:
-                self._inner = float(self._inner0)
-                self._outer *= self._factor
-            self.restart_threshold = int(self._inner)
 
     # -- decisions -------------------------------------------------------------
 
@@ -342,7 +335,7 @@ class Solver:
             self.propagator.pop_to(self.trail.level_start(1))
         self.stats.restarts += 1
         self.conflicts_since_restart = 0
-        self._advance_restart_schedule()
+        self.restart_threshold = next(self.restart_limits)
         if self.instr is not None:
             self.instr.reset(self)
 
@@ -351,33 +344,30 @@ class Solver:
                 or self.store.learned_bytes > self.memory_limit)
 
     def _cleanup(self):
-        """Drop inactive long learned constraints; must run at level 0.  Rows
-        learned since the last cleanup are kept and not aged: dropping them at
-        the restart each cleanup brings can repeat the same conflicts forever."""
+        """Drop inactive long learned rows from the occurs lists; must run at
+        level 0, where kept rows' filters are upper bounds, queued if positive.
+        Rows learned since the last cleanup are kept and not aged: dropping
+        them at the restart each cleanup brings can repeat the same conflicts
+        forever.  A dropped row may be the reason of a level-0 entry, which
+        analysis never rewrites."""
         assert self.trail.num_decisions == 0
-        referenced = {e.info.reason_constraint for e in self.trail.entries}
+        if self.store.learned_bytes > self.memory_limit:
+            # forced by memory: grow the limit whatever the cleanup keeps, as
+            # MiniSat does; grown only when a cleanup kept more, it might never grow
+            self.memory_limit = self.store.learned_bytes * 3 // 2
+        dead = set()
         for cid in self.store.alive_cids():
             if self.store.initial[cid] or cid >= self.cleanup_mark:
                 continue
-            c = self.store.constraints[cid]
-            if (len(c.monomials) > 2 and self.store.activity[cid] == 0
-                    and cid not in referenced):
+            if len(self.store.constraints[cid].monomials) > 2 and self.store.activity[cid] == 0:
                 self.store.remove(cid)
+                dead.add(cid)
             else:
                 self.store.activity[cid] //= 2
-        for cid in list(self.retired_pending):
-            if cid not in referenced:
-                self.store.alive[cid] = False
-                self.retired_pending.discard(cid)
+        self.propagator.drop_occurrences(dead)
         self.store.learned_since_cleanup = 0
         self.cleanup_mark = len(self.store)
-        if self.store.learned_bytes > self.memory_limit:
-            # grown as in MiniSat, lest a cleanup follow every conflict over it
-            self.memory_limit = self.store.learned_bytes * 3 // 2
-        self.propagator.rebuild_indexes()
         self.stats.cleanups += 1
-        if self.instr is not None:
-            self.instr.reset(self)
 
     # -- core loop ------------------------------------------------------------------
 
@@ -411,8 +401,6 @@ class Solver:
             for cid in result.touched_cids:
                 self.store.bump_activity(cid)
             self._apply_analysis(result)
-            if self.instr is not None and hasattr(self.instr, "after_analysis"):
-                self.instr.after_analysis(self, result)
             if budget.exhausted(self.stats):
                 return "limit"
             if self.conflicts_since_restart >= self.restart_threshold or self._cleanup_due():
@@ -433,13 +421,9 @@ class Solver:
         if c.is_degenerate():
             return False  # constant objective: the incumbent is optimal
         old = self.strengthening_cid
-        if old is not None:
-            referenced = {e.info.reason_constraint for e in self.trail.entries}
-            if old in referenced:
-                self.retired_pending.add(old)
-            else:
-                self.store.alive[old] = False
-                self.propagator.drop_occurrences(old)
+        if old is not None:  # the new row implies it, so reasons and cuts may still read it
+            self.store.alive[old] = False
+            self.propagator.drop_occurrences({old})
         cid = self.store.add(c, initial=True, mid_search=True)
         self.propagator.register_constraint(cid)
         self.strengthening_cid = cid
@@ -448,26 +432,16 @@ class Solver:
     def solve(self, on_incumbent: Optional[Callable] = None) -> SolveOutcome:
         start = time.monotonic()
         budget = Budget(self.config.time_limit, self.config.max_conflicts)
-        if self.problem.objective is None:
-            tag = self._run_core(budget)
-            if tag == "sat":
-                return SolveOutcome(FEASIBLE, self._extract_solution())
-            if tag == "unsat":
-                return SolveOutcome(INFEASIBLE)
-            return SolveOutcome(TIMELIMIT)
-        best = None
-        best_value = None
+        best = best_value = None
         while True:
             tag = self._run_core(budget)
-            if tag == "unsat":
+            if tag != "sat":  # "unsat" proves the incumbent optimal, if there is one
                 if best is None:
-                    return SolveOutcome(INFEASIBLE)
-                return SolveOutcome(OPTIMAL, best, best_value)
-            if tag == "limit":
-                if best is None:
-                    return SolveOutcome(TIMELIMIT)
-                return SolveOutcome(BOUNDED, best, best_value)
+                    return SolveOutcome(INFEASIBLE if tag == "unsat" else TIMELIMIT)
+                return SolveOutcome(OPTIMAL if tag == "unsat" else BOUNDED, best, best_value)
             sol = self._extract_solution()
+            if self.problem.objective is None:
+                return SolveOutcome(FEASIBLE, sol)
             value = self.problem.objective.value_of(sol.values)
             if best_value is not None and value >= best_value:
                 raise RuntimeError("internal error: objective did not strictly improve")

@@ -106,7 +106,7 @@ def random_problem(rng, max_vars=5, dom_lo=-4, dom_hi=4, max_cons=8,
 
 class MeasureProbe:
     """Asserts the lexicographic strict decrease of the termination
-    measure at every push; restarts and cleanups reset the baseline."""
+    measure at every push; restarts reset the baseline."""
 
     def __init__(self):
         self.baseline = None

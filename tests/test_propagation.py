@@ -272,9 +272,9 @@ class TestBoxRows:
             s = Solver(p)
             box = set(range(2 * p.num_vars))  # the seed bounds' reason rows
             assert {e.info.reason_constraint for e in s.trail.entries} == box
-            for rebuilt in (False, True):
-                if rebuilt:  # registers every alive row again, box rows included
-                    s.propagator.rebuild_indexes()
+            for cleaned in (False, True):
+                if cleaned:
+                    s._cleanup()
                 occurring = {cid for occs in s.propagator.occ_pos + s.propagator.occ_neg
                              for cid, _ in occs}
                 assert occurring.isdisjoint(box)
@@ -321,7 +321,9 @@ class TestFilters:
     def test_invariants_hold_after_every_push_visit_and_backjump(self):
         # filters[cid] >= exact_filter and every positive row queued; the
         # row a visit reads is off the queue until the visit ends, and a
-        # row that a visit found false stays off it until the backjump
+        # row that a visit found false stays off it until the backjump.
+        # With a cleanup every two learned rows, rows die at cleanups and
+        # strengthenings, and no dead row may stay in an occurs list
         seen = Counter()
         rng = random.Random(42)
         problems = ([random_problem(rng, objective=True) for _ in range(24)]
@@ -330,15 +332,19 @@ class TestFilters:
                     + [integer_rows_problem(rng) for _ in range(6)])
         for i, p in enumerate(problems):
             for mode in ("cut", "resolution"):
-                s = Solver(p, SolverConfig(mode=mode, max_conflicts=60, random_seed=i))
-                self.check_invariants_during(s, seen)
+                for cleanups in ({}, dict(cleanup_learned_threshold=2, restart=("luby", 1))):
+                    s = Solver(p, SolverConfig(mode=mode, max_conflicts=60, random_seed=i,
+                                               **cleanups))
+                    self.check_invariants_during(s, seen)
         assert seen["backjump"] >= 200 and seen["unwound"] >= 20, seen
+        assert seen["cleanup"] >= 20 and seen["strengthening"] >= 20, seen
 
     @staticmethod
     def check_invariants_during(s, seen):
         pr, store, t = s.propagator, s.store, s.trail
         push, visit, pop_to, register = (
             pr.push_bound, pr._visit_general, pr.pop_to, pr.register_constraint)
+        cleanup, strengthen = s._cleanup, s._install_strengthening
         off_queue = set()
         registered = {}  # row registered above level 0 -> trail length then
 
@@ -382,8 +388,24 @@ class TestFilters:
             if t.num_decisions:
                 registered[cid] = len(t)
 
+        def check_deaths(event):
+            check()
+            occurring = {cid for occs in pr.occ_pos + pr.occ_neg for cid, _ in occs}
+            assert all(store.alive[cid] for cid in occurring), event
+            seen[event] += 1
+
+        def checked_cleanup():
+            cleanup()
+            check_deaths("cleanup")
+
+        def checked_strengthen(value):
+            installed = strengthen(value)
+            check_deaths("strengthening")
+            return installed
+
         pr.push_bound, pr._visit_general = checked_push, checked_visit
         pr.pop_to, pr.register_constraint = checked_pop_to, checked_register
+        s._cleanup, s._install_strengthening = checked_cleanup, checked_strengthen
         s.solve()
 
     def test_filter_upper_bounds_exact_value(self):

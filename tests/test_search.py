@@ -1,11 +1,12 @@
 import random
 import time
+from itertools import islice
 
 import pytest
 
 from intsat.model import Objective, Problem, normalize
 from intsat.oracle import oracle_solve
-from intsat.search import (ActivityQueue, Solver, SolverConfig, luby,
+from intsat.search import (ActivityQueue, Solver, SolverConfig, luby, restart_limits,
                            BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT)
 from intsat.trail import DECISION
 from conftest import (cover_packing_problem, lo, random_problem,
@@ -119,25 +120,18 @@ class TestRestarts:
 
     def test_inner_outer_thresholds(self):
         s = solver_for([0], [1], restart=("inout", 100, 1000, 1.1))
-        seen = [s.restart_threshold]
-        for _ in range(2):
-            s._advance_restart_schedule()
-            seen.append(s.restart_threshold)
-        assert seen == [100, 110, 121]
+        assert s.restart_threshold == 100
+        assert list(islice(restart_limits(("inout", 100, 1000, 1.1)), 3)) == [100, 110, 121]
 
     def test_inner_reset_when_exceeding_outer(self):
-        s = solver_for([0], [1], restart=("inout", 100, 120, 1.2))
-        s._advance_restart_schedule()  # 120
-        s._advance_restart_schedule()  # 144 > 120: reset to 100, outer *= 1.2
-        assert s.restart_threshold == 100
+        # 144 > 120: the inner limit resets to 100 and the outer one grows to 144
+        limits = restart_limits(("inout", 100, 120, 1.2))
+        assert list(islice(limits, 6)) == [100, 120, 100, 120, 144, 100]
 
     def test_luby_schedule_scales_by_unit(self):
         s = solver_for([0], [1], restart=("luby", 50))
         assert s.restart_threshold == 50
-        s._advance_restart_schedule()
-        assert s.restart_threshold == 50
-        s._advance_restart_schedule()
-        assert s.restart_threshold == 100
+        assert list(islice(restart_limits(("luby", 50)), 7)) == [50, 50, 100, 50, 50, 100, 200]
 
     def test_restart_pops_to_level_zero_and_keeps_learned(self):
         s = solver_for([0, 0], [3, 3], [normalize([(0, 1), (1, 1)], 4)])
@@ -185,16 +179,23 @@ class TestCleanup:
         assert all(s.store.alive[c] for c in range(len(s.store))
                    if s.store.initial[c])
 
-    def test_trail_referenced_learned_survive(self):
+    def test_trail_referenced_learned_die_in_place(self):
+        # analysis never rewrites a level-0 entry, so the row that is its
+        # reason may die; the entry still derives its reason from the row
         s = solver_for([0, 0, 0], [3, 3, 3])
         cid = s.store.add(normalize([(0, 1), (1, 1), (2, 1)], 1), initial=False)
         s.propagator.register_constraint(cid)
-        conflict = s.propagator.propagate_fixpoint()
-        assert conflict is None
-        assert s.trail.pu[0] >= 0  # it propagated upper bounds at level 0
+        assert s.propagator.propagate_fixpoint() is None
+        height = s.trail.pu[0]
+        assert s.trail.entries[height].info.reason_constraint == cid  # x0 <= 1 at level 0
+        reason = s.trail.reason_heights(height)
         s._cleanup()
-        s._cleanup()  # the first one keeps every row as fresh
-        assert s.store.alive[cid]
+        assert s.store.alive[cid]  # the first one keeps every row as fresh
+        s._cleanup()
+        assert not s.store.alive[cid]
+        occurring = {c for occs in s.propagator.occ_pos + s.propagator.occ_neg for c, _ in occs}
+        assert cid not in occurring
+        assert s.trail.reason_heights(height) == reason
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rebuild_rewatches_literals_false_at_level_zero(self, seed):
