@@ -12,8 +12,7 @@ Constraints live in three tiers:
 A general-row visit reads the row's bounds in one ``slack_and_widest``
 pass and calls ``find_conflict`` or ``propagate_constraint`` only when
 that pass says they fire; a visit that propagates reads the new widths
-once more for its filter.  One-variable rows the initial box implies,
-such as the seed box rows, are never visited.
+once more for its filter.
 
 ``propagated_bounds`` is the one rule for the bounds a row propagates.
 It reads only the ``lb``/``ub`` of its bounds argument, so the
@@ -25,10 +24,13 @@ sets: the height of the current strongest bound of each variable on the
 side its coefficient uses.  Conflict sets are taken at once; a bound is
 pushed with its row, and ``Trail.reason_heights`` derives its reason set.
 
-Only general rows die (learned rows at a cleanup, a replaced
-strengthening row): a dead row leaves the occurs lists of its variables
-in place, and the store keeps it for the reasons and cuts that read it.
-The clause and binary tiers hold only input rows, which never die.
+The store holds only real rows: the initial box bounds are pushed as
+level-0 seeds with an empty reason and no row.  A row enters through
+``Propagator.add_row`` and leaves through ``Propagator.kill_rows``.  Only
+general rows die (learned rows at a cleanup, a replaced strengthening
+row): a dead row leaves the occurs lists of its variables in place, and
+the store keeps it for the reasons and cuts that read it.  The clause
+and binary tiers hold only input rows, which never die.
 
 A general row's filter is at least its ``exact_filter``, and a row with
 a positive filter is queued.  Filters are undone per decision level: the
@@ -182,7 +184,7 @@ class ConstraintStore:
         search are clauses: the clause tiers see bounds pushed after the
         row exists, so a row added mid-search (learned, or strengthening
         the objective) goes to the general tier, which checks it against
-        the current trail when it is registered."""
+        the current trail when ``Propagator.add_row`` indexes it."""
         cid = len(self.constraints)
         lits = self._as_clause(c) if initial and not mid_search else None
         if lits is not None and len(lits) >= 3:
@@ -202,21 +204,21 @@ class ConstraintStore:
             self.learned_bytes += 64 + 16 * len(c.monomials)
         return cid
 
-    def bump_activity(self, cid: int):
-        if not self.initial[cid]:
-            self.activity[cid] += 1
-
     def remove(self, cid: int):
-        assert not self.initial[cid] and self.alive[cid]
+        """Mark the row dead; a learned row gives back its bytes."""
+        assert self.alive[cid]
         self.alive[cid] = False
-        self.learned_bytes -= 64 + 16 * len(self.constraints[cid].monomials)
+        if not self.initial[cid]:
+            self.learned_bytes -= 64 + 16 * len(self.constraints[cid].monomials)
 
 
 class Propagator:
     """Owns the trail and the constraint indexes; the single push/pop path.
 
-    Everything that changes the trail goes through push_bound / pop_to so
-    filters, cursors and phase saving stay consistent.
+    The constructor pushes the initial box as level-0 seeds; after that,
+    everything that changes the trail goes through push_bound / pop_to so
+    filters, cursors and phase saving stay consistent.  Rows enter through
+    add_row and leave through kill_rows.
     """
 
     def __init__(self, problem, store: ConstraintStore, trail: Trail,
@@ -249,20 +251,27 @@ class Propagator:
         self.post_push = None  # optional hook, called after every push
         self.on_undefined = None  # optional hook, var became undefined by a pop
         self.deadline = None  # time.monotonic() value checked during fixpoints
+        box = ReasonInfo.propagated((), None)  # seeds hold unconditionally
+        for var in range(n):
+            low, high = problem.initial_lb[var], problem.initial_ub[var]
+            trail.push(Bound(var, True, low), box, seed=True)
+            trail.push(Bound(var, False, high), box, seed=True)
+            if low == high:
+                self.num_defined += 1
+                self.last_value[var] = low
 
     # -- index construction -------------------------------------------------
 
-    def register_constraint(self, cid: int):
+    def add_row(self, c: Constraint, initial: bool, mid_search: bool = False) -> int:
+        """File the row in the store (see ``ConstraintStore.add``), size its
+        per-row state and index it in its tier; returns its cid."""
         store = self.store
-        while len(self.filters) < len(store):
-            self.filters.append(0)
-            self.in_queue.append(False)
-            self.stamp.append(0)
-        c = store.constraints[cid]
+        cid = store.add(c, initial, mid_search)
+        self.filters.append(0)
+        self.in_queue.append(False)
+        self.stamp.append(0)
         kind = store.kind[cid]
         if kind == ConstraintStore.GENERAL:
-            if self._implied_by_box(c):
-                return  # e.g. the seed box rows: never false, never propagate
             for var, coeff in c.monomials:
                 if coeff > 0:
                     self.occ_pos[var].append((cid, coeff))
@@ -272,7 +281,7 @@ class Propagator:
             if self.epoch:  # registered above level 0: recompute on unwind
                 self.stamp[cid] = self.epoch
                 self.saves.append((cid, None))
-            if self.filters[cid] > 0 and not self.in_queue[cid]:
+            if self.filters[cid] > 0:
                 self.in_queue[cid] = True
                 self.queue.append(cid)
         elif kind == ConstraintStore.CLAUSE:
@@ -285,25 +294,18 @@ class Propagator:
             l1, l2 = store.lits[cid]
             self.bin_adj.setdefault((l1.var, l1.is_lower), []).append((l2, cid))
             self.bin_adj.setdefault((l2.var, l2.is_lower), []).append((l1, cid))
+        return cid
 
-    def drop_occurrences(self, dead: set):
-        """Take the dead general rows out of the occurs lists of their variables."""
+    def kill_rows(self, dead: set):
+        """Mark the general rows dead and take them out of the occurs lists
+        of their variables; the store keeps them for reasons and cuts."""
+        for cid in dead:
+            self.store.remove(cid)
         sides = {(var, coeff > 0) for cid in dead
                  for var, coeff in self.store.constraints[cid].monomials}
         for var, positive in sides:
             occs = self.occ_pos[var] if positive else self.occ_neg[var]
             occs[:] = [occ for occ in occs if occ[0] not in dead]
-
-    def _implied_by_box(self, c: Constraint) -> bool:
-        """A one-variable row that the initial box satisfies: bounds only
-        tighten inside the box, so it is never false and never propagates.
-        It stays in the store (seed box rows are the seeds' reasons)."""
-        if len(c.monomials) != 1:
-            return False
-        var, coeff = c.monomials[0]
-        if coeff > 0:
-            return coeff * self.problem.initial_ub[var] <= c.rhs
-        return coeff * self.problem.initial_lb[var] <= c.rhs
 
     # -- push / pop ----------------------------------------------------------
 
@@ -377,6 +379,8 @@ class Propagator:
         filters, queue, in_queue = self.filters, self.queue, self.in_queue
         for cid, old in reversed(undone):  # the oldest value is written last
             if old is None:  # registered above: exact here, saved for the level
+                if not self.store.alive[cid]:
+                    continue  # a dead row is never visited again
                 old = exact_filter(self.store.constraints[cid], trail)
                 if level:
                     self.stamp[cid] = self.epoch
@@ -405,7 +409,7 @@ class Propagator:
 
     def _lit_status(self, lit: Bound):
         """1 satisfied, 0 undefined, -1 falsified under current bounds."""
-        lb, ub = self.trail.current_bounds(lit.var)
+        lb, ub = self.trail.lb[lit.var], self.trail.ub[lit.var]
         if lit.is_lower:  # literal "1 <= var"
             if lb >= lit.value:
                 return 1

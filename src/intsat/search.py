@@ -12,7 +12,7 @@ import heapq
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .model import Bound, Problem, Solution, normalize
@@ -76,6 +76,8 @@ class SolverConfig:
             raise ValueError("strategy_order must end with a total strategy (1-4)")
         if self.restart[0] not in ("luby", "inout"):
             raise ValueError(f"unknown restart policy {self.restart[0]!r}")
+        if any(v is not None and v < 0 for v in (self.time_limit, self.max_conflicts)):
+            raise ValueError("time_limit and max_conflicts must not be negative")
 
 
 @dataclass
@@ -91,15 +93,8 @@ class SolverStats:
         ConstraintStore.GENERAL: 0})
 
     def as_dict(self):
-        d = {
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "restarts": self.restarts,
-            "cleanups": self.cleanups,
-            "learned": self.learned,
-            "early_backjumps": self.early_backjumps,
-        }
-        for tier, n in self.propagations.items():
+        d = asdict(self)
+        for tier, n in d.pop("propagations").items():
             d[f"propagations_{tier}"] = n
         return d
 
@@ -180,7 +175,7 @@ class Budget:
     """Cooperative cancellation: wall clock and conflict ceiling."""
 
     def __init__(self, time_limit, max_conflicts):
-        self.deadline = time.monotonic() + time_limit if time_limit else None
+        self.deadline = None if time_limit is None else time.monotonic() + time_limit
         self.max_conflicts = max_conflicts
 
     def exhausted(self, stats: SolverStats) -> bool:
@@ -217,36 +212,17 @@ class Solver:
         self.conflicts_since_restart = 0
         self.restart_limits = restart_limits(self.config.restart)
         self.restart_threshold = next(self.restart_limits)
-        self._seed_initial_bounds()
         for c in problem.constraints:
-            cid = self.store.add(c, initial=True)
-            self.propagator.register_constraint(cid)
+            self.propagator.add_row(c, initial=True)
         if self.instr is not None:
             self.propagator.post_push = lambda h: self.instr.after_push(self)
             self.instr.reset(self)
-
-    def _seed_initial_bounds(self):
-        """Initial box bounds become level-0 trail entries whose reason is the
-        defining single-variable constraint."""
-        p = self.problem
-        for var in range(p.num_vars):
-            c_lb = normalize([(var, -1)], -p.initial_lb[var])
-            cid = self.store.add(c_lb, initial=True)
-            self.trail.push(Bound(var, True, p.initial_lb[var]),
-                            ReasonInfo.propagated((), cid), seed=True)
-            c_ub = normalize([(var, 1)], p.initial_ub[var])
-            cid = self.store.add(c_ub, initial=True)
-            self.trail.push(Bound(var, False, p.initial_ub[var]),
-                            ReasonInfo.propagated((), cid), seed=True)
-            if self.trail.is_defined(var):
-                self.propagator.num_defined += 1
-                self.propagator.last_value[var] = p.initial_lb[var]
 
     # -- decisions -------------------------------------------------------------
 
     def decide(self) -> Bound:
         var = self.activity.pick(self.trail)
-        l, u = self.trail.current_bounds(var)
+        l, u = self.trail.lb[var], self.trail.ub[var]
         assert l < u
         m = (l + u) // 2  # floor toward -inf so [l,m] and [m+1,u] always split
         for strat in self.config.strategy_order:
@@ -320,8 +296,7 @@ class Solver:
         self.propagator.pop_to(result.pop_to)
         rc_cid = None
         for c in result.learned:
-            cid = self.store.add(c, initial=False)
-            self.propagator.register_constraint(cid)
+            cid = self.propagator.add_row(c, initial=False)
             self.stats.learned += 1
             if result.attach_cc is c:
                 rc_cid = cid
@@ -344,12 +319,13 @@ class Solver:
                 or self.store.learned_bytes > self.memory_limit)
 
     def _cleanup(self):
-        """Drop inactive long learned rows from the occurs lists; must run at
-        level 0, where kept rows' filters are upper bounds, queued if positive.
-        Rows learned since the last cleanup are kept and not aged: dropping
-        them at the restart each cleanup brings can repeat the same conflicts
-        forever.  A dropped row may be the reason of a level-0 entry, which
-        analysis never rewrites."""
+        """Kill inactive long learned rows; must run at level 0, where kept
+        rows' filters are upper bounds, queued if positive.  Initial rows
+        are skipped, so their activity is never read.  Rows learned since
+        the last cleanup are kept and not aged: dropping them at the restart
+        each cleanup brings can repeat the same conflicts forever.  A killed
+        row may be the reason of a level-0 entry, which analysis never
+        rewrites."""
         assert self.trail.num_decisions == 0
         if self.store.learned_bytes > self.memory_limit:
             # forced by memory: grow the limit whatever the cleanup keeps, as
@@ -360,11 +336,10 @@ class Solver:
             if self.store.initial[cid] or cid >= self.cleanup_mark:
                 continue
             if len(self.store.constraints[cid].monomials) > 2 and self.store.activity[cid] == 0:
-                self.store.remove(cid)
                 dead.add(cid)
             else:
                 self.store.activity[cid] //= 2
-        self.propagator.drop_occurrences(dead)
+        self.propagator.kill_rows(dead)
         self.store.learned_since_cleanup = 0
         self.cleanup_mark = len(self.store)
         self.stats.cleanups += 1
@@ -399,7 +374,7 @@ class Solver:
                 return "unsat"
             self.activity.bump_conflict_vars(result.bumped_vars)
             for cid in result.touched_cids:
-                self.store.bump_activity(cid)
+                self.store.activity[cid] += 1
             self._apply_analysis(result)
             if budget.exhausted(self.stats):
                 return "limit"
@@ -409,7 +384,7 @@ class Solver:
                     self._cleanup()
 
     def _extract_solution(self) -> Solution:
-        values = [self.trail.current_lb(v) for v in range(self.problem.num_vars)]
+        values = list(self.trail.lb)
         if not self.problem.check_solution(values):
             raise RuntimeError("internal error: bad model")
         return Solution(values)
@@ -422,11 +397,8 @@ class Solver:
             return False  # constant objective: the incumbent is optimal
         old = self.strengthening_cid
         if old is not None:  # the new row implies it, so reasons and cuts may still read it
-            self.store.alive[old] = False
-            self.propagator.drop_occurrences({old})
-        cid = self.store.add(c, initial=True, mid_search=True)
-        self.propagator.register_constraint(cid)
-        self.strengthening_cid = cid
+            self.propagator.kill_rows({old})
+        self.strengthening_cid = self.propagator.add_row(c, initial=True, mid_search=True)
         return True
 
     def solve(self, on_incumbent: Optional[Callable] = None) -> SolveOutcome:

@@ -67,15 +67,6 @@ class Trail:
     def num_decisions(self) -> int:
         return len(self.decision_heights)
 
-    def current_lb(self, var: int) -> int:
-        return self.lb[var]
-
-    def current_ub(self, var: int) -> int:
-        return self.ub[var]
-
-    def current_bounds(self, var: int):
-        return self.lb[var], self.ub[var]
-
     def is_defined(self, var: int) -> bool:
         return self.lb[var] == self.ub[var]
 

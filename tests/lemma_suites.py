@@ -25,7 +25,7 @@ def _random_state(rng, max_vars=4, width=6, lo=-5):
         t.push(Bound(var, False, ubs[var]), ReasonInfo.propagated((), None), seed=True)
     for _ in range(rng.randint(0, 2 * n)):
         var = rng.randrange(n)
-        lb, ub = t.current_bounds(var)
+        lb, ub = t.lb[var], t.ub[var]
         if lb == ub:
             continue
         if rng.random() < 0.5:
@@ -46,7 +46,7 @@ def _random_constraint(rng, n, max_coeff=5, rhs_span=12):
 
 
 def _points(trail):
-    ranges = [range(*map(sum, zip(trail.current_bounds(v), (0, 1))))
+    ranges = [range(trail.lb[v], trail.ub[v] + 1)
               for v in range(trail.num_vars)]
     return itertools.product(*ranges)
 
@@ -54,7 +54,7 @@ def _points(trail):
 def _per_var_propagates(c, trail, var):
     """Direct evaluation of the per-variable non-redundant-propagation test."""
     coeff = c.coeff_of(var)
-    lb, ub = trail.current_bounds(var)
+    lb, ub = trail.lb[var], trail.ub[var]
     slack, _ = slack_and_widest(c, trail)
     return abs(coeff) * (ub - lb) > slack
 
@@ -73,7 +73,7 @@ def _constraint_grid(c, t, margin=4):
     cvars = c.vars()
     ranges = []
     for v in cvars:
-        lb, ub = t.current_bounds(v)
+        lb, ub = t.lb[v], t.ub[v]
         ranges.append(range(lb - margin, ub + margin + 1))
     for combo in itertools.product(*ranges):
         yield dict(zip(cvars, combo))
@@ -84,7 +84,7 @@ def lemma1_conflict_case(rng):
     c = _random_constraint(rng, t.num_vars)
     unsat = not any(c.satisfied_by(pt) for pt in _points(t))
     got = find_conflict(c, t, cid=0)
-    assert (got is not None) == unsat, (c, [t.current_bounds(v) for v in range(t.num_vars)])
+    assert (got is not None) == unsat, (c, [(t.lb[v], t.ub[v]) for v in range(t.num_vars)])
     if got is not None:
         # the returned falsifying set alone must already refute the constraint
         bounds = [t.entries[h].bound for h in got.cs]
@@ -128,7 +128,7 @@ def lemma3_no_rounding_case(rng):
         if v != j and rng.random() < 0.8:
             terms2[v] = rng.choice([-3, -2, -1, 1, 2, 3])
     c2 = Constraint(tuple(Monomial(v, c) for v, c in sorted(terms2.items())), 0)
-    lbj, ubj = t.current_bounds(j)
+    lbj, ubj = t.lb[j], t.ub[j]
     e_j = rng.randint(lbj - 2, ubj)  # propagated value, kept at or below the ub
     others_min = c2.rhs - slack_and_widest(c2, t)[0] - 1 * lbj
     c2 = Constraint(c2.monomials, e_j + others_min)
@@ -140,7 +140,7 @@ def lemma3_no_rounding_case(rng):
     mono1 = tuple(Monomial(v, c) for v, c in sorted(terms1.items()))
     min_with_ej = sum(
         c * (e_j if (v == j and c < 0) else
-             (t.current_lb(v) if c > 0 else t.current_ub(v)))
+             (t.lb[v] if c > 0 else t.ub[v]))
         for v, c in mono1)
     c1 = Constraint(mono1, min_with_ej - 1 - rng.randint(0, 3))
     cut_c = cut(c1, c2, j)
@@ -155,7 +155,7 @@ def lemma4_filter_case(rng):
         return
     predicted = exact_filter(c, t) > 0
     actual = bool(propagate_constraint(c, t))
-    assert predicted == actual, (c, [t.current_bounds(v) for v in range(t.num_vars)])
+    assert predicted == actual, (c, [(t.lb[v], t.ub[v]) for v in range(t.num_vars)])
 
 
 def lemma5_division_case(rng):

@@ -258,7 +258,7 @@ class TestScanAgainstReference:
                 t.push(up(var, ubs[var]), ReasonInfo.propagated((), None), seed=True)
             for _ in range(rng.randint(1, 10)):
                 var = rng.randrange(n)
-                lb, ub = t.current_bounds(var)
+                lb, ub = t.lb[var], t.ub[var]
                 if lb < ub:
                     info = (DECISION if rng.random() < 0.4
                             else ReasonInfo.propagated((), None))
@@ -297,7 +297,7 @@ class TestScanAgainstReference:
                     # some levels push bounds only on variables outside cc
                     pool = outside if rng.random() < 0.4 else list(range(n))
                 var = hot if pool is not outside and rng.random() < 0.4 else rng.choice(pool)
-                lb, ub = t.current_bounds(var)
+                lb, ub = t.lb[var], t.ub[var]
                 if lb == ub:
                     continue
                 step = 1 if var == hot else rng.randint(1, max(1, (ub - lb) // 3))
@@ -375,8 +375,7 @@ class TestBackjumpTarget:
             s.propagator.push_bound(lo(var, 2), DECISION)
         s.propagator.push_bound(  # level-4 propagation justified by level 2
             lo(0, 3), ReasonInfo.propagated((s.trail.pl[3],), None))
-        cid = s.store.add(normalize([(0, 1), (3, 1)], 4), initial=True)
-        s.propagator.register_constraint(cid)
+        cid = s.propagator.add_row(normalize([(0, 1), (3, 1)], 4), initial=True)
         conflict = s.propagator.propagate_fixpoint()
         assert conflict is not None  # 3 + 2 > 4
         assert {s.trail.entries[h].bound for h in conflict.cs} == {lo(0, 3), lo(3, 2)}

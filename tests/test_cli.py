@@ -76,6 +76,12 @@ class TestExitCodes:
         assert cli.main([path, "--restart", "fibonacci:3"]) == 2
         assert cli.main([path, "--strategies", "7,5"]) == 2
 
+    def test_negative_budget_is_two(self, tmp_path, capsys):
+        path = write(tmp_path, "opt.ilp", OPT)
+        assert cli.main([path, "--time-limit", "-1"]) == 2
+        assert cli.main([path, "--max-conflicts", "-1"]) == 2
+        assert "must not be negative" in capsys.readouterr().err
+
     def test_verify_disagreement_is_three(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "opt.ilp", OPT)
         fake = SolveOutcome(OPTIMAL, None, -99)

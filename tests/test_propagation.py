@@ -1,5 +1,6 @@
 import random
-from collections import Counter, deque
+from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
@@ -99,11 +100,11 @@ class TestWouldPropagate:
 
 
 def reference_visit(c, t):
-    """(conflict, propagations, filter) recomputed directly from current_bounds."""
+    """(conflict, propagations, filter) recomputed directly from the trail's bounds."""
     def side(v, a):
         return t.pl[v] if a > 0 else t.pu[v]
 
-    bounds = {v: t.current_bounds(v) for v, _ in c.monomials}
+    bounds = {v: (t.lb[v], t.ub[v]) for v, _ in c.monomials}
     row_min = sum(a * (bounds[v][0] if a > 0 else bounds[v][1]) for v, a in c.monomials)
     conflict = tuple(side(v, a) for v, a in c.monomials) if row_min > c.rhs else None
     props = []
@@ -127,7 +128,7 @@ class TestOnePassVisit:
             t = state(lbs, ubs)
             for _ in range(rng.randint(0, 6)):
                 var = rng.randrange(n)
-                lb, ub = t.current_bounds(var)
+                lb, ub = t.lb[var], t.ub[var]
                 if lb < ub:
                     t.push(lo(var, rng.randint(lb + 1, ub)) if rng.random() < 0.5
                            else up(var, rng.randint(lb, ub - 1)), DECISION)
@@ -254,33 +255,20 @@ class TestLazyReasons:
         assert min(seen[k] for k in tiers) >= 50 and seen["rechecked"] >= 1000, seen
 
 
-class RecordingQueue(deque):
-    def __init__(self, items):
-        super().__init__(items)
-        self.seen = list(items)
-
-    def append(self, cid):
-        self.seen.append(cid)
-        super().append(cid)
-
-
-class TestBoxRows:
-    def test_box_rows_are_stored_but_never_queued(self):
+class TestSeeds:
+    def test_seeds_carry_no_reason_row_and_the_store_holds_only_the_input(self):
         rng = random.Random(8)
         for _ in range(20):
             p = random_problem(rng, objective=True)
             s = Solver(p)
-            box = set(range(2 * p.num_vars))  # the seed bounds' reason rows
-            assert {e.info.reason_constraint for e in s.trail.entries} == box
-            for cleaned in (False, True):
-                if cleaned:
-                    s._cleanup()
-                occurring = {cid for occs in s.propagator.occ_pos + s.propagator.occ_neg
-                             for cid, _ in occs}
-                assert occurring.isdisjoint(box)
-            s.propagator.queue = RecordingQueue(s.propagator.queue)
-            s.solve()
-            assert s.propagator.queue.seen and box.isdisjoint(s.propagator.queue.seen)
+            n, t = p.num_vars, s.trail
+            assert [e.bound for e in t.entries[:2 * n]] == [
+                b for v in range(n) for b in (lo(v, p.initial_lb[v]), up(v, p.initial_ub[v]))]
+            assert all(e.info.reason_constraint is None for e in t.entries[:2 * n])
+            assert all(t.reason_heights(h) == () for h in range(2 * n))
+            assert s.store.constraints == list(p.constraints)
+            assert all(line.endswith(" reason={} constraint=none")
+                       for line in t.dump_lines()[:2 * n])
 
 
 class TestFilters:
@@ -323,7 +311,8 @@ class TestFilters:
         # row a visit reads is off the queue until the visit ends, and a
         # row that a visit found false stays off it until the backjump.
         # With a cleanup every two learned rows, rows die at cleanups and
-        # strengthenings, and no dead row may stay in an occurs list
+        # strengthenings, no dead row may stay in an occurs list, and a
+        # backjump saves no dead row again for recompute
         seen = Counter()
         rng = random.Random(42)
         problems = ([random_problem(rng, objective=True) for _ in range(24)]
@@ -342,8 +331,8 @@ class TestFilters:
     @staticmethod
     def check_invariants_during(s, seen):
         pr, store, t = s.propagator, s.store, s.trail
-        push, visit, pop_to, register = (
-            pr.push_bound, pr._visit_general, pr.pop_to, pr.register_constraint)
+        push, visit, pop_to, add_row = (
+            pr.push_bound, pr._visit_general, pr.pop_to, pr.add_row)
         cleanup, strengthen = s._cleanup, s._install_strengthening
         off_queue = set()
         registered = {}  # row registered above level 0 -> trail length then
@@ -372,21 +361,25 @@ class TestFilters:
 
         def checked_pop_to(height):
             unwound = [cid for cid, at in registered.items() if at > height]
+            level = bisect_left(t.decision_heights, height)
+            kept = pr.save_marks[level] if level < len(pr.save_marks) else len(pr.saves)
             pop_to(height)
             off_queue.clear()
             check()
+            assert all(store.alive[cid] for cid, old in pr.saves[kept:] if old is None)
             seen["backjump"] += 1
             seen["unwound"] += bool(unwound)
-            for cid in unwound:  # saved again for the resumed level, if above 0
-                if t.num_decisions:
+            for cid in unwound:  # saved again for the resumed level, if above 0 and alive
+                if t.num_decisions and store.alive[cid]:
                     registered[cid] = height
                 else:
                     del registered[cid]
 
-        def checked_register(cid):
-            register(cid)
+        def checked_add_row(c, initial, mid_search=False):
+            cid = add_row(c, initial, mid_search)
             if t.num_decisions:
                 registered[cid] = len(t)
+            return cid
 
         def check_deaths(event):
             check()
@@ -404,7 +397,7 @@ class TestFilters:
             return installed
 
         pr.push_bound, pr._visit_general = checked_push, checked_visit
-        pr.pop_to, pr.register_constraint = checked_pop_to, checked_register
+        pr.pop_to, pr.add_row = checked_pop_to, checked_add_row
         s._cleanup, s._install_strengthening = checked_cleanup, checked_strengthen
         s.solve()
 
@@ -420,7 +413,7 @@ class TestFilters:
                 if not undefined:
                     break
                 var = rng.choice(undefined)
-                lb, ub = s.trail.current_bounds(var)
+                lb, ub = s.trail.lb[var], s.trail.ub[var]
                 s.propagator.push_bound(lo(var, rng.randint(lb + 1, ub)), DECISION)
                 if s.propagator.propagate_fixpoint() is not None:
                     break
@@ -462,7 +455,7 @@ class TestClauseTiers:
         assert s.propagator.propagate_fixpoint() is None
         s.propagator.push_bound(up(1, 0), DECISION)
         assert s.propagator.propagate_fixpoint() is None
-        assert s.trail.current_bounds(2) == (1, 1)  # unit-propagated x2
+        assert (s.trail.lb[2], s.trail.ub[2]) == (1, 1)  # unit-propagated x2
         reason = s.trail.reason_heights(s.trail.pl[2])
         assert {s.trail.entries[h].bound for h in reason} == \
             {up(0, 0), up(1, 0)}
@@ -480,11 +473,11 @@ class TestClauseTiers:
         # x0 -> x1 as a binary clause (not x0 or x1): x0 - x1... in <= form
         p = Problem(2, [0, 0], [1, 1], [normalize([(0, 1), (1, -1)], 0)])
         s = Solver(p)
-        assert s.store.kind[4] == ConstraintStore.BINARY
+        assert s.store.kind[0] == ConstraintStore.BINARY
         assert s.propagator.propagate_fixpoint() is None
         s.propagator.push_bound(lo(0, 1), DECISION)
         assert s.propagator.propagate_fixpoint() is None
-        assert s.trail.current_bounds(1) == (1, 1)
+        assert (s.trail.lb[1], s.trail.ub[1]) == (1, 1)
 
 
 class TestFixpoint:
@@ -503,10 +496,10 @@ class TestFixpoint:
     def test_root_propagation_matches_worked_example(self):
         s = self.core_solver()
         assert s.propagator.propagate_fixpoint() is None
-        assert s.trail.current_bounds(0) == (-2, 1)
-        assert s.trail.current_bounds(1) == (-2, 1)
-        assert s.trail.current_bounds(2) == (0, 3)
-        c0_cid = 6  # after the 6 box-bound constraints
+        assert (s.trail.lb[0], s.trail.ub[0]) == (-2, 1)
+        assert (s.trail.lb[1], s.trail.ub[1]) == (-2, 1)
+        assert (s.trail.lb[2], s.trail.ub[2]) == (0, 3)
+        c0_cid = 0  # the first input row
         lows = {e.bound: e.info.reason_constraint for e in s.trail.entries
                 if e.bound.is_lower and e.info.reason_constraint is not None}
         assert lows[lo(0, -2)] == c0_cid

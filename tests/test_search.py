@@ -137,8 +137,7 @@ class TestRestarts:
         s = solver_for([0, 0], [3, 3], [normalize([(0, 1), (1, 1)], 4)])
         assert s.propagator.propagate_fixpoint() is None
         s.propagator.push_bound(lo(0, 2), DECISION)
-        learned_cid = s.store.add(normalize([(0, 1)], 2), initial=False)
-        s.propagator.register_constraint(learned_cid)
+        learned_cid = s.propagator.add_row(normalize([(0, 1)], 2), initial=False)
         s._restart()
         assert s.trail.num_decisions == 0
         assert s.store.alive[learned_cid]
@@ -153,8 +152,7 @@ class TestCleanup:
         for terms, rhs in [([(0, 1), (1, 1), (2, 1)], 5),
                            ([(0, 1), (1, 1)], 5),
                            ([(0, 1), (1, 1), (2, 2)], 6)]:
-            cid = s.store.add(normalize(terms, rhs), initial=False)
-            s.propagator.register_constraint(cid)
+            cid = s.propagator.add_row(normalize(terms, rhs), initial=False)
             cids.append(cid)
         return s, cids
 
@@ -183,8 +181,7 @@ class TestCleanup:
         # analysis never rewrites a level-0 entry, so the row that is its
         # reason may die; the entry still derives its reason from the row
         s = solver_for([0, 0, 0], [3, 3, 3])
-        cid = s.store.add(normalize([(0, 1), (1, 1), (2, 1)], 1), initial=False)
-        s.propagator.register_constraint(cid)
+        cid = s.propagator.add_row(normalize([(0, 1), (1, 1), (2, 1)], 1), initial=False)
         assert s.propagator.propagate_fixpoint() is None
         height = s.trail.pu[0]
         assert s.trail.entries[height].info.reason_constraint == cid  # x0 <= 1 at level 0
@@ -249,6 +246,12 @@ class TestSolveFeasibility:
         out = s.solve()
         assert out.status == TIMELIMIT and out.solution is None
 
+    def test_zero_time_limit_is_a_budget(self):
+        # stops at the first conflict; with no budget PHP(6,5) is refuted
+        from conftest import php_problem
+        out = Solver(php_problem(6, 5), SolverConfig(time_limit=0)).solve()
+        assert out.status == TIMELIMIT
+
     def test_time_limit_holds_inside_propagation(self):
         # x < y and y < x: root propagation walks the upper bounds down
         # one step per push, about a million pushes before the conflict
@@ -288,15 +291,27 @@ class TestSolveOptimize:
         assert s.store.constraints[cid] == normalize([(1, 2)], 5)  # 2*x1 <= 6-1
 
     def test_incumbents_strictly_decrease(self):
+        # each better incumbent kills the old strengthening row, an initial
+        # row, which gives back no learned bytes
         rng = random.Random(1)
+        kills = []
         for _ in range(40):
             p = random_problem(rng, objective=True)
             seen = []
-            out = Solver(p).solve(
-                on_incumbent=lambda t, v, c: seen.append(v))
+            s = Solver(p)
+            kill = s.propagator.kill_rows
+
+            def checked_kill(dead, s=s, kill=kill):
+                before = s.store.learned_bytes
+                kill(dead)
+                kills.append(s.store.learned_bytes - before)
+
+            s.propagator.kill_rows = checked_kill
+            out = s.solve(on_incumbent=lambda t, v, c: seen.append(v))
             if out.status == OPTIMAL:
                 assert seen[-1] == out.objective_value
             assert all(b < a for a, b in zip(seen, seen[1:]))
+        assert kills and not any(kills)
 
     def test_infeasible_optimisation(self):
         out = solver_for([0], [1], [normalize([(0, 1)], -1)],

@@ -34,9 +34,9 @@ class TestPushPop:
     def test_push_pop_roundtrip(self):
         t = fresh_trail()
         t.push(lo(0, 3), DECISION)
-        assert t.current_bounds(0) == (3, 9)
+        assert (t.lb[0], t.ub[0]) == (3, 9)
         t.pop()
-        assert t.current_bounds(0) == (0, 9)
+        assert (t.lb[0], t.ub[0]) == (0, 9)
         assert t.num_decisions == 0
 
     def test_pop_restores_previous_of_same_kind(self):
@@ -44,7 +44,7 @@ class TestPushPop:
         t.push(up(0, 5), ReasonInfo.propagated((), None))
         t.push(up(0, 2), ReasonInfo.propagated((), None))
         t.pop()
-        assert t.current_ub(0) == 5
+        assert t.ub[0] == 5
 
     def test_pushing_non_fresh_asserts(self):
         t = fresh_trail()
@@ -62,12 +62,12 @@ class TestPushPop:
 class TestCurrentBounds:
     def test_falls_back_to_initial(self):
         t = fresh_trail()
-        assert t.current_bounds(0) == (0, 9)
+        assert (t.lb[0], t.ub[0]) == (0, 9)
 
     def test_after_push(self):
         t = fresh_trail()
         t.push(lo(0, 3), DECISION)
-        assert t.current_bounds(0) == (3, 9)
+        assert (t.lb[0], t.ub[0]) == (3, 9)
 
 
 class TestIsFresh:
@@ -128,7 +128,7 @@ class TestBoundsVectorInvariant:
                     continue
                 var = rng.randrange(n)
                 is_lower = rng.random() < 0.5
-                lb, ub = t.current_bounds(var)
+                lb, ub = t.lb[var], t.ub[var]
                 if lb == ub:
                     continue
                 value = rng.randint(lb + 1, ub) if is_lower else rng.randint(lb, ub - 1)
@@ -144,7 +144,7 @@ class TestBoundsVectorInvariant:
                         lb = max(lb, e.bound.value)
                     else:
                         ub = min(ub, e.bound.value)
-                assert t.current_bounds(var) == (lb, ub)
+                assert (t.lb[var], t.ub[var]) == (lb, ub)
 
     def test_flat_lists_match_the_chains_after_every_step(self):
         rng = random.Random(11)
@@ -193,7 +193,7 @@ class TestTerminationMeasure:
             prev = termination_measure(t, [-3] * n, [3] * n)
             for _ in range(30):
                 var = rng.randrange(n)
-                lb, ub = t.current_bounds(var)
+                lb, ub = t.lb[var], t.ub[var]
                 if lb == ub:
                     continue
                 if rng.random() < 0.5:
