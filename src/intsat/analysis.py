@@ -2,14 +2,15 @@
 
 One rewrite loop serves both engines: the falsifying set of trail
 heights is rewritten by replacing its topmost bound with that bound's
-reason set until exactly one bound of the set remains at the highest
-decision level involved.  The resolution engine then learns the negated
-set as a constraint when its shape allows; the hybrid (cut) engine
-additionally carries a conflicting constraint, updated by eliminating
-cuts against reason constraints, which is always learned and can
-justify an early backjump to a lower level.  ``analyze_resolution`` and
-``analyze_hybrid`` stay the two entry points, for the search and for
-hooks that wrap them by name.
+reason set until exactly one bound of the set remains at its decision
+level.  It is one walk down the trail with a counter of the set's
+heights at that level, as in MiniSat (Een & Sorensson, SAT 2003).  The
+resolution engine then learns the negated set as a constraint when its
+shape allows; the hybrid (cut) engine additionally carries a conflicting
+constraint, updated by eliminating cuts against reason constraints,
+which is always learned and can justify an early backjump to a lower
+level.  ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry
+points, for the search and for hooks that wrap them by name.
 """
 
 from __future__ import annotations
@@ -44,32 +45,6 @@ class EarlyBackjump(NamedTuple):
     reason_set: tuple
 
 
-def _stop_state(cs, trail):
-    """(h_top, rest_top) when the rewriting must stop, else None.
-
-    Stops when the topmost bound of the set is the only one within its
-    own decision level (the classic condition when that level is the
-    trail's top level; the generalisation covers conflicts discovered
-    below the top, which can happen with freshly learned constraints).
-    Raises AnalysisInfeasible when the whole set sits at level 0.
-    """
-    h_top = max(cs)
-    level = trail.decision_level_of(h_top)
-    if level == 0:
-        raise AnalysisInfeasible
-    start = trail.level_start(level)
-    rest_top = max((h for h in cs if h != h_top), default=-1)
-    if rest_top < start:
-        return h_top, rest_top
-    return None
-
-
-def _backjump_height(rest_top: int, trail: Trail) -> int:
-    """Pop to just below the (l+1)-th decision, l the deepest level in rest."""
-    l = trail.decision_level_of(rest_top) if rest_top >= 0 else 0
-    return trail.decision_heights[l]
-
-
 def analyze_resolution(conflict: Conflict, trail: Trail, store: ConstraintStore,
                        problem, trace=None, probe=None) -> AnalysisResult:
     return _analyze(conflict, trail, store, problem, trace, probe, cut_mode=False)
@@ -90,11 +65,17 @@ def _analyze(conflict, trail, store, problem, trace, probe, cut_mode):
     hit = None
     if probe is not None:
         probe(frozenset(cs))
-    while hit is None:
-        stop = _stop_state(cs, trail)
-        if stop is not None:
-            break
-        h = max(cs)
+    # L, the level of max(cs), is fixed once; it may lie below the top
+    # level, as freshly learned rows can conflict there.  While two heights
+    # of cs lie in L, the top one is not L's decision, so one stays in L:
+    # L never changes, and the next height of cs below h is max(cs).
+    h = max(cs)
+    level = trail.decision_level_of(h)
+    if level == 0:
+        raise AnalysisInfeasible
+    start = trail.level_start(level)
+    count = sum(1 for x in cs if x >= start)  # heights of cs in L
+    while count > 1 and hit is None:
         entry = trail.entries[h]
         assert not entry.info.is_decision
         rc_cid = entry.info.reason_constraint
@@ -102,8 +83,11 @@ def _analyze(conflict, trail, store, problem, trace, probe, cut_mode):
             touched.append(rc_cid)
         reason = trail.reason_heights(h)
         cs.discard(h)
-        cs.update(reason)
+        count -= 1
         for rh in reason:
+            if rh not in cs:
+                cs.add(rh)
+                count += rh >= start
             bumped.add(trail.entries[rh].bound.var)
         if trace is not None:
             names = problem.var_names
@@ -111,6 +95,9 @@ def _analyze(conflict, trail, store, problem, trace, probe, cut_mode):
             trace.emit(f"analyze step: drop {entry.bound.format(names)} add {{{added}}}")
         if probe is not None:
             probe(frozenset(cs))
+        h -= 1
+        while h not in cs:
+            h -= 1
         if not cut_mode:
             continue
         if rc_cid is not None:
@@ -139,10 +126,10 @@ def _analyze(conflict, trail, store, problem, trace, probe, cut_mode):
                        f"{hit.bound.format(problem.var_names)}")
         pop_to, bound, reason_set = hit
     else:
-        h_top, rest_top = stop
-        pop_to = _backjump_height(rest_top, trail)
-        bound = trail.entries[h_top].bound.negated()
-        reason_set = tuple(sorted(cs - {h_top}))
+        reason_set = tuple(sorted(cs - {h}))
+        rest_top = reason_set[-1] if reason_set else -1  # the runner-up
+        pop_to = trail.decision_heights[bisect_right(trail.decision_heights, rest_top)]
+        bound = trail.entries[h].bound.negated()
     if cut_mode:
         learned = (cc,)
     else:

@@ -7,16 +7,17 @@ The format is line-oriented UTF-8 with ``#`` comments:
     <term> (+|- <term>)* (<=|>=|=) <number>
 
 A term is an optional decimal number (at most 3 fraction digits), an
-optional ``*``, and a variable name; or a bare number.  Every variable
-must be declared with integer bounds.  ``>=`` rows are negated into
-``<=`` form, equalities are split in two, and each row is scaled by the
-least power of 10 that clears its decimals before normalisation.
+optional ``*``, and a variable name; or a bare number.  A ``+`` or ``-``
+stands between terms.  Every variable must be declared with integer
+bounds.  ``>=`` rows are negated into ``<=`` form, equalities are split
+in two, and each row is scaled by the least power of 10 that clears its
+decimals before normalisation: a number is read as an integer mantissa
+and its count of fraction digits, so no rational arithmetic is needed.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .model import COEFF_CAP, Constraint, Objective, Problem, normalize
 from .search import (BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT,
@@ -35,89 +36,62 @@ _VAR_RE = re.compile(
     r"^var\s+([A-Za-z_][A-Za-z0-9_]*)\s+int\s*"
     r"\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]$")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?")
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*]))")
+_TERM_RE = re.compile(r"\s*([+-])?\s*(\d+(?:\.\d+)?)?\s*(\*)?\s*"
+                      r"([A-Za-z_][A-Za-z0-9_]*)?\s*")
 _RELATION_RE = re.compile(r"(<=|>=|=)")
 
 
-def _check_decimals(literal: str, line_no: int):
-    if "." in literal and len(literal.split(".")[1]) > 3:
+def _decimal(literal: str, line_no: int):
+    """(mantissa, fraction digits) of a decimal literal: "-1.25" is (-125, 2)."""
+    whole, _, frac = literal.partition(".")
+    if len(frac) > 3:
         raise ParseError(f"more than 3 decimal digits in {literal!r}", line_no)
+    return int(whole + frac), len(frac)
 
 
 def _parse_terms(text: str, line_no: int, names: dict):
-    """[(var or None, Fraction coefficient)] plus the max decimal count."""
+    """[(var or None, mantissa, fraction digits)], one entry per term."""
     text = text.strip()
     terms = []
-    decimals = 0
     pos = 0
-    sign = 1
-    pending_coeff = None
-    seen_sign = False
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(f"cannot parse term near {text[pos:]!r}", line_no)
-        pos = m.end()
-        number, name, op = m.groups()
-        if op in ("+", "-"):
-            if pending_coeff is not None:
-                terms.append((None, sign * pending_coeff))
-                pending_coeff = None
-            elif seen_sign:
-                raise ParseError("dangling sign", line_no)
-            sign = 1 if op == "+" else -1
-            seen_sign = True
-            continue
-        if op == "*":
-            if pending_coeff is None:
-                raise ParseError("'*' without a coefficient", line_no)
-            continue
-        if number is not None:
-            if pending_coeff is not None:
-                raise ParseError("two numbers in a row", line_no)
-            _check_decimals(number, line_no)
-            if "." in number:
-                decimals = max(decimals, len(number.split(".")[1]))
-            pending_coeff = Fraction(number)
-            continue
-        # a variable name
-        if name not in names:
+        m = _TERM_RE.match(text, pos)
+        sign, number, star, name = m.groups()
+        if number is None and name is None:
+            raise ParseError(f"expected a term near {text[pos:]!r}"
+                             if sign is None else "dangling sign", line_no)
+        if terms and sign is None:
+            raise ParseError(f"missing '+' or '-' before {text[pos:]!r}", line_no)
+        if star is not None and (number is None or name is None):
+            raise ParseError("'*' must join a coefficient to a variable", line_no)
+        mantissa, digits = _decimal(number, line_no) if number is not None else (1, 0)
+        if name is not None and name not in names:
             raise ParseError(
                 f"variable {name!r} is not declared; every variable needs "
                 f"'var {name} int [lb, ub]' (unbounded input is rejected)", line_no)
-        coeff = pending_coeff if pending_coeff is not None else Fraction(1)
-        terms.append((names[name], sign * coeff))
-        pending_coeff = None
-        sign = 1
-        seen_sign = False
-    if pending_coeff is not None:
-        terms.append((None, sign * pending_coeff))
-    elif seen_sign:
-        raise ParseError("dangling sign", line_no)
+        var = names[name] if name is not None else None
+        terms.append((var, -mantissa if sign == "-" else mantissa, digits))
+        pos = m.end()
     if not terms:
         raise ParseError("empty expression", line_no)
-    return terms, decimals
+    return terms
 
 
-def _scale_row(terms, rhs: Fraction, decimals: int, line_no: int):
-    """Integer coefficients via the least clearing power of 10 for this row."""
-    scale = 10 ** decimals
+def _scale_row(terms, line_no: int):
+    """The row times the least power of 10 that clears its decimals, as
+    integer (var, coefficient) pairs, the sum of its bare terms and the power."""
+    decimals = max(digits for _, _, digits in terms)
     out = []
     const = 0
-    for var, coeff in terms:
-        val = coeff * scale
-        assert val.denominator == 1
+    for var, mantissa, digits in terms:
+        val = mantissa * 10 ** (decimals - digits)
         if var is None:
-            const += int(val)
+            const += val
+        elif abs(val) > COEFF_CAP:
+            raise ParseError(f"coefficient {val} exceeds the cap after scaling", line_no)
         else:
-            out.append((var, int(val)))
-    rhs_int = rhs * scale
-    assert rhs_int.denominator == 1
-    rhs_int = int(rhs_int) - const
-    for _, c in out:
-        if abs(c) > COEFF_CAP:
-            raise ParseError(f"coefficient {c} exceeds the cap after scaling", line_no)
-    return out, rhs_int, scale
+            out.append((var, val))
+    return out, const, 10 ** decimals
 
 
 def parse(text: str) -> Problem:
@@ -150,14 +124,14 @@ def parse(text: str) -> Problem:
         if line.startswith("min:"):
             if objective is not None:
                 raise ParseError("duplicate objective", line_no)
-            terms, decimals = _parse_terms(line[4:], line_no, names)
-            int_terms, neg_const, scale = _scale_row(terms, Fraction(0), decimals, line_no)
+            int_terms, const, scale = _scale_row(_parse_terms(line[4:], line_no, names),
+                                                 line_no)
             coeffs = {}
             for var, c in int_terms:
                 coeffs[var] = coeffs.get(var, 0) + c
             coeffs = {v: c for v, c in coeffs.items() if c != 0}
             # a constant term shifts the reported value, not the search
-            objective = Objective(coeffs, scale, offset=-neg_const)
+            objective = Objective(coeffs, scale, offset=const)
             continue
         m = _RELATION_RE.search(line)
         if m is None:
@@ -168,12 +142,10 @@ def parse(text: str) -> Problem:
         if not _NUMBER_RE.fullmatch(rhs_text):
             raise ParseError(f"right-hand side must be a number, got {rhs_text!r}",
                              line_no)
-        _check_decimals(rhs_text, line_no)
-        terms, decimals = _parse_terms(lhs_text, line_no, names)
-        rhs = Fraction(rhs_text)
-        if "." in rhs_text:
-            decimals = max(decimals, len(rhs_text.split(".")[1]))
-        int_terms, int_rhs, _ = _scale_row(terms, rhs, decimals, line_no)
+        rhs, digits = _decimal(rhs_text, line_no)
+        terms = _parse_terms(lhs_text, line_no, names) + [(None, -rhs, digits)]
+        int_terms, const, _ = _scale_row(terms, line_no)
+        int_rhs = -const  # lhs - rhs <= 0
         rows = []
         if relation in ("<=", "="):
             rows.append((int_terms, int_rhs))

@@ -74,8 +74,16 @@ class SolverConfig:
             raise ValueError("value strategies are numbered 1..11")
         if self.strategy_order[-1] not in TOTAL_STRATEGIES:
             raise ValueError("strategy_order must end with a total strategy (1-4)")
-        if self.restart[0] not in ("luby", "inout"):
-            raise ValueError(f"unknown restart policy {self.restart[0]!r}")
+        kind, *params = self.restart
+        if kind == "luby":  # ("luby", unit)
+            ends = len(params) == 1 and params[0] >= 1
+        elif kind == "inout":  # ("inout", inner, outer, factor)
+            ends = len(params) == 3 and 1 <= params[0] <= params[1] and params[2] > 1
+        else:
+            raise ValueError(f"unknown restart policy {kind!r}")
+        if not ends:  # restarting after every conflict, a run that learns no row never ends
+            raise ValueError(f"restart {self.restart!r} needs a luby unit >= 1, or "
+                             f"an inout inner >= 1, outer >= inner and factor > 1")
         if any(v is not None and v < 0 for v in (self.time_limit, self.max_conflicts)):
             raise ValueError("time_limit and max_conflicts must not be negative")
 

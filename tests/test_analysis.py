@@ -6,6 +6,7 @@ from intsat.analysis import (AnalysisInfeasible, analyze_hybrid,
                              analyze_resolution, clause_to_constraint,
                              cut_skip_check, early_backjump_scan)
 from intsat.model import Bound, Objective, Problem, normalize
+from intsat.propagation import Conflict
 from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
 from conftest import (C, RecordingSolver, ValidityProbe, box_points,
@@ -315,6 +316,108 @@ class TestScanAgainstReference:
             outcomes["hit" if hit not in (None, "infeasible") else hit or "none"] += 1
             outcomes["skip"] += passes_an_untouched_level(cc, t)
         assert min(outcomes.values()) >= 20, outcomes
+
+
+def _stop_state(cs, trail):
+    """(h_top, rest_top) when the rewriting must stop, else None.
+
+    The per-step rule the walk replaced: stop when the topmost bound of
+    the set is the only one within its own decision level (that level
+    may lie below the trail's top level).  Raises AnalysisInfeasible
+    when the whole set sits at level 0.
+    """
+    h_top = max(cs)
+    level = trail.decision_level_of(h_top)
+    if level == 0:
+        raise AnalysisInfeasible
+    start = trail.level_start(level)
+    rest_top = max((h for h in cs if h != h_top), default=-1)
+    if rest_top < start:
+        return h_top, rest_top
+    return None
+
+
+def reference_resolution(cs, trail, problem):
+    """Probe snapshots and (pop_to, bound, reason_set, learned) of
+    resolution analysis with the stop test evaluated before every step."""
+    cs = set(cs)
+    snapshots = [frozenset(cs)]
+    while (stop := _stop_state(cs, trail)) is None:
+        h = max(cs)
+        cs.discard(h)
+        cs.update(trail.reason_heights(h))
+        snapshots.append(frozenset(cs))
+    h_top, rest_top = stop
+    level = trail.decision_level_of(rest_top) if rest_top >= 0 else 0
+    lits = [trail.entries[h].bound.negated() for h in sorted(cs)
+            if h >= trail.level_start(1)]
+    clause = clause_to_constraint(lits, problem)
+    return snapshots, (trail.decision_heights[level],
+                       trail.entries[h_top].bound.negated(),
+                       tuple(sorted(cs - {h_top})),
+                       (clause,) if clause is not None else ())
+
+
+def random_reason_trail(rng):
+    """Binaries and small integers; after the seeds, decisions and
+    bounds whose explicit reason sets are drawn from lower heights."""
+    n = rng.randint(2, 7)
+    ubs = [rng.choice([1, 4, 8]) for _ in range(n)]
+    problem = Problem(n, [0] * n, ubs)
+    t = Trail(n, [0] * n, ubs)
+    for var in range(n):
+        t.push(lo(var, 0), ReasonInfo.propagated((), None), seed=True)
+        t.push(up(var, ubs[var]), ReasonInfo.propagated((), None), seed=True)
+    for _ in range(rng.randint(10, 40)):
+        var = rng.randrange(n)
+        lb, ub = t.lb[var], t.ub[var]
+        if lb == ub:
+            continue
+        if rng.random() < 0.25:
+            info = DECISION
+        else:  # mostly recent heights, so that steps stay within a level
+            below = range(len(t) - 6 if rng.random() < 0.8 else 0, len(t))
+            reason = rng.sample(below, rng.randint(0, 3))
+            info = ReasonInfo.propagated(sorted(reason), None)
+        t.push(lo(var, rng.randint(lb + 1, ub)) if rng.random() < 0.5
+               else up(var, rng.randint(lb, ub - 1)), info)
+    return problem, t
+
+
+class TestWalkAgainstReference:
+    def test_matches_the_per_step_rule_on_random_trails(self):
+        rng = random.Random(61)
+        seen = {"infeasible": 0, "below_top": 0, "at_top": 0, "multi_step": 0}
+        for _ in range(1000):
+            problem, t = random_reason_trail(rng)
+            level0_end = t.level_start(1) if t.num_decisions else len(t)
+            if rng.random() < 0.1:  # a conflict wholly at level 0
+                top = level0_end
+            elif rng.random() < 0.5:  # its top may lie below the top level
+                top = rng.randint(level0_end, len(t))
+            else:
+                top = len(t)
+            near = range(max(0, top - 10), top - 1)
+            cs = (top - 1, *rng.sample(near, min(len(near), rng.randint(0, 4))))
+            conflict = Conflict(0, cs)
+            got_snapshots = []
+            try:
+                want_snapshots, want = reference_resolution(cs, t, problem)
+            except AnalysisInfeasible:
+                with pytest.raises(AnalysisInfeasible):
+                    analyze_resolution(conflict, t, None, problem,
+                                       probe=got_snapshots.append)
+                assert got_snapshots == [frozenset(cs)]
+                seen["infeasible"] += 1
+                continue
+            res = analyze_resolution(conflict, t, None, problem,
+                                     probe=got_snapshots.append)
+            assert got_snapshots == want_snapshots, t.dump_lines()
+            assert (res.pop_to, res.bound, res.reason_set, res.learned) == want
+            below = t.decision_level_of(max(cs)) < t.num_decisions
+            seen["below_top" if below else "at_top"] += 1
+            seen["multi_step"] += len(want_snapshots) > 2
+        assert min(seen.values()) >= 40, seen
 
 
 class TwinSolver(Solver):

@@ -76,6 +76,12 @@ class TestExitCodes:
         assert cli.main([path, "--restart", "fibonacci:3"]) == 2
         assert cli.main([path, "--strategies", "7,5"]) == 2
 
+    def test_restart_that_never_ends_is_two(self, tmp_path, capsys):
+        path = write(tmp_path, "opt.ilp", OPT)
+        assert cli.main([path, "--restart", "luby:0"]) == 2
+        assert cli.main([path, "--restart", "inout:1,1,1.0"]) == 2
+        assert "luby unit >= 1" in capsys.readouterr().err
+
     def test_negative_budget_is_two(self, tmp_path, capsys):
         path = write(tmp_path, "opt.ilp", OPT)
         assert cli.main([path, "--time-limit", "-1"]) == 2

@@ -47,6 +47,10 @@ class TestParse:
                   "2x + 3*y - x - 1 <= 7\n")
         assert p.constraints == [C([(0, 1), (1, 3)], 8)]
 
+    def test_leading_bare_term_and_negative_decimal_rhs(self):
+        p = parse("var x int [0, 9]\nvar y int [0, 9]\n4 + 2x - 3*y + 0.5 * x >= -0.5\n")
+        assert p.constraints == [C([(0, -5), (1, 6)], 9)]
+
     def test_bare_number_rows(self):
         assert parse("var x int [0, 1]\n3 <= 2\n").constraints == [C([], -1)]
         assert parse("var x int [0, 1]\n1 <= 2\n").constraints == []
@@ -95,6 +99,21 @@ class TestParseErrors:
 
     def test_relationless_line(self):
         assert "line 2" in self.err("var x int [0, 1]\nx + 1\n")
+
+    @pytest.mark.parametrize("row", ["x y <= 1", "x 3 <= 5", "3 4 <= 1", "x + y 2 <= 1"])
+    def test_terms_without_a_sign_between_them(self, row):
+        assert "missing '+' or '-'" in self.err(f"var x int [0, 1]\nvar y int [0, 1]\n{row}\n")
+
+    def test_objective_terms_without_a_sign_between_them(self):
+        assert "line 2" in self.err("var x int [0, 1]\nmin: x x\n")
+
+    @pytest.mark.parametrize("row", ["2 * * x <= 1", "* x <= 1", "x * 2 <= 1", "2* <= 1"])
+    def test_star_must_join_a_coefficient_to_a_variable(self, row):
+        assert "line 2" in self.err(f"var x int [0, 1]\n{row}\n")
+
+    @pytest.mark.parametrize("row", ["x + - y <= 1", "x + <= 1", "- <= 1"])
+    def test_dangling_sign(self, row):
+        assert "dangling sign" in self.err(f"var x int [0, 1]\nvar y int [0, 1]\n{row}\n")
 
 
 class TestWriteSolution:

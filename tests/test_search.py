@@ -133,6 +133,21 @@ class TestRestarts:
         assert s.restart_threshold == 50
         assert list(islice(restart_limits(("luby", 50)), 7)) == [50, 50, 100, 50, 50, 100, 200]
 
+    @pytest.mark.parametrize("restart", [
+        ("luby",), ("luby", 1, 2), ("luby", 0), ("inout", 100, 1000),
+        ("inout", 0, 10, 1.1), ("inout", 10, 5, 1.1), ("inout", 1, 1, 1.0),
+        ("fibonacci", 3)])
+    def test_malformed_or_non_growing_restart_is_rejected(self, restart):
+        # a luby unit of 0, or inout limits stuck at 1, restart after every
+        # conflict, and a search that learns no row then never ends
+        with pytest.raises(ValueError):
+            SolverConfig(restart=restart).validate()
+
+    @pytest.mark.parametrize("restart", [("luby", 1), ("inout", 1, 1, 1.1),
+                                         ("inout", 100, 1000, 1.1)])
+    def test_restart_that_grows_is_accepted(self, restart):
+        SolverConfig(restart=restart).validate()
+
     def test_restart_pops_to_level_zero_and_keeps_learned(self):
         s = solver_for([0, 0], [3, 3], [normalize([(0, 1), (1, 1)], 4)])
         assert s.propagator.propagate_fixpoint() is None

@@ -10,7 +10,10 @@ and says so in its change notes.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 from intsat.model import Problem, normalize
@@ -59,12 +62,31 @@ def records():
     return got
 
 
-def test_search_matches_the_snapshot():
+def assert_matches_the_snapshot(got):
     want = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
-    got = records()
     assert got.keys() == want.keys()
     changed = [key for key in want if got[key] != want[key]]
     assert not changed, [(key, want[key], got[key]) for key in changed[:5]]
+
+
+def test_search_matches_the_snapshot():
+    assert_matches_the_snapshot(records())
+
+
+def test_search_matches_the_snapshot_without_asserts():
+    """No answer may rest on an assert: the corpus again under python -O."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
+    code = ("import json, sys, test_search_snapshot as t; "
+            "print(json.dumps([sys.flags.optimize, t.records()]))")
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    optimize, got = json.loads(done.stdout)
+    assert optimize == 1
+    assert_matches_the_snapshot(got)
 
 
 if __name__ == "__main__":
