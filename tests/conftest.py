@@ -231,6 +231,36 @@ def php_problem(pigeons, holes):
     return Problem(n, [0] * n, [1] * n, cs)
 
 
+def pairwise_php_problem(pigeons, holes):
+    """PHP with one at-most-one row per pair of pigeons and hole: the
+    pair rows are binary clauses, the at-least-one rows clauses."""
+    from intsat.model import normalize
+    n = pigeons * holes
+    var = lambda p, h: p * holes + h
+    cs = [normalize([(var(p, h), -1) for h in range(holes)], -1) for p in range(pigeons)]
+    for h in range(holes):
+        for p in range(pigeons):
+            for q in range(p + 1, pigeons):
+                cs.append(normalize([(var(p, h), 1), (var(q, h), 1)], 1))
+    return Problem(n, [0] * n, [1] * n, cs)
+
+
+def planted_3sat_problem(rng, n, ratio=4.26):
+    """Random 3-SAT with round(ratio * n) clauses, each satisfied by a
+    hidden assignment (clauses it falsifies are redrawn)."""
+    from intsat.model import normalize
+    point = [rng.randint(0, 1) for _ in range(n)]
+    cs = []
+    while len(cs) < round(ratio * n):
+        lits = [(v, rng.random() < 0.5) for v in rng.sample(range(n), 3)]
+        if any(point[v] == int(positive) for v, positive in lits):
+            # x or not y or z  <=>  -x + y - z <= (number of negated) - 1
+            negated = sum(1 for _, positive in lits if not positive)
+            cs.append(normalize([(v, -1 if positive else 1) for v, positive in lits],
+                                negated - 1))
+    return Problem(n, [0] * n, [1] * n, cs)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

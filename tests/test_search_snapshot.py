@@ -18,8 +18,8 @@ from pathlib import Path
 
 from intsat.model import Problem, normalize
 from intsat.search import Solver, SolverConfig
-from conftest import (_objective, cover_packing_problem, php_problem,
-                      random_problem, small_integer_problem)
+from conftest import (_objective, cover_packing_problem, pairwise_php_problem, php_problem,
+                      planted_3sat_problem, random_problem, small_integer_problem)
 
 SNAPSHOT = Path(__file__).with_name("search_snapshot.json")
 
@@ -47,6 +47,12 @@ def corpus():
         out.append((f"cover-packing-{i}", cover_packing_problem(rng), 200))
     for i in range(20):
         out.append((f"integer-rows-{i}", integer_rows_problem(rng), 100))
+    # the clause and binary tiers at sizes the random problems never reach
+    out.append(("pairwise-php-5-4", pairwise_php_problem(5, 4), 400))
+    out.append(("pairwise-php-6-5", pairwise_php_problem(6, 5), 300))
+    rng = random.Random(7002)
+    for i, n in enumerate((60, 68, 76, 84, 92, 100)):
+        out.append((f"planted-3sat-{n}-{i}", planted_3sat_problem(rng, n), 200))
     return out
 
 
