@@ -129,7 +129,11 @@ def main(argv=None) -> int:
     trace_file = None
     trace = None
     if args.trace:
-        trace_file = open(args.trace, "w", encoding="utf-8")
+        try:
+            trace_file = open(args.trace, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         trace = TraceWriter(trace_file)
     try:
         solver = Solver(problem, config, trace=trace)

@@ -9,6 +9,14 @@ Constraints live in three tiers:
   propagated with two watched literals;
 * binary clauses, kept as edges of a binary implication graph.
 
+The two literal tiers work on integer literal codes, as MiniSat does: on
+a binary variable v, ``2*v + 1`` is the literal ``1 <= v`` and ``2*v``
+the literal ``v <= 0``.  Watch lists and implication edges are lists
+indexed by code, a literal's status is read from ``trail.lb``/``ub`` by
+the code's parity, and the bound a literal pushes comes from a per-code
+table.  Every row keeps one ``ReasonInfo``, built when it is filed, for
+all the bounds it propagates in any tier.
+
 A general-row visit reads the row's bounds in one ``slack_and_widest``
 pass and calls ``find_conflict`` or ``propagate_constraint`` only when
 that pass says they fire; a visit that propagates reads the new widths
@@ -38,6 +46,9 @@ first change to a row within a level saves its old filter (nothing is
 saved at level 0), and ``pop_to``, which only lands on a level start,
 writes the oldest saves back.  A row registered above the target is
 recomputed there instead, and saved again for the level that resumes.
+A backjump re-queues only the rows it recomputes: the level it lands on
+began at a fixpoint, when its decision was pushed, so every save it
+writes back is <= 0.
 """
 
 from __future__ import annotations
@@ -153,7 +164,7 @@ class ConstraintStore:
         self.initial = []
         self.alive = []
         self.activity = []  # cleanup counter, learned constraints only
-        self.lits = []  # literal view for clause/binary tiers
+        self.lits = []  # literal codes of clause and binary rows, else None
         self.learned_since_cleanup = 0
         self.learned_bytes = 0
 
@@ -164,17 +175,18 @@ class ConstraintStore:
         return [i for i, a in enumerate(self.alive) if a]
 
     def _as_clause(self, c: Constraint):
-        """Literal view if the constraint is a clause over binary variables."""
+        """Literal codes if the constraint is a clause over binary variables:
+        ``2*var + 1`` for the literal ``1 <= var``, ``2*var`` for ``var <= 0``."""
         lits = []
         positives = 0
         for var, coeff in c.monomials:
             if not self.problem.is_binary(var) or abs(coeff) != 1:
                 return None
             if coeff < 0:
-                lits.append(Bound(var, True, 1))  # the literal "var is true"
+                lits.append(2 * var + 1)  # the literal "var is true"
             else:
                 positives += 1
-                lits.append(Bound(var, False, 0))  # "var is false"
+                lits.append(2 * var)  # "var is false"
         if c.rhs != positives - 1:
             return None
         return lits
@@ -235,15 +247,18 @@ class Propagator:
         self.occ_neg = [[] for _ in range(n)]
         self.filters = []
         self.in_queue = []
+        self.reasons = []  # the ReasonInfo of every bound the row propagates
         # saves holds (cid, old filter, or None: recompute), and level k's
         # begin at save_marks[k - 1]; a row is saved in this level iff
         # stamp[cid] >= epoch, a clock tick per decision and backjump, 0 at level 0
         self.saves, self.save_marks, self.stamp = [], [], []
         self.epoch = self.clock = 0
         self.queue = deque()
-        self.watch = {}  # (var, lit_is_lower) -> clause cids watching that literal
+        self.watch = [[] for _ in range(2 * n)]  # literal code -> clause cids watching it
         self.watched = {}  # cid -> [lit index, lit index]
-        self.bin_adj = {}  # (var, lit_is_lower) -> [(implied lit, cid)]
+        self.bin_adj = [[] for _ in range(2 * n)]  # literal code -> [(other code, cid)]
+        self.lit_bounds = [Bound(var, s == 1, s) for var in range(n) for s in (0, 1)]
+        self.literal_rows = False  # a clause or binary row is filed
         self.binary_cursor = 0
         self.clause_cursor = 0
         self.num_defined = 0
@@ -270,6 +285,7 @@ class Propagator:
         self.filters.append(0)
         self.in_queue.append(False)
         self.stamp.append(0)
+        self.reasons.append(ReasonInfo(None, cid, False, c))  # reason set derived on demand
         kind = store.kind[cid]
         if kind == ConstraintStore.GENERAL:
             for var, coeff in c.monomials:
@@ -287,13 +303,14 @@ class Propagator:
         elif kind == ConstraintStore.CLAUSE:
             lits = store.lits[cid]
             self.watched[cid] = [0, 1]
-            for i in (0, 1):
-                lit = lits[i]
-                self.watch.setdefault((lit.var, lit.is_lower), []).append(cid)
+            self.watch[lits[0]].append(cid)
+            self.watch[lits[1]].append(cid)
+            self.literal_rows = True
         else:  # binary clause: two implication edges
             l1, l2 = store.lits[cid]
-            self.bin_adj.setdefault((l1.var, l1.is_lower), []).append((l2, cid))
-            self.bin_adj.setdefault((l2.var, l2.is_lower), []).append((l1, cid))
+            self.bin_adj[l1].append((l2, cid))
+            self.bin_adj[l2].append((l1, cid))
+            self.literal_rows = True
         return cid
 
     def kill_rows(self, dead: set):
@@ -377,17 +394,20 @@ class Propagator:
         self.clock += 1
         self.epoch = self.clock if level else 0
         filters, queue, in_queue = self.filters, self.queue, self.in_queue
+        recomputed = []
         for cid, old in reversed(undone):  # the oldest value is written last
             if old is None:  # registered above: exact here, saved for the level
                 if not self.store.alive[cid]:
                     continue  # a dead row is never visited again
                 old = exact_filter(self.store.constraints[cid], trail)
+                recomputed.append(cid)
                 if level:
                     self.stamp[cid] = self.epoch
                     self.saves.append((cid, None))
             filters[cid] = old
-        # at a fixpoint target only recomputed rows can be left positive
-        rows = [*queue, *(cid for cid, _ in undone)]
+        # a restored save is <= 0, as the level started at a fixpoint: only
+        # recomputed rows join the queue, in the order they were saved
+        rows = [*queue, *reversed(recomputed)]
         queue.clear()
         for cid in rows:
             in_queue[cid] = False
@@ -396,92 +416,73 @@ class Propagator:
                 in_queue[cid] = True
                 queue.append(cid)
 
-    # -- clause / binary tier helpers ----------------------------------------
-
-    @staticmethod
-    def _falsify_key(b: Bound):
-        """Literal-falsification event of a pushed bound, if any."""
-        if b.is_lower and b.value >= 1:
-            return (b.var, False)  # falsifies the literal "var is false"
-        if not b.is_lower and b.value <= 0:
-            return (b.var, True)  # falsifies the literal "var is true"
-        return None
-
-    def _lit_status(self, lit: Bound):
-        """1 satisfied, 0 undefined, -1 falsified under current bounds."""
-        lb, ub = self.trail.lb[lit.var], self.trail.ub[lit.var]
-        if lit.is_lower:  # literal "1 <= var"
-            if lb >= lit.value:
-                return 1
-            return -1 if ub < lit.value else 0
-        if ub <= lit.value:
-            return 1
-        return -1 if lb > lit.value else 0
-
-    def _push_from_clause(self, lit: Bound, cid: int, tier: str):
-        self.push_bound(lit, ReasonInfo(None, cid, False, self.store.constraints[cid]), tier)
+    # -- clause / binary tiers -------------------------------------------------
+    # A literal code is true, false or open by the bounds of its binary
+    # variable v: "1 <= v" (odd) is true iff lb[v] is 1 and false iff ub[v]
+    # is 0; "v <= 0" (even) is true iff ub[v] is 0 and false iff lb[v] is 1.
+    # The bound 1 <= v falsifies the code 2v, and v <= 0 the code 2v+1.
 
     def _clause_conflict(self, cid: int) -> Conflict:
         c = self.store.constraints[cid]
         return Conflict(cid, falsifying_heights(c, self.trail))
 
     def _process_binary_entry(self, height: int) -> Optional[Conflict]:
-        key = self._falsify_key(self.trail.entries[height].bound)
-        if key is None:
-            return None
-        for other, cid in self.bin_adj.get(key, ()):  # explicit edges
-            status = self._lit_status(other)
-            if status == 1:
+        var, is_lower, value = self.trail.entries[height].bound
+        if is_lower != (value > 0):
+            return None  # falsifies no literal
+        lb, ub = self.trail.lb, self.trail.ub
+        for other, cid in self.bin_adj[2 * var + (not is_lower)]:
+            v = other >> 1
+            if other & 1:
+                if lb[v]:
+                    continue
+                if not ub[v]:
+                    return self._clause_conflict(cid)
+            elif not ub[v]:
                 continue
-            if status == -1:
+            elif lb[v]:
                 return self._clause_conflict(cid)
-            self._push_from_clause(other, cid, ConstraintStore.BINARY)
+            self.push_bound(self.lit_bounds[other], self.reasons[cid], ConstraintStore.BINARY)
         return None
 
     def _process_clause_entry(self, height: int) -> Optional[Conflict]:
-        key = self._falsify_key(self.trail.entries[height].bound)
-        if key is None:
+        var, is_lower, value = self.trail.entries[height].bound
+        if is_lower != (value > 0):
             return None
-        watchers = self.watch.get(key)
+        false_lit = 2 * var + (not is_lower)
+        watch = self.watch
+        watchers = watch[false_lit]
         if not watchers:
             return None
+        lb, ub = self.trail.lb, self.trail.ub
+        all_lits, watched = self.store.lits, self.watched
         keep = []
         conflict = None
-        i = 0
-        while i < len(watchers):
-            cid = watchers[i]
-            i += 1
-            lits = self.store.lits[cid]
-            w = self.watched[cid]
-            # which of the two watches is the falsified literal?
-            if (lits[w[0]].var, lits[w[0]].is_lower) == key:
-                this_slot, other_slot = 0, 1
+        for i, cid in enumerate(watchers):
+            lits = all_lits[cid]
+            w = watched[cid]
+            w0, w1 = w
+            if lits[w0] == false_lit:
+                slot, other = 0, lits[w1]
             else:
-                this_slot, other_slot = 1, 0
-            other_lit = lits[w[other_slot]]
-            if self._lit_status(other_lit) == 1:
+                slot, other = 1, lits[w0]
+            v = other >> 1
+            if lb[v] if other & 1 else not ub[v]:  # the other watch is true
                 keep.append(cid)
                 continue
-            moved = False
-            for j, lit in enumerate(lits):
-                if j in w:
-                    continue
-                if self._lit_status(lit) != -1:
-                    w[this_slot] = j
-                    self.watch.setdefault((lit.var, lit.is_lower), []).append(cid)
-                    moved = True
+            for j, lit in enumerate(lits):  # the first open or true unwatched literal
+                if j != w0 and j != w1 and (ub[lit >> 1] if lit & 1 else not lb[lit >> 1]):
+                    w[slot] = j
+                    watch[lit].append(cid)
                     break
-            if moved:
-                continue
-            keep.append(cid)
-            status = self._lit_status(other_lit)
-            if status == -1:
-                conflict = self._clause_conflict(cid)
-                keep.extend(watchers[i:])
-                break
-            if status == 0:
-                self._push_from_clause(other_lit, cid, ConstraintStore.CLAUSE)
-        self.watch[key] = keep
+            else:
+                keep.append(cid)
+                if not ub[v] if other & 1 else lb[v]:  # the other watch is false
+                    conflict = self._clause_conflict(cid)
+                    keep.extend(watchers[i + 1:])
+                    break
+                self.push_bound(self.lit_bounds[other], self.reasons[cid], ConstraintStore.CLAUSE)
+        watch[false_lit] = keep
         return conflict
 
     # -- general tier ---------------------------------------------------------
@@ -493,7 +494,7 @@ class Propagator:
         if slack < 0:
             return find_conflict(c, trail, cid)
         if widest > slack:
-            info = ReasonInfo(None, cid, False, c)  # reason set derived on demand
+            info = self.reasons[cid]
             for b in propagate_constraint(c, trail, slack):
                 self.push_bound(b, info, tier=ConstraintStore.GENERAL)
             slack, widest = slack_and_widest(c, trail)
@@ -508,8 +509,9 @@ class Propagator:
     def propagate_fixpoint(self) -> Optional[Conflict]:
         """Advance all tiers to the top of the trail; binary first, then
         clauses, then general constraints, restarting at the cheapest
-        tier after every push.  Literal tiers with no edge and no watch
-        skip their entries; their cursors move to the top at the fixpoint.
+        tier after every push.  With no clause or binary row filed, the
+        literal tiers skip their entries; their cursors move to the top at
+        the fixpoint.
 
         With a deadline set, raises OutOfTime once it has passed, checked
         every PUSHES_PER_DEADLINE_CHECK trail entries, read by a tier or not.
@@ -517,7 +519,7 @@ class Propagator:
         entries = self.trail.entries
         queue, alive, filters = self.queue, self.store.alive, self.filters
         deadline = self.deadline
-        literal = self.bin_adj or self.watch
+        literal = self.literal_rows
         next_check = self.binary_cursor + PUSHES_PER_DEADLINE_CHECK
         while True:
             if deadline is not None and len(entries) >= next_check:

@@ -82,6 +82,14 @@ class TestExitCodes:
         assert cli.main([path, "--restart", "inout:1,1,1.0"]) == 2
         assert "luby unit >= 1" in capsys.readouterr().err
 
+    def test_unwritable_trace_is_two(self, tmp_path, capsys):
+        path = write(tmp_path, "opt.ilp", OPT)
+        trace = tmp_path / "no" / "such" / "dir" / "t.txt"
+        assert cli.main([path, "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(trace) in captured.err
+        assert captured.out == ""  # nothing was solved
+
     def test_negative_budget_is_two(self, tmp_path, capsys):
         path = write(tmp_path, "opt.ilp", OPT)
         assert cli.main([path, "--time-limit", "-1"]) == 2

@@ -10,8 +10,8 @@ from intsat.propagation import (ConstraintStore, exact_filter, falsifying_height
                                 find_conflict, propagate_constraint, slack_and_widest)
 from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
-from conftest import (C, cover_packing_problem, lo, up, random_problem,
-                      small_integer_problem)
+from conftest import (C, cover_packing_problem, lo, pairwise_php_problem,
+                      planted_3sat_problem, up, random_problem, small_integer_problem)
 from lemma_suites import ALL_SUITES, pushed_with_reasons
 from test_search_snapshot import integer_rows_problem
 
@@ -478,6 +478,62 @@ class TestClauseTiers:
         s.propagator.push_bound(lo(0, 1), DECISION)
         assert s.propagator.propagate_fixpoint() is None
         assert (s.trail.lb[1], s.trail.ub[1]) == (1, 1)
+
+    def test_every_fixpoint_leaves_literal_rows_quiet_and_watched(self):
+        # after every fixpoint without a conflict, no clause or binary row
+        # is false or propagates, and each clause row sits in exactly the
+        # watch lists of its two watched literals; also through the
+        # restarts and cleanups of a cleanup every two learned rows
+        seen = Counter()
+        rng = random.Random(55)
+        problems = ([pairwise_php_problem(5, 4), pairwise_php_problem(6, 5)]
+                    + [planted_3sat_problem(rng, n) for n in (40, 50, 60, 70)]
+                    + [cover_packing_problem(rng) for _ in range(8)])
+        for i, p in enumerate(problems):
+            for mode in ("cut", "resolution"):
+                for cleanups in ({}, dict(cleanup_learned_threshold=2, restart=("luby", 1))):
+                    s = Solver(p, SolverConfig(mode=mode, max_conflicts=100, random_seed=i,
+                                               **cleanups))
+                    self.check_literal_rows_during(s, seen)
+        assert seen["fixpoint after a backjump"] >= 300 and seen["watch move"] >= 3000, seen
+        assert seen["cleanup"] >= 100, seen
+
+    @staticmethod
+    def check_literal_rows_during(s, seen):
+        pr, store, t = s.propagator, s.store, s.trail
+        fixpoint, pop_to = pr.propagate_fixpoint, pr.pop_to
+        literal = [cid for cid in range(len(store)) if store.kind[cid] != ConstraintStore.GENERAL]
+        clauses = [cid for cid in literal if store.kind[cid] == ConstraintStore.CLAUSE]
+        last = {cid: list(pr.watched[cid]) for cid in clauses}
+        backjumped = False
+
+        def checked_pop_to(height):
+            nonlocal backjumped
+            pop_to(height)
+            backjumped = True
+
+        def checked_fixpoint():
+            nonlocal backjumped
+            conflict = fixpoint()
+            if conflict is not None:
+                return conflict
+            for cid in literal:
+                c = store.constraints[cid]
+                assert find_conflict(c, t) is None and propagate_constraint(c, t) == [], cid
+            where = Counter((code, cid) for code, cids in enumerate(pr.watch) for cid in cids)
+            assert sum(where.values()) == 2 * len(clauses)
+            for cid in clauses:
+                lits, w = store.lits[cid], pr.watched[cid]
+                assert where[lits[w[0]], cid] == where[lits[w[1]], cid] == 1, cid
+                seen["watch move"] += (w[0] != last[cid][0]) + (w[1] != last[cid][1])
+                last[cid] = list(w)
+            seen["fixpoint after a backjump"] += backjumped
+            backjumped = False
+            return None
+
+        pr.propagate_fixpoint, pr.pop_to = checked_fixpoint, checked_pop_to
+        s.solve()
+        seen["cleanup"] += s.stats.cleanups
 
 
 class TestFixpoint:

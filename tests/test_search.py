@@ -106,10 +106,13 @@ class TestActivity:
         assert q.scores[0] == pytest.approx(base + 1.0)
 
     def test_rescale_preserves_argmax(self):
+        # bumps 1, 10, ..., 1e10 take x1 to 1.11e10, over the cap: scores
+        # and increment shrink by 1e10, and the 12th bump adds 10
         q = ActivityQueue(3, 10.0, 1e10, random.Random(0))
         for _ in range(12):
             q.bump_conflict_vars([1])
-        assert max(q.scores) <= 1e10 or True  # rescale happened inside
+        assert max(q.scores) == q.scores[1] == pytest.approx(11.1111111111)
+        assert q.increment == pytest.approx(100.0)
         t = solver_for([0, 0, 0], [1, 1, 1]).trail
         assert q.pick(t) == 1
 
