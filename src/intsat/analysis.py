@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .model import COEFF_CAP, Bound, Constraint, cut, normalize
-from .propagation import Conflict, ConstraintStore, propagated_bounds
+from .propagation import Conflict, propagated_bounds
 from .trail import Trail
 
 
@@ -33,7 +33,7 @@ class AnalysisResult(NamedTuple):
     bound: Bound  # pushed with the reason info below
     reason_set: tuple  # heights, all < pop_to
     attach_cc: Optional[Constraint]  # reason constraint for the pushed bound
-    learned: tuple  # constraints to add to the store
+    learned: tuple  # rows to file with Propagator.add_row
     early: bool
     bumped_vars: frozenset
     touched_cids: tuple  # conflicting/reason constraints seen (activity counters)
@@ -45,19 +45,20 @@ class EarlyBackjump(NamedTuple):
     reason_set: tuple
 
 
-def analyze_resolution(conflict: Conflict, trail: Trail, store: ConstraintStore,
+def analyze_resolution(conflict: Conflict, trail: Trail, constraints: list,
                        problem, trace=None, probe=None) -> AnalysisResult:
-    return _analyze(conflict, trail, store, problem, trace, probe, cut_mode=False)
+    return _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode=False)
 
 
-def analyze_hybrid(conflict: Conflict, trail: Trail, store: ConstraintStore,
+def analyze_hybrid(conflict: Conflict, trail: Trail, constraints: list,
                    problem, trace=None, probe=None) -> AnalysisResult:
-    return _analyze(conflict, trail, store, problem, trace, probe, cut_mode=True)
+    return _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode=True)
 
 
-def _analyze(conflict, trail, store, problem, trace, probe, cut_mode):
+def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
+    """``constraints`` is the Propagator's row list, read by cid."""
     cs = set(conflict.cs)
-    cc = store.constraints[conflict.cid] if cut_mode else None
+    cc = constraints[conflict.cid] if cut_mode else None
     cc_label = str(conflict.cid)
     bumped = {trail.entries[h].bound.var for h in cs}
     touched = [conflict.cid]
@@ -101,7 +102,7 @@ def _analyze(conflict, trail, store, problem, trace, probe, cut_mode):
         if not cut_mode:
             continue
         if rc_cid is not None:
-            rc = store.constraints[rc_cid]
+            rc = constraints[rc_cid]
             new_cc = cut(cc, rc, entry.bound.var)
             if new_cc is not None:
                 if new_cc.is_contradiction():

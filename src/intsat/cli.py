@@ -3,7 +3,7 @@ as they are found, and optionally cross-check the result against the
 exhaustive oracle.
 
 Exit codes: 0 answered, 1 budget exhausted without a definitive answer,
-2 input error, 3 oracle disagreement under --verify.
+2 input or trace-file error, 3 oracle disagreement under --verify.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import nullcontext
 
 from .io import ParseError, format_objective_value, parse_file, write_problem, write_solution
 from .model import Problem
@@ -126,25 +127,18 @@ def main(argv=None) -> int:
         shown = format_objective_value(value + obj.offset, obj.scale)
         print(f"t={elapsed:.3f} obj={shown}", flush=True)
 
-    trace_file = None
-    trace = None
-    if args.trace:
-        try:
-            trace_file = open(args.trace, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        trace = TraceWriter(trace_file)
-    try:
-        solver = Solver(problem, config, trace=trace)
-        outcome = solver.solve(on_incumbent if obj is not None else None)
-        if trace is not None:
-            trace.emit("final trail:")
-            for line in solver.trail.dump_lines(problem.var_names):
-                trace.emit(line)
-    finally:
-        if trace_file is not None:
-            trace_file.close()
+    try:  # an OSError here comes from opening, writing or closing the trace
+        with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as file:
+            trace = TraceWriter(file) if file is not None else None
+            solver = Solver(problem, config, trace=trace)
+            outcome = solver.solve(on_incumbent if obj is not None else None)
+            if trace is not None:
+                trace.emit("final trail:")
+                for line in solver.trail.dump_lines(problem.var_names):
+                    trace.emit(line)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     sys.stdout.write(write_solution(outcome, problem))
     if args.stats:

@@ -32,13 +32,18 @@ sets: the height of the current strongest bound of each variable on the
 side its coefficient uses.  Conflict sets are taken at once; a bound is
 pushed with its row, and ``Trail.reason_heights`` derives its reason set.
 
-The store holds only real rows: the initial box bounds are pushed as
-level-0 seeds with an empty reason and no row.  A row enters through
-``Propagator.add_row`` and leaves through ``Propagator.kill_rows``.  Only
-general rows die (learned rows at a cleanup, a replaced strengthening
-row): a dead row leaves the occurs lists of its variables in place, and
-the store keeps it for the reasons and cuts that read it.  The clause
-and binary tiers hold only input rows, which never die.
+The ``Propagator`` is the row store: it keeps every row by cid, dead
+ones too, beside its per-row state.  Only its constructor sorts rows into
+tiers, filing the problem's rows in input order: a clause over binary
+variables is a binary row with two literals and a clause row with more;
+any other row, a one-literal clause too, is general.  It builds the
+literal-code tables with the first literal row.  The literal tiers see
+only bounds pushed after a row is filed, so later rows (learned, or
+strengthening the objective) enter through ``add_row``, in the general
+tier.  They alone die, through ``kill_rows`` (learned rows at a cleanup,
+a replaced strengthening row): a dead row leaves the occurs lists of its
+variables.  The initial box bounds are pushed as level-0 seeds with an
+empty reason and no row.
 
 A general row's filter is at least its ``exact_filter``, and a row with
 a positive filter is queued.  Filters are undone per decision level: the
@@ -63,7 +68,7 @@ from .trail import ReasonInfo, Trail
 
 
 class Conflict(NamedTuple):
-    cid: int  # constraint id in the store
+    cid: int  # the row's id in the Propagator
     cs: tuple  # trail heights falsifying it
 
 
@@ -72,6 +77,7 @@ class OutOfTime(Exception):
 
 
 PUSHES_PER_DEADLINE_CHECK = 1024
+BINARY, CLAUSE, GENERAL = "binary", "clause", "general"  # SolverStats.propagations keys
 
 
 def slack_and_widest(c: Constraint, trail: Trail):
@@ -152,31 +158,84 @@ def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = Non
     return [b for _, b in propagated_bounds(c, trail, slack)]
 
 
-class ConstraintStore:
-    """All constraints, by id, with tier and book-keeping metadata."""
+class Propagator:
+    """The row store and its three tiers; the single push/pop path.
 
-    GENERAL, CLAUSE, BINARY = "general", "clause", "binary"
+    The constructor pushes the initial box as level-0 seeds and files the
+    problem's rows, the only place that sorts rows into tiers.  After
+    that, everything that changes the trail goes through push_bound /
+    pop_to so filters, cursors and phase saving stay consistent.  Later
+    rows enter through add_row, in the general tier, and leave through
+    kill_rows.
+    """
 
-    def __init__(self, problem):
+    def __init__(self, problem, trail: Trail, stats, trace=None):
         self.problem = problem
-        self.constraints = []
-        self.kind = []
-        self.initial = []
+        self.trail = trail
+        self.stats = stats
+        self.trace = trace
+        n = problem.num_vars
+        self.constraints = []  # every row by cid: reasons and cuts read dead ones too
+        self.lits = []  # literal codes of a clause or binary row, None for a general row
         self.alive = []
-        self.activity = []  # cleanup counter, learned constraints only
-        self.lits = []  # literal codes of clause and binary rows, else None
-        self.learned_since_cleanup = 0
-        self.learned_bytes = 0
+        self.learned = []  # learned by analysis, else an input or strengthening row
+        self.activity = []  # cleanup counter, read on learned rows only
+        self.reasons = []  # the ReasonInfo of every bound the row propagates
+        # (cid, |coeff|) of the general rows whose minimum rises with the lower
+        # bound of a var, at occs[2*var + 1], or falls with its upper, at occs[2*var]
+        self.occs = [[] for _ in range(2 * n)]
+        self.filters = []
+        self.in_queue = []
+        # saves holds (cid, old filter, or None: recompute), and level k's
+        # begin at save_marks[k - 1]; a row is saved in this level iff
+        # stamp[cid] >= epoch, a clock tick per decision and backjump, 0 at level 0
+        self.saves, self.save_marks, self.stamp = [], [], []
+        self.epoch = self.clock = 0
+        self.queue = deque()
+        # by literal code: the clause cids watching it, its implication edges
+        # [(other code, cid)] and the bound it pushes; built with the first literal row
+        self.watch, self.bin_adj, self.lit_bounds = [], [], []
+        self.watched = {}  # cid -> [lit index, lit index]
+        self.binary_cursor = 0
+        self.clause_cursor = 0
+        self.num_defined = 0
+        self.last_value = [None] * n  # phase saving: last defined value
+        self.post_push = None  # optional hook, called after every push
+        self.on_undefined = None  # optional hook, var became undefined by a pop
+        # at most 29 attributes: with more, CPython 3.11 leaves its shared-key
+        # layout and every attribute read and write here slows down
+        box = ReasonInfo.propagated((), None)  # seeds hold unconditionally
+        for var in range(n):
+            low, high = problem.initial_lb[var], problem.initial_ub[var]
+            trail.push(Bound(var, True, low), box, seed=True)
+            trail.push(Bound(var, False, high), box, seed=True)
+            if low == high:
+                self.num_defined += 1
+                self.last_value[var] = low
+        for c in problem.constraints:  # in input order, so cids follow it
+            lits = self._as_clause(c)
+            if lits is None:
+                self.add_row(c, learned=False)
+                continue
+            if not self.lit_bounds:
+                self.watch = [[] for _ in range(2 * n)]
+                self.bin_adj = [[] for _ in range(2 * n)]
+                self.lit_bounds = [Bound(var, s == 1, s) for var in range(n) for s in (0, 1)]
+            cid = self._file(c, lits, learned=False)
+            if len(lits) == 2:  # a binary clause: two implication edges
+                self.bin_adj[lits[0]].append((lits[1], cid))
+                self.bin_adj[lits[1]].append((lits[0], cid))
+            else:
+                self.watched[cid] = [0, 1]
+                self.watch[lits[0]].append(cid)
+                self.watch[lits[1]].append(cid)
 
-    def __len__(self):
-        return len(self.constraints)
-
-    def alive_cids(self):
-        return [i for i, a in enumerate(self.alive) if a]
+    # -- the row store ----------------------------------------------------------
 
     def _as_clause(self, c: Constraint):
-        """Literal codes if the constraint is a clause over binary variables:
-        ``2*var + 1`` for the literal ``1 <= var``, ``2*var`` for ``var <= 0``."""
+        """Literal codes if the row is a clause of two or more literals over
+        binary variables: ``2*var + 1`` for ``1 <= var``, ``2*var`` for
+        ``var <= 0``.  A one-literal row stays general."""
         lits = []
         positives = 0
         for var, coeff in c.monomials:
@@ -187,141 +246,48 @@ class ConstraintStore:
             else:
                 positives += 1
                 lits.append(2 * var)  # "var is false"
-        if c.rhs != positives - 1:
+        if c.rhs != positives - 1 or len(lits) < 2:
             return None
         return lits
 
-    def add(self, c: Constraint, initial: bool, mid_search: bool = False) -> int:
-        """File the row in its tier.  Only initial rows added before the
-        search are clauses: the clause tiers see bounds pushed after the
-        row exists, so a row added mid-search (learned, or strengthening
-        the objective) goes to the general tier, which checks it against
-        the current trail when ``Propagator.add_row`` indexes it."""
+    def _file(self, c: Constraint, lits, learned: bool) -> int:
+        """Size the per-row state of a new row; returns its cid."""
         cid = len(self.constraints)
-        lits = self._as_clause(c) if initial and not mid_search else None
-        if lits is not None and len(lits) >= 3:
-            kind = self.CLAUSE
-        elif lits is not None and len(lits) == 2:
-            kind = self.BINARY
-        else:
-            kind, lits = self.GENERAL, None
         self.constraints.append(c)
-        self.kind.append(kind)
-        self.initial.append(initial)
-        self.alive.append(True)
-        self.activity.append(0)
         self.lits.append(lits)
-        if not initial:
-            self.learned_since_cleanup += 1
-            self.learned_bytes += 64 + 16 * len(c.monomials)
-        return cid
-
-    def remove(self, cid: int):
-        """Mark the row dead; a learned row gives back its bytes."""
-        assert self.alive[cid]
-        self.alive[cid] = False
-        if not self.initial[cid]:
-            self.learned_bytes -= 64 + 16 * len(self.constraints[cid].monomials)
-
-
-class Propagator:
-    """Owns the trail and the constraint indexes; the single push/pop path.
-
-    The constructor pushes the initial box as level-0 seeds; after that,
-    everything that changes the trail goes through push_bound / pop_to so
-    filters, cursors and phase saving stay consistent.  Rows enter through
-    add_row and leave through kill_rows.
-    """
-
-    def __init__(self, problem, store: ConstraintStore, trail: Trail,
-                 stats, trace=None):
-        self.problem = problem
-        self.store = store
-        self.trail = trail
-        self.stats = stats
-        self.trace = trace
-        n = problem.num_vars
-        # (cid, |coeff|) of the general rows whose minimum rises with the
-        # lower (occ_pos) or falls with the upper (occ_neg) bound of a var
-        self.occ_pos = [[] for _ in range(n)]
-        self.occ_neg = [[] for _ in range(n)]
-        self.filters = []
-        self.in_queue = []
-        self.reasons = []  # the ReasonInfo of every bound the row propagates
-        # saves holds (cid, old filter, or None: recompute), and level k's
-        # begin at save_marks[k - 1]; a row is saved in this level iff
-        # stamp[cid] >= epoch, a clock tick per decision and backjump, 0 at level 0
-        self.saves, self.save_marks, self.stamp = [], [], []
-        self.epoch = self.clock = 0
-        self.queue = deque()
-        self.watch = [[] for _ in range(2 * n)]  # literal code -> clause cids watching it
-        self.watched = {}  # cid -> [lit index, lit index]
-        self.bin_adj = [[] for _ in range(2 * n)]  # literal code -> [(other code, cid)]
-        self.lit_bounds = [Bound(var, s == 1, s) for var in range(n) for s in (0, 1)]
-        self.literal_rows = False  # a clause or binary row is filed
-        self.binary_cursor = 0
-        self.clause_cursor = 0
-        self.num_defined = 0
-        self.last_value = [None] * n  # phase saving: last defined value
-        self.post_push = None  # optional hook, called after every push
-        self.on_undefined = None  # optional hook, var became undefined by a pop
-        self.deadline = None  # time.monotonic() value checked during fixpoints
-        box = ReasonInfo.propagated((), None)  # seeds hold unconditionally
-        for var in range(n):
-            low, high = problem.initial_lb[var], problem.initial_ub[var]
-            trail.push(Bound(var, True, low), box, seed=True)
-            trail.push(Bound(var, False, high), box, seed=True)
-            if low == high:
-                self.num_defined += 1
-                self.last_value[var] = low
-
-    # -- index construction -------------------------------------------------
-
-    def add_row(self, c: Constraint, initial: bool, mid_search: bool = False) -> int:
-        """File the row in the store (see ``ConstraintStore.add``), size its
-        per-row state and index it in its tier; returns its cid."""
-        store = self.store
-        cid = store.add(c, initial, mid_search)
+        self.alive.append(True)
+        self.learned.append(learned)
+        self.activity.append(0)
+        self.reasons.append(ReasonInfo(None, cid, False, c))  # reason set derived on demand
         self.filters.append(0)
         self.in_queue.append(False)
-        self.stamp.append(0)
-        self.reasons.append(ReasonInfo(None, cid, False, c))  # reason set derived on demand
-        kind = store.kind[cid]
-        if kind == ConstraintStore.GENERAL:
-            for var, coeff in c.monomials:
-                if coeff > 0:
-                    self.occ_pos[var].append((cid, coeff))
-                else:
-                    self.occ_neg[var].append((cid, -coeff))
-            self.filters[cid] = exact_filter(c, self.trail)
-            if self.epoch:  # registered above level 0: recompute on unwind
-                self.stamp[cid] = self.epoch
-                self.saves.append((cid, None))
-            if self.filters[cid] > 0:
-                self.in_queue[cid] = True
-                self.queue.append(cid)
-        elif kind == ConstraintStore.CLAUSE:
-            lits = store.lits[cid]
-            self.watched[cid] = [0, 1]
-            self.watch[lits[0]].append(cid)
-            self.watch[lits[1]].append(cid)
-            self.literal_rows = True
-        else:  # binary clause: two implication edges
-            l1, l2 = store.lits[cid]
-            self.bin_adj[l1].append((l2, cid))
-            self.bin_adj[l2].append((l1, cid))
-            self.literal_rows = True
+        self.stamp.append(self.epoch)  # filed above level 0: saved in this level
+        return cid
+
+    def add_row(self, c: Constraint, learned: bool) -> int:
+        """File the row in the general tier, which checks it against the
+        current trail, and index it; returns its cid."""
+        cid = self._file(c, None, learned)
+        for var, coeff in c.monomials:
+            self.occs[2 * var + (coeff > 0)].append((cid, abs(coeff)))
+        self.filters[cid] = exact_filter(c, self.trail)
+        if self.epoch:  # registered above level 0: recompute on unwind
+            self.saves.append((cid, None))
+        if self.filters[cid] > 0:
+            self.in_queue[cid] = True
+            self.queue.append(cid)
         return cid
 
     def kill_rows(self, dead: set):
         """Mark the general rows dead and take them out of the occurs lists
-        of their variables; the store keeps them for reasons and cuts."""
+        of their variables; they stay filed for reasons and cuts."""
         for cid in dead:
-            self.store.remove(cid)
-        sides = {(var, coeff > 0) for cid in dead
-                 for var, coeff in self.store.constraints[cid].monomials}
-        for var, positive in sides:
-            occs = self.occ_pos[var] if positive else self.occ_neg[var]
+            assert self.alive[cid]
+            self.alive[cid] = False
+        sides = {2 * var + (coeff > 0) for cid in dead
+                 for var, coeff in self.constraints[cid].monomials}
+        for side in sides:
+            occs = self.occs[side]
             occs[:] = [occ for occ in occs if occ[0] not in dead]
 
     # -- push / pop ----------------------------------------------------------
@@ -331,10 +297,10 @@ class Propagator:
         var = b.var
         if b.is_lower:
             delta = b.value - trail.lb[var]
-            occs = self.occ_pos[var]
+            occs = self.occs[2 * var + 1]
         else:
             delta = trail.ub[var] - b.value
-            occs = self.occ_neg[var]
+            occs = self.occs[2 * var]
         height = trail.push(b, info)
         if info.is_decision:
             self.save_marks.append(len(self.saves))
@@ -397,9 +363,9 @@ class Propagator:
         recomputed = []
         for cid, old in reversed(undone):  # the oldest value is written last
             if old is None:  # registered above: exact here, saved for the level
-                if not self.store.alive[cid]:
+                if not self.alive[cid]:
                     continue  # a dead row is never visited again
-                old = exact_filter(self.store.constraints[cid], trail)
+                old = exact_filter(self.constraints[cid], trail)
                 recomputed.append(cid)
                 if level:
                     self.stamp[cid] = self.epoch
@@ -423,7 +389,7 @@ class Propagator:
     # The bound 1 <= v falsifies the code 2v, and v <= 0 the code 2v+1.
 
     def _clause_conflict(self, cid: int) -> Conflict:
-        c = self.store.constraints[cid]
+        c = self.constraints[cid]
         return Conflict(cid, falsifying_heights(c, self.trail))
 
     def _process_binary_entry(self, height: int) -> Optional[Conflict]:
@@ -442,7 +408,7 @@ class Propagator:
                 continue
             elif lb[v]:
                 return self._clause_conflict(cid)
-            self.push_bound(self.lit_bounds[other], self.reasons[cid], ConstraintStore.BINARY)
+            self.push_bound(self.lit_bounds[other], self.reasons[cid], BINARY)
         return None
 
     def _process_clause_entry(self, height: int) -> Optional[Conflict]:
@@ -455,7 +421,7 @@ class Propagator:
         if not watchers:
             return None
         lb, ub = self.trail.lb, self.trail.ub
-        all_lits, watched = self.store.lits, self.watched
+        all_lits, watched = self.lits, self.watched
         keep = []
         conflict = None
         for i, cid in enumerate(watchers):
@@ -481,14 +447,14 @@ class Propagator:
                     conflict = self._clause_conflict(cid)
                     keep.extend(watchers[i + 1:])
                     break
-                self.push_bound(self.lit_bounds[other], self.reasons[cid], ConstraintStore.CLAUSE)
+                self.push_bound(self.lit_bounds[other], self.reasons[cid], CLAUSE)
         watch[false_lit] = keep
         return conflict
 
     # -- general tier ---------------------------------------------------------
 
     def _visit_general(self, cid: int) -> Optional[Conflict]:
-        c = self.store.constraints[cid]
+        c = self.constraints[cid]
         trail = self.trail
         slack, widest = slack_and_widest(c, trail)
         if slack < 0:
@@ -496,7 +462,7 @@ class Propagator:
         if widest > slack:
             info = self.reasons[cid]
             for b in propagate_constraint(c, trail, slack):
-                self.push_bound(b, info, tier=ConstraintStore.GENERAL)
+                self.push_bound(b, info, tier=GENERAL)
             slack, widest = slack_and_widest(c, trail)
         if self.stamp[cid] < self.epoch:
             self.stamp[cid] = self.epoch
@@ -506,20 +472,20 @@ class Propagator:
 
     # -- the fixpoint loop ------------------------------------------------------
 
-    def propagate_fixpoint(self) -> Optional[Conflict]:
+    def propagate_fixpoint(self, deadline=None) -> Optional[Conflict]:
         """Advance all tiers to the top of the trail; binary first, then
         clauses, then general constraints, restarting at the cheapest
         tier after every push.  With no clause or binary row filed, the
         literal tiers skip their entries; their cursors move to the top at
         the fixpoint.
 
-        With a deadline set, raises OutOfTime once it has passed, checked
-        every PUSHES_PER_DEADLINE_CHECK trail entries, read by a tier or not.
+        Given a deadline, a time.monotonic() value, raises OutOfTime once it
+        has passed, checked every PUSHES_PER_DEADLINE_CHECK trail entries,
+        read by a tier or not.
         """
         entries = self.trail.entries
-        queue, alive, filters = self.queue, self.store.alive, self.filters
-        deadline = self.deadline
-        literal = self.literal_rows
+        queue, alive, filters = self.queue, self.alive, self.filters
+        literal = bool(self.lit_bounds)  # a clause or binary row is filed
         next_check = self.binary_cursor + PUSHES_PER_DEADLINE_CHECK
         while True:
             if deadline is not None and len(entries) >= next_check:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .model import Bound, Problem, Solution, normalize
-from .propagation import ConstraintStore, OutOfTime, Propagator
+from .propagation import BINARY, CLAUSE, GENERAL, OutOfTime, Propagator
 from .trail import ReasonInfo, Trail
 from . import analysis
 
@@ -96,9 +96,7 @@ class SolverStats:
     cleanups: int = 0
     learned: int = 0
     early_backjumps: int = 0
-    propagations: dict = field(default_factory=lambda: {
-        ConstraintStore.BINARY: 0, ConstraintStore.CLAUSE: 0,
-        ConstraintStore.GENERAL: 0})
+    propagations: dict = field(default_factory=lambda: {BINARY: 0, CLAUSE: 0, GENERAL: 0})
 
     def as_dict(self):
         d = asdict(self)
@@ -206,9 +204,7 @@ class Solver:
         self.instr = instrumentation
         self.stats = SolverStats()
         self.trail = Trail(problem.num_vars, problem.initial_lb, problem.initial_ub)
-        self.store = ConstraintStore(problem)
-        self.propagator = Propagator(
-            problem, self.store, self.trail, stats=self.stats, trace=trace)
+        self.propagator = Propagator(problem, self.trail, stats=self.stats, trace=trace)
         rng = random.Random(self.config.random_seed)
         self.activity = ActivityQueue(
             problem.num_vars, ACTIVITY_BUMP_FACTOR, ACTIVITY_RESCALE_CAP, rng)
@@ -216,12 +212,12 @@ class Solver:
         self.last_solution = None
         self.strengthening_cid = None
         self.cleanup_mark = 0  # rows with cid >= it were added since the last cleanup
+        self.learned_since_cleanup = 0
+        self.learned_bytes = 0  # an estimate, over the live learned rows
         self.memory_limit = self.config.cleanup_memory_cap  # grown by cleanups it forces
         self.conflicts_since_restart = 0
         self.restart_limits = restart_limits(self.config.restart)
         self.restart_threshold = next(self.restart_limits)
-        for c in problem.constraints:
-            self.propagator.add_row(c, initial=True)
         if self.instr is not None:
             self.propagator.post_push = lambda h: self.instr.after_push(self)
             self.instr.reset(self)
@@ -297,15 +293,17 @@ class Solver:
             probe = lambda cs: self.instr.on_cs(self, cs)
         analyze = (analysis.analyze_resolution if self.config.mode == RESOLUTION
                    else analysis.analyze_hybrid)
-        return analyze(conflict, self.trail, self.store, self.problem,
+        return analyze(conflict, self.trail, self.propagator.constraints, self.problem,
                        trace=self.trace, probe=probe)
 
     def _apply_analysis(self, result) -> None:
         self.propagator.pop_to(result.pop_to)
         rc_cid = None
         for c in result.learned:
-            cid = self.propagator.add_row(c, initial=False)
+            cid = self.propagator.add_row(c, learned=True)
             self.stats.learned += 1
+            self.learned_since_cleanup += 1
+            self.learned_bytes += 64 + 16 * len(c.monomials)
             if result.attach_cc is c:
                 rc_cid = cid
         self.propagator.push_bound(
@@ -323,8 +321,8 @@ class Solver:
             self.instr.reset(self)
 
     def _cleanup_due(self) -> bool:
-        return (self.store.learned_since_cleanup >= self.config.cleanup_learned_threshold
-                or self.store.learned_bytes > self.memory_limit)
+        return (self.learned_since_cleanup >= self.config.cleanup_learned_threshold
+                or self.learned_bytes > self.memory_limit)
 
     def _cleanup(self):
         """Kill inactive long learned rows; must run at level 0, where kept
@@ -335,21 +333,23 @@ class Solver:
         row may be the reason of a level-0 entry, which analysis never
         rewrites."""
         assert self.trail.num_decisions == 0
-        if self.store.learned_bytes > self.memory_limit:
+        pr = self.propagator
+        if self.learned_bytes > self.memory_limit:
             # forced by memory: grow the limit whatever the cleanup keeps, as
             # MiniSat does; grown only when a cleanup kept more, it might never grow
-            self.memory_limit = self.store.learned_bytes * 3 // 2
+            self.memory_limit = self.learned_bytes * 3 // 2
         dead = set()
-        for cid in self.store.alive_cids():
-            if self.store.initial[cid] or cid >= self.cleanup_mark:
+        for cid in range(self.cleanup_mark):
+            if not pr.alive[cid] or not pr.learned[cid]:
                 continue
-            if len(self.store.constraints[cid].monomials) > 2 and self.store.activity[cid] == 0:
+            if len(pr.constraints[cid].monomials) > 2 and pr.activity[cid] == 0:
                 dead.add(cid)
             else:
-                self.store.activity[cid] //= 2
-        self.propagator.kill_rows(dead)
-        self.store.learned_since_cleanup = 0
-        self.cleanup_mark = len(self.store)
+                pr.activity[cid] //= 2
+        pr.kill_rows(dead)
+        self.learned_bytes -= sum(64 + 16 * len(pr.constraints[cid].monomials) for cid in dead)
+        self.learned_since_cleanup = 0
+        self.cleanup_mark = len(pr.constraints)
         self.stats.cleanups += 1
 
     # -- core loop ------------------------------------------------------------------
@@ -357,10 +357,9 @@ class Solver:
     def _run_core(self, budget: Budget) -> str:
         """Search until a total assignment, infeasibility, or budget: the
         returned tag is one of 'sat', 'unsat', 'limit'."""
-        self.propagator.deadline = budget.deadline
         while True:
             try:
-                conflict = self.propagator.propagate_fixpoint()
+                conflict = self.propagator.propagate_fixpoint(budget.deadline)
             except OutOfTime:
                 return "limit"
             if conflict is None:
@@ -382,7 +381,7 @@ class Solver:
                 return "unsat"
             self.activity.bump_conflict_vars(result.bumped_vars)
             for cid in result.touched_cids:
-                self.store.activity[cid] += 1
+                self.propagator.activity[cid] += 1
             self._apply_analysis(result)
             if budget.exhausted(self.stats):
                 return "limit"
@@ -406,7 +405,7 @@ class Solver:
         old = self.strengthening_cid
         if old is not None:  # the new row implies it, so reasons and cuts may still read it
             self.propagator.kill_rows({old})
-        self.strengthening_cid = self.propagator.add_row(c, initial=True, mid_search=True)
+        self.strengthening_cid = self.propagator.add_row(c, learned=False)
         return True
 
     def solve(self, on_incumbent: Optional[Callable] = None) -> SolveOutcome:

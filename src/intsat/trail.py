@@ -18,7 +18,7 @@ from .model import Bound, Constraint
 
 class ReasonInfo(NamedTuple):
     reason_set: Optional[tuple]  # trail heights, () for decisions; None: derive from reason_row
-    reason_constraint: Optional[int]  # constraint id in the store, or None
+    reason_constraint: Optional[int]  # the row's cid in the Propagator, or None
     is_decision: bool
     reason_row: Optional[Constraint] = None  # the row that propagated the bound
 

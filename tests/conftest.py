@@ -151,7 +151,7 @@ class ValidityProbe(MeasureProbe):
     @staticmethod
     def _strengthening(solver):
         cid = solver.strengthening_cid
-        return solver.store.constraints[cid] if cid is not None else None
+        return solver.propagator.constraints[cid] if cid is not None else None
 
     def on_cs(self, solver, cs):
         self.cs_snapshots.append((tuple(e.bound for e in solver.trail.entries),

@@ -68,12 +68,12 @@ def test_criterion_1_worked_examples():
         return s, s.propagator.propagate_fixpoint()
 
     s, conflict = rounding_conflict(RESOLUTION)
-    res = analyze_resolution(conflict, s.trail, s.store, s.problem)
+    res = analyze_resolution(conflict, s.trail, s.propagator.constraints, s.problem)
     ok_c = (res.bound == up(1, 0)
             and [s.trail.entries[h].bound for h in res.reason_set] == [lo(0, 0)]
             and res.learned == ())
     s, conflict = rounding_conflict(CUT)
-    res = analyze_hybrid(conflict, s.trail, s.store, s.problem)
+    res = analyze_hybrid(conflict, s.trail, s.propagator.constraints, s.problem)
     ok_c = ok_c and res.learned == (C([(0, 1), (1, 1)], 1),)
 
     # (d) the full instance: infeasible in both modes; cut mode learns
@@ -84,8 +84,8 @@ def test_criterion_1_worked_examples():
         out = solver.solve()
         ok_d = ok_d and out.status == INFEASIBLE
         if mode == CUT:
-            learned = [solver.store.constraints[cid] for cid in range(len(solver.store))
-                       if not solver.store.initial[cid]]
+            pr = solver.propagator
+            learned = [c for c, flag in zip(pr.constraints, pr.learned) if flag]
             ok_d = ok_d and C([(1, -1)], -1) in learned
             ok_d = ok_d and solver.stats.early_backjumps >= 1
     elapsed = time.perf_counter() - t0

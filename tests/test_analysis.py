@@ -60,7 +60,7 @@ class TestResolutionAnalysis:
         s = core_solver(mode="resolution")
         conflict = core_conflict(s)
         snapshots = []
-        res = analyze_resolution(conflict, s.trail, s.store, s.problem,
+        res = analyze_resolution(conflict, s.trail, s.propagator.constraints, s.problem,
                                  probe=lambda cs: snapshots.append(cs))
         as_bounds = [{s.trail.entries[h].bound for h in cs} for cs in snapshots]
         assert as_bounds[0] == {up(0, 1), up(1, 0), up(2, 0)}
@@ -76,7 +76,7 @@ class TestResolutionAnalysis:
     def test_rounding_example(self):
         s = rounding_solver(mode="resolution")
         conflict = rounding_conflict(s)
-        res = analyze_resolution(conflict, s.trail, s.store, s.problem)
+        res = analyze_resolution(conflict, s.trail, s.propagator.constraints, s.problem)
         assert res.bound == up(1, 0)
         assert [s.trail.entries[h].bound for h in res.reason_set] == [lo(0, 0)]
         assert res.learned == () and res.attach_cc is None
@@ -92,7 +92,7 @@ class TestResolutionAnalysis:
         s.propagator.push_bound(lo(0, 1), DECISION)
         conflict = s.propagator.propagate_fixpoint()
         assert conflict is not None
-        res = analyze_resolution(conflict, s.trail, s.store, s.problem)
+        res = analyze_resolution(conflict, s.trail, s.propagator.constraints, s.problem)
         assert res.pop_to == s.trail.decision_heights[0]
         assert res.bound == up(0, 0)
         assert res.reason_set == ()
@@ -100,7 +100,7 @@ class TestResolutionAnalysis:
     def test_bumps_every_cs_variable_once(self):
         s = core_solver(mode="resolution")
         conflict = core_conflict(s)
-        res = analyze_resolution(conflict, s.trail, s.store, s.problem)
+        res = analyze_resolution(conflict, s.trail, s.propagator.constraints, s.problem)
         assert res.bumped_vars == {0, 1, 2}
 
     def test_learns_despite_level_zero_bounds(self):
@@ -115,7 +115,7 @@ class TestHybridAnalysis:
     def test_rounding_example_learns_cut(self):
         s = rounding_solver(mode="cut")
         conflict = rounding_conflict(s)
-        res = analyze_hybrid(conflict, s.trail, s.store, s.problem)
+        res = analyze_hybrid(conflict, s.trail, s.propagator.constraints, s.problem)
         assert res.bound == up(1, 0)
         assert [s.trail.entries[h].bound for h in res.reason_set] == [lo(0, 0)]
         assert res.learned == (C([(0, 1), (1, 1)], 1),)
@@ -125,7 +125,7 @@ class TestHybridAnalysis:
     def test_core_example_early_backjump(self):
         s = core_solver(mode="cut")
         conflict = core_conflict(s)
-        res = analyze_hybrid(conflict, s.trail, s.store, s.problem)
+        res = analyze_hybrid(conflict, s.trail, s.propagator.constraints, s.problem)
         assert res.early
         assert res.learned == (C([(1, -1)], -1),)  # 1 <= y as a constraint
         assert res.bound == lo(1, 1)
@@ -146,8 +146,8 @@ class TestHybridAnalysis:
         s.propagator.push_bound(lo(1, 1), DECISION)
         conflict = s.propagator.propagate_fixpoint()
         assert conflict is not None
-        assert s.store.constraints[conflict.cid] == c_a
-        res = analyze_hybrid(conflict, s.trail, s.store, s.problem)
+        assert s.propagator.constraints[conflict.cid] == c_a
+        res = analyze_hybrid(conflict, s.trail, s.propagator.constraints, s.problem)
         # first cut succeeds (c_a x c_b on x2), the second one is refused,
         # so the learned constraint still mentions x0 with a huge weight
         assert res.learned == (C([(0, -(big - 1)), (1, big)], 1),)
@@ -425,7 +425,7 @@ class TwinSolver(Solver):
     conflict state and records both results with their rewrite steps."""
 
     def _analyze(self, conflict):
-        args = (conflict, self.trail, self.store, self.problem)
+        args = (conflict, self.trail, self.propagator.constraints, self.problem)
         steps = ([], [])
         try:
             hybrid = analyze_hybrid(*args, probe=steps[0].append)
@@ -478,11 +478,11 @@ class TestBackjumpTarget:
             s.propagator.push_bound(lo(var, 2), DECISION)
         s.propagator.push_bound(  # level-4 propagation justified by level 2
             lo(0, 3), ReasonInfo.propagated((s.trail.pl[3],), None))
-        cid = s.propagator.add_row(normalize([(0, 1), (3, 1)], 4), initial=True)
+        cid = s.propagator.add_row(normalize([(0, 1), (3, 1)], 4), learned=False)
         conflict = s.propagator.propagate_fixpoint()
         assert conflict is not None  # 3 + 2 > 4
         assert {s.trail.entries[h].bound for h in conflict.cs} == {lo(0, 3), lo(3, 2)}
-        res = analyze_hybrid(conflict, s.trail, s.store, s.problem)
+        res = analyze_hybrid(conflict, s.trail, s.propagator.constraints, s.problem)
         assert res.bound == up(0, 2)
         new_decisions = [h for h in s.trail.decision_heights if h < res.pop_to]
         assert len(new_decisions) == 2

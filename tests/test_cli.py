@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -89,6 +90,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and str(trace) in captured.err
         assert captured.out == ""  # nothing was solved
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_trace_device_is_two(self, tmp_path, capsys):
+        # every write to /dev/full fails: the trace's last flush, at close,
+        # raises ENOSPC, which is an error, not a budget-exhausted run
+        path = write(tmp_path, "opt.ilp", OPT)
+        assert cli.main([path, "--trace", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert os.strerror(errno.ENOSPC) in captured.err
 
     def test_negative_budget_is_two(self, tmp_path, capsys):
         path = write(tmp_path, "opt.ilp", OPT)

@@ -6,9 +6,9 @@ import pytest
 
 from intsat import propagation
 from intsat.model import Bound, Problem, normalize
-from intsat.propagation import (ConstraintStore, exact_filter, falsifying_heights,
+from intsat.propagation import (BINARY, CLAUSE, GENERAL, exact_filter, falsifying_heights,
                                 find_conflict, propagate_constraint, slack_and_widest)
-from intsat.search import Solver, SolverConfig
+from intsat.search import Solver, SolverConfig, SolverStats
 from intsat.trail import DECISION, ReasonInfo, Trail
 from conftest import (C, cover_packing_problem, lo, pairwise_php_problem,
                       planted_3sat_problem, up, random_problem, small_integer_problem)
@@ -160,7 +160,7 @@ class TestVisitsInSearch:
             visit = pr._visit_general
 
             def checked(cid, pr=pr, visit=visit, s=s):
-                c, t = pr.store.constraints[cid], pr.trail
+                c, t = pr.constraints[cid], pr.trail
                 conflict, props, _ = reference_visit(c, t)
                 height = len(t)
                 got = visit(cid)
@@ -251,7 +251,7 @@ class TestLazyReasons:
 
             pr.push_bound, s._analyze = checked_push, checked_analyze
             s.solve()
-        tiers = (ConstraintStore.GENERAL, ConstraintStore.CLAUSE, ConstraintStore.BINARY)
+        tiers = (GENERAL, CLAUSE, BINARY)
         assert min(seen[k] for k in tiers) >= 50 and seen["rechecked"] >= 1000, seen
 
 
@@ -266,7 +266,7 @@ class TestSeeds:
                 b for v in range(n) for b in (lo(v, p.initial_lb[v]), up(v, p.initial_ub[v]))]
             assert all(e.info.reason_constraint is None for e in t.entries[:2 * n])
             assert all(t.reason_heights(h) == () for h in range(2 * n))
-            assert s.store.constraints == list(p.constraints)
+            assert s.propagator.constraints == list(p.constraints)
             assert all(line.endswith(" reason={} constraint=none")
                        for line in t.dump_lines()[:2 * n])
 
@@ -278,7 +278,7 @@ class TestFilters:
     def test_push_delta_lower(self):
         # pushing 1 <= x over previous 0 <= x raises the filter by |1*(1-0)|
         s = self.solver([normalize([(0, 1), (1, 1)], 5)], [0, 0], [3, 3])
-        cid = len(s.store) - 1
+        cid = len(s.propagator.constraints) - 1
         before = s.propagator.filters[cid]
         s.propagator.push_bound(lo(0, 1), DECISION)
         assert s.propagator.filters[cid] == before + 1
@@ -286,14 +286,14 @@ class TestFilters:
     def test_push_delta_upper_with_negative_coeff(self):
         # x <= 2 over x <= 5 with coefficient -3 raises the filter by 9
         s = self.solver([normalize([(0, -3), (1, 1)], 5)], [0, 0], [5, 5])
-        cid = len(s.store) - 1
+        cid = len(s.propagator.constraints) - 1
         before = s.propagator.filters[cid]
         s.propagator.push_bound(up(0, 2), DECISION)
         assert s.propagator.filters[cid] == before + 9
 
     def test_pop_to_accepts_only_a_level_start(self):
         s = self.solver([normalize([(0, 2), (1, -1)], 4)], [0, 0], [5, 5])
-        cid, pr, t = len(s.store) - 1, s.propagator, s.trail
+        cid, pr, t = len(s.propagator.constraints) - 1, s.propagator, s.trail
         before = pr.filters[cid]
         start = pr.push_bound(lo(0, 3), DECISION)
         pr.push_bound(up(1, 4), DECISION)
@@ -330,7 +330,7 @@ class TestFilters:
 
     @staticmethod
     def check_invariants_during(s, seen):
-        pr, store, t = s.propagator, s.store, s.trail
+        pr, t = s.propagator, s.trail
         push, visit, pop_to, add_row = (
             pr.push_bound, pr._visit_general, pr.pop_to, pr.add_row)
         cleanup, strengthen = s._cleanup, s._install_strengthening
@@ -339,9 +339,9 @@ class TestFilters:
 
         def check():
             queued = set(pr.queue)
-            for cid in store.alive_cids():
-                if store.kind[cid] == ConstraintStore.GENERAL:
-                    assert pr.filters[cid] >= exact_filter(store.constraints[cid], t), cid
+            for cid, c in enumerate(pr.constraints):
+                if pr.alive[cid] and pr.lits[cid] is None:  # a live general row
+                    assert pr.filters[cid] >= exact_filter(c, t), cid
                     if pr.filters[cid] > 0 and cid not in off_queue:
                         assert pr.in_queue[cid] and cid in queued, cid
 
@@ -366,25 +366,25 @@ class TestFilters:
             pop_to(height)
             off_queue.clear()
             check()
-            assert all(store.alive[cid] for cid, old in pr.saves[kept:] if old is None)
+            assert all(pr.alive[cid] for cid, old in pr.saves[kept:] if old is None)
             seen["backjump"] += 1
             seen["unwound"] += bool(unwound)
             for cid in unwound:  # saved again for the resumed level, if above 0 and alive
-                if t.num_decisions and store.alive[cid]:
+                if t.num_decisions and pr.alive[cid]:
                     registered[cid] = height
                 else:
                     del registered[cid]
 
-        def checked_add_row(c, initial, mid_search=False):
-            cid = add_row(c, initial, mid_search)
+        def checked_add_row(c, learned):
+            cid = add_row(c, learned)
             if t.num_decisions:
                 registered[cid] = len(t)
             return cid
 
         def check_deaths(event):
             check()
-            occurring = {cid for occs in pr.occ_pos + pr.occ_neg for cid, _ in occs}
-            assert all(store.alive[cid] for cid in occurring), event
+            occurring = {cid for occs in pr.occs for cid, _ in occs}
+            assert all(pr.alive[cid] for cid in occurring), event
             seen[event] += 1
 
         def checked_cleanup():
@@ -417,34 +417,54 @@ class TestFilters:
                 s.propagator.push_bound(lo(var, rng.randint(lb + 1, ub)), DECISION)
                 if s.propagator.propagate_fixpoint() is not None:
                     break
-                for cid in s.store.alive_cids():
-                    if s.store.kind[cid] != ConstraintStore.GENERAL:
+                pr = s.propagator
+                for cid, c in enumerate(pr.constraints):
+                    if not pr.alive[cid] or pr.lits[cid] is not None:
                         continue
-                    c = s.store.constraints[cid]
                     assert s.propagator.filters[cid] >= exact_filter(c, s.trail)
                     if propagate_constraint(c, s.trail):
                         assert s.propagator.filters[cid] > 0
 
 
 class TestClauseTiers:
+    @staticmethod
+    def propagator(p):
+        return propagation.Propagator(p, Trail(p.num_vars, p.initial_lb, p.initial_ub),
+                                      SolverStats())
+
+    @staticmethod
+    def occurring(pr):
+        return {cid for occs in pr.occs for cid, _ in occs}
+
     def test_classification(self):
-        p = Problem(4, [0, 0, 0, -1], [1, 1, 1, 1])
-        store = ConstraintStore(p)
+        # only the constructor files clause and binary rows; every row
+        # filed through add_row is general, clause-shaped or not
         cover3 = normalize([(0, -1), (1, -1), (2, -1)], -1)  # x0+x1+x2 >= 1
-        assert store.add(cover3, initial=True) == 0
-        assert store.kind[0] == ConstraintStore.CLAUSE
-        cover2 = normalize([(0, -1), (1, -1)], -1)
-        store.add(cover2, initial=True)
-        assert store.kind[1] == ConstraintStore.BINARY
-        mixed = normalize([(0, -1), (3, -1)], -1)  # x3 not binary
-        store.add(mixed, initial=True)
-        assert store.kind[2] == ConstraintStore.GENERAL
-        weighted = normalize([(0, -2), (1, -1)], -1)  # gcd 1, not +-1
-        store.add(weighted, initial=True)
-        assert store.kind[3] == ConstraintStore.GENERAL
-        learned = normalize([(0, -1), (1, -1), (2, -1)], -1)
-        store.add(learned, initial=False)
-        assert store.kind[4] == ConstraintStore.GENERAL  # learned stay general
+        rows = [cover3,
+                normalize([(0, -1), (1, -1)], -1),  # x0+x1 >= 1
+                normalize([(0, -1), (3, -1)], -1),  # x3 not binary
+                normalize([(0, -2), (1, -1)], -1),  # gcd 1, not +-1
+                normalize([(2, -1)], -1)]  # one literal: 1 <= x2
+        p = Problem(4, [0, 0, 0, -1], [1, 1, 1, 1], rows)
+        pr = self.propagator(p)
+        assert pr.constraints == rows and pr.lits[:2] == [[1, 3, 5], [1, 3]]
+        assert pr.watched == {0: [0, 1]} and pr.watch[1] == pr.watch[3] == [0]
+        assert pr.bin_adj[1] == [(3, 1)] and pr.bin_adj[3] == [(1, 1)]
+        assert self.occurring(pr) == {2, 3, 4} and pr.lits[2:] == [None] * 3
+        learned = pr.add_row(cover3, learned=True)
+        strengthening = pr.add_row(normalize([(0, 1), (1, 1)], 1), learned=False)
+        assert pr.lits[learned] is pr.lits[strengthening] is None
+        assert self.occurring(pr) == {2, 3, 4, learned, strengthening}
+        assert sum(map(len, pr.watch)) == 2 and sum(map(len, pr.bin_adj)) == 2
+        assert pr.learned == [False] * 5 + [True, False]
+
+    def test_no_literal_row_builds_no_literal_table(self):
+        p = Problem(3, [0, 0, -1], [1, 1, 1], [normalize([(0, -1), (2, -1)], -1),
+                                               normalize([(1, -1)], -1)])
+        pr = self.propagator(p)
+        pr.add_row(normalize([(0, -1), (1, -1)], -1), learned=True)
+        assert pr.watch == pr.bin_adj == pr.lit_bounds == []
+        assert pr.propagate_fixpoint() is None and pr.trail.lb[1] == 1
 
     def test_clause_unit_propagation_and_conflict(self):
         # (x0 or x1 or x2) as -x0-x1-x2 <= -1
@@ -473,7 +493,8 @@ class TestClauseTiers:
         # x0 -> x1 as a binary clause (not x0 or x1): x0 - x1... in <= form
         p = Problem(2, [0, 0], [1, 1], [normalize([(0, 1), (1, -1)], 0)])
         s = Solver(p)
-        assert s.store.kind[0] == ConstraintStore.BINARY
+        assert s.propagator.lits[0] == [0, 3]  # "x0 <= 0" or "1 <= x1"
+        assert s.propagator.bin_adj[0] == [(3, 0)] and s.propagator.bin_adj[3] == [(0, 0)]
         assert s.propagator.propagate_fixpoint() is None
         s.propagator.push_bound(lo(0, 1), DECISION)
         assert s.propagator.propagate_fixpoint() is None
@@ -500,10 +521,10 @@ class TestClauseTiers:
 
     @staticmethod
     def check_literal_rows_during(s, seen):
-        pr, store, t = s.propagator, s.store, s.trail
+        pr, t = s.propagator, s.trail
         fixpoint, pop_to = pr.propagate_fixpoint, pr.pop_to
-        literal = [cid for cid in range(len(store)) if store.kind[cid] != ConstraintStore.GENERAL]
-        clauses = [cid for cid in literal if store.kind[cid] == ConstraintStore.CLAUSE]
+        literal = [cid for cid, lits in enumerate(pr.lits) if lits is not None]
+        clauses = [cid for cid in literal if len(pr.lits[cid]) > 2]
         last = {cid: list(pr.watched[cid]) for cid in clauses}
         backjumped = False
 
@@ -512,18 +533,18 @@ class TestClauseTiers:
             pop_to(height)
             backjumped = True
 
-        def checked_fixpoint():
+        def checked_fixpoint(deadline=None):
             nonlocal backjumped
-            conflict = fixpoint()
+            conflict = fixpoint(deadline)
             if conflict is not None:
                 return conflict
             for cid in literal:
-                c = store.constraints[cid]
+                c = pr.constraints[cid]
                 assert find_conflict(c, t) is None and propagate_constraint(c, t) == [], cid
             where = Counter((code, cid) for code, cids in enumerate(pr.watch) for cid in cids)
             assert sum(where.values()) == 2 * len(clauses)
             for cid in clauses:
-                lits, w = store.lits[cid], pr.watched[cid]
+                lits, w = pr.lits[cid], pr.watched[cid]
                 assert where[lits[w[0]], cid] == where[lits[w[1]], cid] == 1, cid
                 seen["watch move"] += (w[0] != last[cid][0]) + (w[1] != last[cid][1])
                 last[cid] = list(w)
@@ -568,7 +589,7 @@ class TestFixpoint:
         s.propagator.push_bound(lo(0, 1), DECISION)
         conflict = s.propagator.propagate_fixpoint()
         assert conflict is not None
-        assert s.store.constraints[conflict.cid] == C([(0, -1), (1, -1), (2, -1)], -2)
+        assert s.propagator.constraints[conflict.cid] == C([(0, -1), (1, -1), (2, -1)], -2)
         assert {s.trail.entries[h].bound for h in conflict.cs} == \
             {up(0, 1), up(1, 0), up(2, 0)}
 
@@ -581,8 +602,7 @@ class TestFixpoint:
             p = random_problem(rng, objective=False)
             s = Solver(p)
             if s.propagator.propagate_fixpoint() is None:
-                for cid in s.store.alive_cids():
-                    c = s.store.constraints[cid]
+                for c in s.propagator.constraints:  # no row has died yet
                     assert find_conflict(c, s.trail) is None
                     assert propagate_constraint(c, s.trail) == []
 

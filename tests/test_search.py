@@ -155,10 +155,10 @@ class TestRestarts:
         s = solver_for([0, 0], [3, 3], [normalize([(0, 1), (1, 1)], 4)])
         assert s.propagator.propagate_fixpoint() is None
         s.propagator.push_bound(lo(0, 2), DECISION)
-        learned_cid = s.propagator.add_row(normalize([(0, 1)], 2), initial=False)
+        learned_cid = s.propagator.add_row(normalize([(0, 1)], 2), learned=True)
         s._restart()
         assert s.trail.num_decisions == 0
-        assert s.store.alive[learned_cid]
+        assert s.propagator.alive[learned_cid]
         s._restart()  # restart at level 0 is a no-op pop-wise
         assert s.trail.num_decisions == 0
 
@@ -170,45 +170,45 @@ class TestCleanup:
         for terms, rhs in [([(0, 1), (1, 1), (2, 1)], 5),
                            ([(0, 1), (1, 1)], 5),
                            ([(0, 1), (1, 1), (2, 2)], 6)]:
-            cid = s.propagator.add_row(normalize(terms, rhs), initial=False)
+            cid = s.propagator.add_row(normalize(terms, rhs), learned=True)
             cids.append(cid)
         return s, cids
 
     def test_removes_long_inactive_learned(self):
         s, (c3, c2, c3b) = self.setup_store()
-        s.store.activity[c3b] = 5
+        s.propagator.activity[c3b] = 5
         s._cleanup()  # rows learned since the last cleanup are kept, not aged
-        assert all(s.store.alive[c] for c in (c3, c2, c3b))
-        assert s.store.activity[c3b] == 5
+        assert all(s.propagator.alive[c] for c in (c3, c2, c3b))
+        assert s.propagator.activity[c3b] == 5
         s._cleanup()
-        assert not s.store.alive[c3]      # 3 monomials, counter 0
-        assert s.store.alive[c2]          # only 2 monomials
-        assert s.store.alive[c3b]         # counter was nonzero
-        assert s.store.activity[c3b] == 2  # 5 // 2
-        assert s.store.activity[c2] == 0
+        assert not s.propagator.alive[c3]      # 3 monomials, counter 0
+        assert s.propagator.alive[c2]          # only 2 monomials
+        assert s.propagator.alive[c3b]         # counter was nonzero
+        assert s.propagator.activity[c3b] == 2  # 5 // 2
+        assert s.propagator.activity[c2] == 0
 
     def test_initial_constraints_never_removed(self):
         s = solver_for([0, 0, 0], [3, 3, 3],
                        [normalize([(0, 1), (1, 1), (2, 1)], 5)])
         s._cleanup()
         s._cleanup()  # the first one keeps every row as fresh
-        assert all(s.store.alive[c] for c in range(len(s.store))
-                   if s.store.initial[c])
+        pr = s.propagator
+        assert all(pr.alive[c] for c in range(len(pr.constraints)) if not pr.learned[c])
 
     def test_trail_referenced_learned_die_in_place(self):
         # analysis never rewrites a level-0 entry, so the row that is its
         # reason may die; the entry still derives its reason from the row
         s = solver_for([0, 0, 0], [3, 3, 3])
-        cid = s.propagator.add_row(normalize([(0, 1), (1, 1), (2, 1)], 1), initial=False)
+        cid = s.propagator.add_row(normalize([(0, 1), (1, 1), (2, 1)], 1), learned=True)
         assert s.propagator.propagate_fixpoint() is None
         height = s.trail.pu[0]
         assert s.trail.entries[height].info.reason_constraint == cid  # x0 <= 1 at level 0
         reason = s.trail.reason_heights(height)
         s._cleanup()
-        assert s.store.alive[cid]  # the first one keeps every row as fresh
+        assert s.propagator.alive[cid]  # the first one keeps every row as fresh
         s._cleanup()
-        assert not s.store.alive[cid]
-        occurring = {c for occs in s.propagator.occ_pos + s.propagator.occ_neg for c, _ in occs}
+        assert not s.propagator.alive[cid]
+        occurring = {c for occs in s.propagator.occs for c, _ in occs}
         assert cid not in occurring
         assert s.trail.reason_heights(height) == reason
 
@@ -306,7 +306,7 @@ class TestSolveOptimize:
         assert out.status == OPTIMAL and out.objective_value == 6
         cid = s.strengthening_cid
         assert cid is not None
-        assert s.store.constraints[cid] == normalize([(1, 2)], 5)  # 2*x1 <= 6-1
+        assert s.propagator.constraints[cid] == normalize([(1, 2)], 5)  # 2*x1 <= 6-1
 
     def test_incumbents_strictly_decrease(self):
         # each better incumbent kills the old strengthening row, an initial
@@ -320,9 +320,9 @@ class TestSolveOptimize:
             kill = s.propagator.kill_rows
 
             def checked_kill(dead, s=s, kill=kill):
-                before = s.store.learned_bytes
+                before = s.learned_bytes
                 kill(dead)
-                kills.append(s.store.learned_bytes - before)
+                kills.append(s.learned_bytes - before)
 
             s.propagator.kill_rows = checked_kill
             out = s.solve(on_incumbent=lambda t, v, c: seen.append(v))
@@ -345,7 +345,10 @@ class TestSolveOptimize:
                                        random_seed=seed))
             out = s.solve()
             assert (out.status, out.objective_value) == (OPTIMAL, ref.objective_value)
-            assert s.store.kind[s.strengthening_cid] == s.store.GENERAL
+            cid = s.strengthening_cid  # a general row, checked against the trail it meets
+            assert s.propagator.lits[cid] is None
+            assert any(occ[0] == cid for occs in s.propagator.occs
+                       for occ in occs)
 
     def test_budget_with_incumbent_reports_bounded(self):
         rng = random.Random(2)
