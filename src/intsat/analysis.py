@@ -33,7 +33,7 @@ class AnalysisResult(NamedTuple):
     bound: Bound  # pushed with the reason info below
     reason_set: tuple  # heights, all < pop_to
     attach_cc: Optional[Constraint]  # reason constraint for the pushed bound
-    learned: tuple  # rows to file with Propagator.add_row
+    learned: tuple  # rows to file with Solver._learn
     early: bool
     bumped_vars: frozenset
     touched_cids: tuple  # conflicting/reason constraints seen (activity counters)

@@ -3,7 +3,8 @@ as they are found, and optionally cross-check the result against the
 exhaustive oracle.
 
 Exit codes: 0 answered, 1 budget exhausted without a definitive answer,
-2 input or trace-file error, 3 oracle disagreement under --verify.
+2 input error or an I/O error in the solve (the trace file, printing an
+incumbent), 3 oracle disagreement under --verify.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
         shown = format_objective_value(value + obj.offset, obj.scale)
         print(f"t={elapsed:.3f} obj={shown}", flush=True)
 
-    try:  # an OSError here comes from opening, writing or closing the trace
+    try:  # an OSError here comes from the trace file or from printing an incumbent
         with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as file:
             trace = TraceWriter(file) if file is not None else None
             solver = Solver(problem, config, trace=trace)

@@ -178,7 +178,6 @@ class Propagator:
         self.constraints = []  # every row by cid: reasons and cuts read dead ones too
         self.lits = []  # literal codes of a clause or binary row, None for a general row
         self.alive = []
-        self.learned = []  # learned by analysis, else an input or strengthening row
         self.activity = []  # cleanup counter, read on learned rows only
         self.reasons = []  # the ReasonInfo of every bound the row propagates
         # (cid, |coeff|) of the general rows whose minimum rises with the lower
@@ -215,13 +214,13 @@ class Propagator:
         for c in problem.constraints:  # in input order, so cids follow it
             lits = self._as_clause(c)
             if lits is None:
-                self.add_row(c, learned=False)
+                self.add_row(c)
                 continue
             if not self.lit_bounds:
                 self.watch = [[] for _ in range(2 * n)]
                 self.bin_adj = [[] for _ in range(2 * n)]
                 self.lit_bounds = [Bound(var, s == 1, s) for var in range(n) for s in (0, 1)]
-            cid = self._file(c, lits, learned=False)
+            cid = self._file(c, lits)
             if len(lits) == 2:  # a binary clause: two implication edges
                 self.bin_adj[lits[0]].append((lits[1], cid))
                 self.bin_adj[lits[1]].append((lits[0], cid))
@@ -250,24 +249,23 @@ class Propagator:
             return None
         return lits
 
-    def _file(self, c: Constraint, lits, learned: bool) -> int:
+    def _file(self, c: Constraint, lits) -> int:
         """Size the per-row state of a new row; returns its cid."""
         cid = len(self.constraints)
         self.constraints.append(c)
         self.lits.append(lits)
         self.alive.append(True)
-        self.learned.append(learned)
         self.activity.append(0)
         self.reasons.append(ReasonInfo(None, cid, False, c))  # reason set derived on demand
         self.filters.append(0)
         self.in_queue.append(False)
-        self.stamp.append(self.epoch)  # filed above level 0: saved in this level
+        self.stamp.append(self.epoch)  # 0 at level 0; add_row saves a row filed above it
         return cid
 
-    def add_row(self, c: Constraint, learned: bool) -> int:
+    def add_row(self, c: Constraint) -> int:
         """File the row in the general tier, which checks it against the
         current trail, and index it; returns its cid."""
-        cid = self._file(c, None, learned)
+        cid = self._file(c, None)
         for var, coeff in c.monomials:
             self.occs[2 * var + (coeff > 0)].append((cid, abs(coeff)))
         self.filters[cid] = exact_filter(c, self.trail)

@@ -49,6 +49,11 @@ def restart_limits(policy):
             outer *= factor
 
 
+def learned_row_bytes(c) -> int:
+    """The estimated size of a learned row, for the cleanup memory cap."""
+    return 64 + 16 * len(c.monomials)
+
+
 RESOLUTION, CUT = "resolution", "cut"
 TOTAL_STRATEGIES = {1, 2, 3, 4}
 
@@ -300,16 +305,20 @@ class Solver:
         self.propagator.pop_to(result.pop_to)
         rc_cid = None
         for c in result.learned:
-            cid = self.propagator.add_row(c, learned=True)
-            self.stats.learned += 1
-            self.learned_since_cleanup += 1
-            self.learned_bytes += 64 + 16 * len(c.monomials)
+            cid = self._learn(c)
             if result.attach_cc is c:
                 rc_cid = cid
         self.propagator.push_bound(
             result.bound, ReasonInfo.propagated(result.reason_set, rc_cid))
         if result.early:
             self.stats.early_backjumps += 1
+
+    def _learn(self, c) -> int:
+        """File a learned row and count it toward the next cleanup."""
+        self.stats.learned += 1
+        self.learned_since_cleanup += 1
+        self.learned_bytes += learned_row_bytes(c)
+        return self.propagator.add_row(c)
 
     def _restart(self):
         if self.trail.num_decisions > 0:
@@ -326,11 +335,11 @@ class Solver:
 
     def _cleanup(self):
         """Kill inactive long learned rows; must run at level 0, where kept
-        rows' filters are upper bounds, queued if positive.  Initial rows
-        are skipped, so their activity is never read.  Rows learned since
-        the last cleanup are kept and not aged: dropping them at the restart
-        each cleanup brings can repeat the same conflicts forever.  A killed
-        row may be the reason of a level-0 entry, which analysis never
+        rows' filters are upper bounds, queued if positive.  A live row is
+        learned unless it is an input or the strengthening row.  Rows learned
+        since the last cleanup are kept and not aged: dropping them at the
+        restart each cleanup brings can repeat the same conflicts forever.  A
+        killed row may be the reason of a level-0 entry, which analysis never
         rewrites."""
         assert self.trail.num_decisions == 0
         pr = self.propagator
@@ -339,15 +348,15 @@ class Solver:
             # MiniSat does; grown only when a cleanup kept more, it might never grow
             self.memory_limit = self.learned_bytes * 3 // 2
         dead = set()
-        for cid in range(self.cleanup_mark):
-            if not pr.alive[cid] or not pr.learned[cid]:
+        for cid in range(len(self.problem.constraints), self.cleanup_mark):
+            if not pr.alive[cid] or cid == self.strengthening_cid:
                 continue
             if len(pr.constraints[cid].monomials) > 2 and pr.activity[cid] == 0:
                 dead.add(cid)
             else:
                 pr.activity[cid] //= 2
         pr.kill_rows(dead)
-        self.learned_bytes -= sum(64 + 16 * len(pr.constraints[cid].monomials) for cid in dead)
+        self.learned_bytes -= sum(learned_row_bytes(pr.constraints[cid]) for cid in dead)
         self.learned_since_cleanup = 0
         self.cleanup_mark = len(pr.constraints)
         self.stats.cleanups += 1
@@ -405,7 +414,7 @@ class Solver:
         old = self.strengthening_cid
         if old is not None:  # the new row implies it, so reasons and cuts may still read it
             self.propagator.kill_rows({old})
-        self.strengthening_cid = self.propagator.add_row(c, learned=False)
+        self.strengthening_cid = self.propagator.add_row(c)
         return True
 
     def solve(self, on_incumbent: Optional[Callable] = None) -> SolveOutcome:

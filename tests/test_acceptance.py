@@ -84,8 +84,7 @@ def test_criterion_1_worked_examples():
         out = solver.solve()
         ok_d = ok_d and out.status == INFEASIBLE
         if mode == CUT:
-            pr = solver.propagator
-            learned = [c for c, flag in zip(pr.constraints, pr.learned) if flag]
+            learned = solver.propagator.constraints[len(solver.problem.constraints):]
             ok_d = ok_d and C([(1, -1)], -1) in learned
             ok_d = ok_d and solver.stats.early_backjumps >= 1
     elapsed = time.perf_counter() - t0

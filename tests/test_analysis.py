@@ -478,7 +478,7 @@ class TestBackjumpTarget:
             s.propagator.push_bound(lo(var, 2), DECISION)
         s.propagator.push_bound(  # level-4 propagation justified by level 2
             lo(0, 3), ReasonInfo.propagated((s.trail.pl[3],), None))
-        cid = s.propagator.add_row(normalize([(0, 1), (3, 1)], 4), learned=False)
+        cid = s.propagator.add_row(normalize([(0, 1), (3, 1)], 4))
         conflict = s.propagator.propagate_fixpoint()
         assert conflict is not None  # 3 + 2 > 4
         assert {s.trail.entries[h].bound for h in conflict.cs} == {lo(0, 3), lo(3, 2)}

@@ -375,8 +375,8 @@ class TestFilters:
                 else:
                     del registered[cid]
 
-        def checked_add_row(c, learned):
-            cid = add_row(c, learned)
+        def checked_add_row(c):
+            cid = add_row(c)
             if t.num_decisions:
                 registered[cid] = len(t)
             return cid
@@ -451,18 +451,17 @@ class TestClauseTiers:
         assert pr.watched == {0: [0, 1]} and pr.watch[1] == pr.watch[3] == [0]
         assert pr.bin_adj[1] == [(3, 1)] and pr.bin_adj[3] == [(1, 1)]
         assert self.occurring(pr) == {2, 3, 4} and pr.lits[2:] == [None] * 3
-        learned = pr.add_row(cover3, learned=True)
-        strengthening = pr.add_row(normalize([(0, 1), (1, 1)], 1), learned=False)
+        learned = pr.add_row(cover3)
+        strengthening = pr.add_row(normalize([(0, 1), (1, 1)], 1))
         assert pr.lits[learned] is pr.lits[strengthening] is None
         assert self.occurring(pr) == {2, 3, 4, learned, strengthening}
         assert sum(map(len, pr.watch)) == 2 and sum(map(len, pr.bin_adj)) == 2
-        assert pr.learned == [False] * 5 + [True, False]
 
     def test_no_literal_row_builds_no_literal_table(self):
         p = Problem(3, [0, 0, -1], [1, 1, 1], [normalize([(0, -1), (2, -1)], -1),
                                                normalize([(1, -1)], -1)])
         pr = self.propagator(p)
-        pr.add_row(normalize([(0, -1), (1, -1)], -1), learned=True)
+        pr.add_row(normalize([(0, -1), (1, -1)], -1))
         assert pr.watch == pr.bin_adj == pr.lit_bounds == []
         assert pr.propagate_fixpoint() is None and pr.trail.lb[1] == 1
 

@@ -6,8 +6,8 @@ import pytest
 
 from intsat.model import Objective, Problem, normalize
 from intsat.oracle import oracle_solve
-from intsat.search import (ActivityQueue, Solver, SolverConfig, luby, restart_limits,
-                           BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT)
+from intsat.search import (ActivityQueue, Solver, SolverConfig, learned_row_bytes, luby,
+                           restart_limits, BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT)
 from intsat.trail import DECISION
 from conftest import (cover_packing_problem, lo, random_problem,
                       small_integer_problem, up)
@@ -155,7 +155,7 @@ class TestRestarts:
         s = solver_for([0, 0], [3, 3], [normalize([(0, 1), (1, 1)], 4)])
         assert s.propagator.propagate_fixpoint() is None
         s.propagator.push_bound(lo(0, 2), DECISION)
-        learned_cid = s.propagator.add_row(normalize([(0, 1)], 2), learned=True)
+        learned_cid = s._learn(normalize([(0, 1)], 2))
         s._restart()
         assert s.trail.num_decisions == 0
         assert s.propagator.alive[learned_cid]
@@ -170,7 +170,7 @@ class TestCleanup:
         for terms, rhs in [([(0, 1), (1, 1), (2, 1)], 5),
                            ([(0, 1), (1, 1)], 5),
                            ([(0, 1), (1, 1), (2, 2)], 6)]:
-            cid = s.propagator.add_row(normalize(terms, rhs), learned=True)
+            cid = s._learn(normalize(terms, rhs))
             cids.append(cid)
         return s, cids
 
@@ -187,19 +187,40 @@ class TestCleanup:
         assert s.propagator.activity[c3b] == 2  # 5 // 2
         assert s.propagator.activity[c2] == 0
 
+    def test_learned_bytes_cover_the_live_learned_rows(self):
+        # input and strengthening rows are neither counted nor killed
+        s = solver_for([0, 0, 0], [3, 3, 3], [normalize([(0, 1), (1, 1), (2, 1)], 8)],
+                       objective=Objective({0: 1, 1: 1, 2: 1}))
+        for terms, rhs in [([(0, 1), (1, 1), (2, 1)], 5), ([(0, 1), (1, 1)], 5)]:
+            s._learn(normalize(terms, rhs))
+        assert s._install_strengthening(7)
+        s._learn(normalize([(0, 1), (1, 2), (2, 1)], 6))
+        pr = s.propagator
+
+        def live_learned():
+            return [c for cid, c in enumerate(pr.constraints)
+                    if pr.alive[cid] and cid not in (0, s.strengthening_cid)]
+
+        assert s.learned_bytes == 3 * 64 + 16 * 8 == sum(map(learned_row_bytes, live_learned()))
+        s._cleanup()
+        s._cleanup()
+        assert not pr.alive[1] and not pr.alive[4]  # long, counter 0
+        assert pr.alive[0] and pr.alive[s.strengthening_cid]
+        assert s.learned_bytes == 64 + 16 * 2 == sum(map(learned_row_bytes, live_learned()))
+
     def test_initial_constraints_never_removed(self):
         s = solver_for([0, 0, 0], [3, 3, 3],
                        [normalize([(0, 1), (1, 1), (2, 1)], 5)])
         s._cleanup()
         s._cleanup()  # the first one keeps every row as fresh
         pr = s.propagator
-        assert all(pr.alive[c] for c in range(len(pr.constraints)) if not pr.learned[c])
+        assert pr.alive == [True]
 
     def test_trail_referenced_learned_die_in_place(self):
         # analysis never rewrites a level-0 entry, so the row that is its
         # reason may die; the entry still derives its reason from the row
         s = solver_for([0, 0, 0], [3, 3, 3])
-        cid = s.propagator.add_row(normalize([(0, 1), (1, 1), (2, 1)], 1), learned=True)
+        cid = s._learn(normalize([(0, 1), (1, 1), (2, 1)], 1))
         assert s.propagator.propagate_fixpoint() is None
         height = s.trail.pu[0]
         assert s.trail.entries[height].info.reason_constraint == cid  # x0 <= 1 at level 0
@@ -309,27 +330,28 @@ class TestSolveOptimize:
         assert s.propagator.constraints[cid] == normalize([(1, 2)], 5)  # 2*x1 <= 6-1
 
     def test_incumbents_strictly_decrease(self):
-        # each better incumbent kills the old strengthening row, an initial
-        # row, which gives back no learned bytes
+        # each better incumbent replaces the strengthening row, which is
+        # not a learned row: its bytes are not counted
         rng = random.Random(1)
-        kills = []
+        changes = []
         for _ in range(40):
             p = random_problem(rng, objective=True)
             seen = []
             s = Solver(p)
-            kill = s.propagator.kill_rows
+            strengthen = s._install_strengthening
 
-            def checked_kill(dead, s=s, kill=kill):
+            def checked_strengthen(value, s=s, strengthen=strengthen):
                 before = s.learned_bytes
-                kill(dead)
-                kills.append(s.learned_bytes - before)
+                installed = strengthen(value)
+                changes.append(s.learned_bytes - before)
+                return installed
 
-            s.propagator.kill_rows = checked_kill
+            s._install_strengthening = checked_strengthen
             out = s.solve(on_incumbent=lambda t, v, c: seen.append(v))
             if out.status == OPTIMAL:
                 assert seen[-1] == out.objective_value
             assert all(b < a for a, b in zip(seen, seen[1:]))
-        assert kills and not any(kills)
+        assert changes and not any(changes)
 
     def test_infeasible_optimisation(self):
         out = solver_for([0], [1], [normalize([(0, 1)], -1)],
