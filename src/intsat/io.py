@@ -130,6 +130,8 @@ def parse(text: str) -> Problem:
             for var, c in int_terms:
                 coeffs[var] = coeffs.get(var, 0) + c
             coeffs = {v: c for v, c in coeffs.items() if c != 0}
+            if any(abs(c) > COEFF_CAP for c in coeffs.values()):
+                raise ParseError("a merged objective coefficient exceeds the cap", line_no)
             # a constant term shifts the reported value, not the search
             objective = Objective(coeffs, scale, offset=const)
             continue
@@ -153,6 +155,10 @@ def parse(text: str) -> Problem:
             rows.append(([(v, -c) for v, c in int_terms], -int_rhs))
         for row_terms, row_rhs in rows:
             c = normalize(row_terms, row_rhs)
+            # each term is within the cap, so only a row whose terms merged can pass it
+            if len(c.monomials) < len(row_terms) and any(
+                    abs(m.coeff) > COEFF_CAP for m in c.monomials):
+                raise ParseError("a merged coefficient exceeds the cap", line_no)
             if c.is_tautology():
                 continue
             constraints.append(c)

@@ -31,11 +31,16 @@ def oracle_solve(problem: Problem) -> SolveOutcome:
                 f"{total}+ points exceed the {SPACE_GUARD} enumeration guard")
     if any(c.is_contradiction() for c in problem.constraints):
         return SolveOutcome(INFEASIBLE)
-    if n == 0:
-        if problem.objective is not None:
-            return SolveOutcome(OPTIMAL, Solution([]), 0)
-        return SolveOutcome(FEASIBLE, Solution([]))
     rows = [c for c in problem.constraints if c.monomials]
+    obj = problem.objective
+    # every sum the enumeration forms, and every rhs, must fit in int64
+    biggest = max(map(abs, [*problem.initial_lb, *problem.initial_ub]), default=0)
+    weights = [sum(abs(a) for _, a in c.monomials) for c in rows]
+    if obj is not None:
+        weights.append(sum(map(abs, obj.coeffs.values())))
+    if (max(weights, default=0) * biggest >= 2 ** 62
+            or any(abs(c.rhs) >= 2 ** 62 for c in rows)):
+        raise SearchSpaceTooLarge("coefficient magnitudes too large to enumerate safely")
     a_mat = np.zeros((len(rows), n), dtype=np.int64)
     b_vec = np.zeros(len(rows), dtype=np.int64)
     for i, c in enumerate(rows):
@@ -43,10 +48,6 @@ def oracle_solve(problem: Problem) -> SolveOutcome:
             a_mat[i, var] = coeff
         b_vec[i] = c.rhs
     lo = np.array(problem.initial_lb, dtype=np.int64)
-    biggest = max(max(abs(lo)), max(abs(np.array(problem.initial_ub))), 1)
-    if rows and int(np.abs(a_mat).sum(axis=1).max()) * int(biggest) >= 2 ** 62:
-        raise SearchSpaceTooLarge("coefficient magnitudes too large to enumerate safely")
-    obj = problem.objective
     c_vec = None
     if obj is not None:
         c_vec = np.zeros(n, dtype=np.int64)
@@ -62,9 +63,7 @@ def oracle_solve(problem: Problem) -> SolveOutcome:
         for v in range(n - 1, -1, -1):
             rem, digit = np.divmod(rem, radices[v])
             points[:, v] = digit + lo[v]
-        feasible = np.ones(len(idx), dtype=bool)
-        if rows:
-            feasible = (points @ a_mat.T <= b_vec).all(axis=1)
+        feasible = (points @ a_mat.T <= b_vec).all(axis=1)
         if not feasible.any():
             continue
         if obj is None:

@@ -2,7 +2,7 @@
 
 Parameterised by the conflict-analysis mode, with activity-based
 variable selection, configurable value strategies, Luby or inner-outer
-geometric restarts, learned-constraint database cleanup, and an
+geometric restarts, a learned-row cleanup at scheduled restarts, and an
 optimisation wrapper that repeatedly strengthens the objective.
 """
 
@@ -63,8 +63,8 @@ class SolverConfig:
     mode: str = CUT
     strategy_order: tuple = (7, 5, 1)
     restart: tuple = ("inout", 100, 1000, 1.1)  # or ("luby", unit)
-    cleanup_learned_threshold: int = 10000
-    cleanup_memory_cap: int = 64 * 1024 * 1024  # estimated bytes of learned data
+    cleanup_learned_threshold: int = 10000  # learned rows that make a cleanup due,
+    cleanup_memory_cap: int = 64 * 1024 * 1024  # or their estimated bytes above it
     time_limit: Optional[float] = None
     max_conflicts: Optional[int] = None
     random_seed: int = 0
@@ -86,7 +86,7 @@ class SolverConfig:
             ends = len(params) == 3 and 1 <= params[0] <= params[1] and params[2] > 1
         else:
             raise ValueError(f"unknown restart policy {kind!r}")
-        if not ends:  # restarting after every conflict, a run that learns no row never ends
+        if not ends:  # intervals must grow without bound, or a run may never end
             raise ValueError(f"restart {self.restart!r} needs a luby unit >= 1, or "
                              f"an inout inner >= 1, outer >= inner and factor > 1")
         if any(v is not None and v < 0 for v in (self.time_limit, self.max_conflicts)):
@@ -160,18 +160,14 @@ class ActivityQueue:
         heapq.heappush(self.heap, (-self.scores[var], var))
 
     def pick(self, trail: Trail) -> int:
-        while self.heap:
+        """The undefined variable of highest score; one must exist.  Each has
+        a current entry: the heap starts with all, bumps and undefining pops
+        push one, and only stale or defined entries are popped."""
+        while True:
             neg, var = self.heap[0]
-            if -neg != self.scores[var] or trail.is_defined(var):
-                heapq.heappop(self.heap)
-                continue
-            return var
-        # heap ran dry (stale entries): rebuild from undefined variables
-        self.heap = [(-self.scores[v], v) for v in range(len(self.scores))
-                     if not trail.is_defined(v)]
-        heapq.heapify(self.heap)
-        assert self.heap, "pick() called with all variables defined"
-        return self.heap[0][1]
+            if -neg == self.scores[var] and not trail.is_defined(var):
+                return var
+            heapq.heappop(self.heap)
 
 
 class TraceWriter:
@@ -219,10 +215,8 @@ class Solver:
         self.cleanup_mark = 0  # rows with cid >= it were added since the last cleanup
         self.learned_since_cleanup = 0
         self.learned_bytes = 0  # an estimate, over the live learned rows
-        self.memory_limit = self.config.cleanup_memory_cap  # grown by cleanups it forces
-        self.conflicts_since_restart = 0
         self.restart_limits = restart_limits(self.config.restart)
-        self.restart_threshold = next(self.restart_limits)
+        self.next_restart = next(self.restart_limits)  # a value of stats.conflicts
         if self.instr is not None:
             self.propagator.post_push = lambda h: self.instr.after_push(self)
             self.instr.reset(self)
@@ -321,32 +315,31 @@ class Solver:
         return self.propagator.add_row(c)
 
     def _restart(self):
+        """Back to level 0; the one place where a due cleanup runs."""
         if self.trail.num_decisions > 0:
             self.propagator.pop_to(self.trail.level_start(1))
         self.stats.restarts += 1
-        self.conflicts_since_restart = 0
-        self.restart_threshold = next(self.restart_limits)
+        self.next_restart = self.stats.conflicts + next(self.restart_limits)
         if self.instr is not None:
             self.instr.reset(self)
+        if self._cleanup_due():
+            self._cleanup()
 
     def _cleanup_due(self) -> bool:
         return (self.learned_since_cleanup >= self.config.cleanup_learned_threshold
-                or self.learned_bytes > self.memory_limit)
+                or self.learned_bytes > self.config.cleanup_memory_cap)
 
     def _cleanup(self):
-        """Kill inactive long learned rows; must run at level 0, where kept
-        rows' filters are upper bounds, queued if positive.  A live row is
-        learned unless it is an input or the strengthening row.  Rows learned
-        since the last cleanup are kept and not aged: dropping them at the
-        restart each cleanup brings can repeat the same conflicts forever.  A
-        killed row may be the reason of a level-0 entry, which analysis never
-        rewrites."""
+        """Kill inactive long learned rows, at level 0, where kept rows'
+        filters are upper bounds, queued if positive.  A live row is learned
+        unless it is an input or the strengthening row.  A killed row may be
+        the reason of a level-0 entry, which analysis never rewrites.  Only a
+        scheduled restart cleans up, and ``validate`` admits only intervals
+        that grow without bound, while between two restarts each push lowers
+        the finite ``termination_measure``: so deletion cannot loop, and
+        keeping the rows learned since the last cleanup, unaged, is policy."""
         assert self.trail.num_decisions == 0
         pr = self.propagator
-        if self.learned_bytes > self.memory_limit:
-            # forced by memory: grow the limit whatever the cleanup keeps, as
-            # MiniSat does; grown only when a cleanup kept more, it might never grow
-            self.memory_limit = self.learned_bytes * 3 // 2
         dead = set()
         for cid in range(len(self.problem.constraints), self.cleanup_mark):
             if not pr.alive[cid] or cid == self.strengthening_cid:
@@ -379,7 +372,6 @@ class Solver:
                 self.propagator.push_bound(b, ReasonInfo.decision())
                 continue
             self.stats.conflicts += 1
-            self.conflicts_since_restart += 1
             if not conflict.cs:
                 return "unsat"  # a constraint false regardless of any bounds
             if self.trail.num_decisions == 0:
@@ -394,10 +386,8 @@ class Solver:
             self._apply_analysis(result)
             if budget.exhausted(self.stats):
                 return "limit"
-            if self.conflicts_since_restart >= self.restart_threshold or self._cleanup_due():
+            if self.stats.conflicts >= self.next_restart:
                 self._restart()
-                if self._cleanup_due():
-                    self._cleanup()
 
     def _extract_solution(self) -> Solution:
         values = list(self.trail.lb)

@@ -43,6 +43,11 @@ x0 + x1 + x3 - x4 <= 1
 -x0 - x1 + x2 + x3 - x4 <= -2
 """
 
+# beyond the oracle's int64 arithmetic: an optimum of 8 * 2**60, and a rhs of 10**20
+WIDE_OBJECTIVE = ("".join(f"var x{i} int [1073741823, 1073741824]\n" for i in range(8))
+                  + "min: " + " + ".join(f"1073741824 x{i}" for i in range(8)) + "\n")
+HUGE_RHS = "var x int [0, 1]\nvar y int [0, 1]\nx + y <= 100000000000000000000\n"
+
 
 def write(tmp_path, name, text):
     f = tmp_path / name
@@ -115,6 +120,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "DISAGREEMENT" in err
         assert "minimized" in err
+
+    @pytest.mark.parametrize("text", [WIDE_OBJECTIVE, HUGE_RHS], ids=["objective", "rhs"])
+    def test_verify_beyond_the_oracle_is_two(self, tmp_path, capsys, text):
+        path = write(tmp_path, "big.ilp", text)
+        assert cli.main([path, "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --verify impossible" in captured.err
+        assert "DISAGREEMENT" not in captured.err
 
 
 class TestOutput:

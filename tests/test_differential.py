@@ -4,16 +4,17 @@ Hypothesis draws a small bounded problem, which the exhaustive oracle
 can solve, and a valid ``SolverConfig`` from the space it exposes: both
 modes, any value-strategy order ending with a total strategy (with a
 ``user_hint`` when strategy 11 is in it), both restart policies, small
-cleanup triggers, the random seed and an optional conflict budget.
+cleanup triggers, the random seed, an optional conflict budget and an
+optional time limit (0 or a few milliseconds).
 
 A run whose config sets no budget gets a safety cap and must give the
-oracle's status and objective.  A run that stops at its drawn budget
-must hold an incumbent that satisfies every row and is no better than
-the oracle's optimum.  The tier-1 run is derandomised with a fixed
-example count, so it makes the same draws every time.
+oracle's status and objective.  A run that stops at its drawn conflict
+budget or time limit must hold an incumbent that satisfies every row
+and is no better than the oracle's optimum.  The tier-1 run is
+derandomised with a fixed example count, so it makes the same draws
+every time.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from intsat.model import Objective, Problem, normalize
@@ -76,6 +77,7 @@ def configs(draw, num_vars):
         cleanup_learned_threshold=draw(st.integers(1, 10)),
         cleanup_memory_cap=draw(st.integers(1, 2000)),
         max_conflicts=draw(st.none() | st.integers(0, 20)),
+        time_limit=draw(st.none() | st.sampled_from([0, 0.001, 0.002, 0.005])),
         random_seed=draw(st.integers(0, 2 ** 16)),
         user_hint=hint)
 
@@ -88,8 +90,8 @@ def cases(draw):
 
 def check_against_the_oracle(p, config):
     ref = oracle_solve(p)
-    budgeted = config.max_conflicts is not None
-    if not budgeted:
+    budgeted = config.max_conflicts is not None or config.time_limit is not None
+    if config.max_conflicts is None:
         config.max_conflicts = SAFETY_CAP
     out = Solver(p, config).solve()
     if out.solution is not None:
@@ -112,13 +114,11 @@ def test_drawn_configs_match_the_oracle(case):
 
 # Shrunk failures of the draw above, as plain regression tests.
 
-@pytest.mark.xfail(strict=True, reason="open defect: a non-asserting cut is relearned forever "
-                                       "when a cleanup restarts after every conflict")
 def test_cut_mode_cleanup_after_every_conflict_answers():
     # feasible (x0 = 0, x1 = 0, x2 = 2).  Deciding 1 <= x0 and 1 <= x1 meets
     # a conflict whose learned cut, x1 <= 1, does not imply the backjump's
-    # x1 <= 0; the cleanup due at every learned row restarts at once, so
-    # the same decisions meet the same conflict and learn the same cut
+    # x1 <= 0.  When a due cleanup forced a restart after every conflict,
+    # the same decisions met the same conflict and learned the same cut
     p = Problem(3, [0, 0, 2], [1, 1, 3], [normalize([(0, -2), (1, 1), (2, 5)], 13),
                                           normalize([(0, 2), (1, 5), (2, -5)], -7)])
     assert oracle_solve(p).status == FEASIBLE

@@ -93,6 +93,18 @@ class TestParseErrors:
     def test_coefficient_over_cap(self):
         assert "cap" in self.err("var x int [0, 1]\n2000000000x <= 1\n")
 
+    def test_merged_coefficient_over_cap(self):
+        # 2**30 + 2**30 on x: each term is within the cap, the row is not
+        assert "cap" in self.err("var x int [0, 1]\nvar y int [0, 1]\n"
+                                 "1073741824 x + 1073741824 x + y <= 5\n")
+
+    def test_merged_objective_coefficient_over_cap(self):
+        assert "cap" in self.err("var x int [0, 1]\nmin: 1073741824 x + 1073741824 x\n")
+
+    def test_merged_coefficient_divided_back_under_the_cap(self):
+        p = parse("var x int [0, 1]\n1073741824 x + 1073741824 x <= 5\n")
+        assert p.constraints == [normalize([(0, 1)], 0)]
+
     def test_duplicate_objective(self):
         assert "objective" in self.err(
             "var x int [0, 1]\nmin: x\nmin: x\n")
@@ -223,7 +235,22 @@ class TestOracle:
         with pytest.raises(SearchSpaceTooLarge):
             oracle_solve(p)
 
+    def test_guard_rejects_an_objective_beyond_int64(self):
+        # 8 * 2**30 * 2**30 = 2**63: the optimum wrapped to -2**63
+        n = 8
+        p = Problem(n, [2 ** 30 - 1] * n, [2 ** 30] * n,
+                    objective=Objective({v: 2 ** 30 for v in range(n)}))
+        with pytest.raises(SearchSpaceTooLarge):
+            oracle_solve(p)
+
+    def test_guard_rejects_a_rhs_beyond_int64(self):
+        p = Problem(2, [0, 0], [1, 1], [normalize([(0, 1), (1, 1)], 10 ** 20)])
+        with pytest.raises(SearchSpaceTooLarge):
+            oracle_solve(p)
+
     def test_no_variables(self):
         assert oracle_solve(Problem(0, [], [])).status == FEASIBLE
+        out = oracle_solve(Problem(0, [], [], objective=Objective({})))
+        assert (out.status, out.objective_value) == (OPTIMAL, 0)
         p = Problem(0, [], [], [C([], -1)])
         assert oracle_solve(p).status == INFEASIBLE

@@ -1,9 +1,10 @@
 import random
 import time
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 
+from intsat import search
 from intsat.model import Objective, Problem, normalize
 from intsat.oracle import oracle_solve
 from intsat.search import (ActivityQueue, Solver, SolverConfig, learned_row_bytes, luby,
@@ -116,6 +117,50 @@ class TestActivity:
         t = solver_for([0, 0, 0], [1, 1, 1]).trail
         assert q.pick(t) == 1
 
+    @pytest.mark.parametrize("rescale_cap", [1e100, 4.0])
+    @pytest.mark.parametrize("mode", ["cut", "resolution"])
+    def test_every_undefined_variable_has_a_current_entry(self, mode, rescale_cap,
+                                                          monkeypatch):
+        # pick relies on it: it never rebuilds the heap.  A cap of 4 makes
+        # bump_conflict_vars rescale every few conflicts
+        monkeypatch.setattr(search, "ACTIVITY_RESCALE_CAP", rescale_cap)
+        rescales, rescale = [], ActivityQueue._rescale
+
+        def counted_rescale(q):
+            rescales.append(q)
+            rescale(q)
+
+        monkeypatch.setattr(ActivityQueue, "_rescale", counted_rescale)
+
+        class HeapProbe:
+            checks = 0
+
+            def after_push(self, solver):
+                q, t = solver.activity, solver.trail
+                current = set(q.heap)
+                assert all((-q.scores[v], v) in current
+                           for v in range(t.num_vars) if not t.is_defined(v))
+                self.checks += 1
+
+            def reset(self, solver):
+                pass
+
+        probe, cleanups = HeapProbe(), 0
+        for p in config_space_problems()[::3]:
+            s = Solver(p, SolverConfig(mode=mode, max_conflicts=300, **AGGRESSIVE_CLEANUP),
+                       instrumentation=probe)
+            pop_to = s.propagator.pop_to
+
+            def checked_pop_to(height, s=s, pop_to=pop_to):
+                pop_to(height)
+                probe.after_push(s)
+
+            s.propagator.pop_to = checked_pop_to
+            s.solve()
+            cleanups += s.stats.cleanups
+        assert probe.checks > 1000 and cleanups > 0
+        assert bool(rescales) == (rescale_cap < 100)
+
 
 class TestRestarts:
     def test_luby_heads(self):
@@ -123,7 +168,7 @@ class TestRestarts:
 
     def test_inner_outer_thresholds(self):
         s = solver_for([0], [1], restart=("inout", 100, 1000, 1.1))
-        assert s.restart_threshold == 100
+        assert s.next_restart == 100  # the first restart is due at conflict 100
         assert list(islice(restart_limits(("inout", 100, 1000, 1.1)), 3)) == [100, 110, 121]
 
     def test_inner_reset_when_exceeding_outer(self):
@@ -133,7 +178,7 @@ class TestRestarts:
 
     def test_luby_schedule_scales_by_unit(self):
         s = solver_for([0], [1], restart=("luby", 50))
-        assert s.restart_threshold == 50
+        assert s.next_restart == 50
         assert list(islice(restart_limits(("luby", 50)), 7)) == [50, 50, 100, 50, 50, 100, 200]
 
     @pytest.mark.parametrize("restart", [
@@ -460,15 +505,37 @@ def test_aggressive_cleanup_terminates():
 
 @pytest.mark.parametrize("mode", ["cut", "resolution"])
 def test_memory_capped_cleanup_terminates(mode):
-    # a cap below one learned row makes the first cleanup due at once; the
-    # limit then grows past what each cleanup keeps, so cleanups thin out
+    # a cap below one learned row keeps a cleanup due at every restart; the
+    # runs end before an inout schedule's first restart, so restart often
     problems = config_space_problems()
     for i in (300, 304):
         ref = oracle_solve(problems[i])
         for order in ((7, 5, 1), (10, 4)):
             s = Solver(problems[i], SolverConfig(mode=mode, strategy_order=order,
-                                                 max_conflicts=300, cleanup_memory_cap=1))
+                                                 max_conflicts=300, cleanup_memory_cap=1,
+                                                 restart=("luby", 1)))
             out = s.solve()
             assert (out.status, out.objective_value) == (ref.status, ref.objective_value), (
                 i, order)
             assert s.stats.cleanups > 0
+
+
+@pytest.mark.parametrize("restart", [("luby", 1), ("inout", 2, 8, 1.5)])
+@pytest.mark.parametrize("mode", ["cut", "resolution"])
+def test_cleanups_wait_for_scheduled_restarts(mode, restart):
+    # a cleanup due after every learned row still runs only at a conflict
+    # count where the schedule restarts
+    scheduled = set(accumulate(islice(restart_limits(restart), 300)))
+    at = []
+    for p in config_space_problems()[::12]:
+        s = Solver(p, SolverConfig(mode=mode, restart=restart, max_conflicts=300,
+                                   cleanup_learned_threshold=1))
+        cleanup = s._cleanup
+
+        def recorded(s=s, cleanup=cleanup):
+            at.append(s.stats.conflicts)
+            cleanup()
+
+        s._cleanup = recorded
+        s.solve()
+    assert len(at) > 10 and set(at) <= scheduled, sorted(set(at) - scheduled)
