@@ -93,7 +93,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         if trace is not None:
             names = problem.var_names
             added = ", ".join(trail.entries[rh].bound.format(names) for rh in reason)
-            trace.emit(f"analyze step: drop {entry.bound.format(names)} add {{{added}}}")
+            print(f"analyze step: drop {entry.bound.format(names)} add {{{added}}}", file=trace)
         if probe is not None:
             probe(frozenset(cs))
         h -= 1
@@ -110,11 +110,9 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
                 if not new_cc.is_tautology():
                     skip = cut_skip_check(cc, rc, entry.bound.var)
                     if trace is not None:
-                        trace.emit(
-                            f"cut {cc_label}×{rc_cid} on "
-                            f"{problem.name_of(entry.bound.var)} → "
-                            f"{new_cc.format(problem.var_names)}"
-                        )
+                        print(f"cut {cc_label}×{rc_cid} on "
+                              f"{problem.name_of(entry.bound.var)} → "
+                              f"{new_cc.format(problem.var_names)}", file=trace)
                     cc = new_cc
                     cc_label = "cc"
                     pending_scan = not skip
@@ -123,8 +121,8 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
             hit = early_backjump_scan(cc, trail)
     if hit is not None:
         if trace is not None:
-            trace.emit(f"early-backjump k={len(trail) - hit.cutoff} push "
-                       f"{hit.bound.format(problem.var_names)}")
+            print(f"early-backjump k={len(trail) - hit.cutoff} push "
+                  f"{hit.bound.format(problem.var_names)}", file=trace)
         pop_to, bound, reason_set = hit
     else:
         reason_set = tuple(sorted(cs - {h}))

@@ -18,7 +18,7 @@ from .io import ParseError, format_objective_value, parse_file, write_problem, w
 from .model import Problem
 from .oracle import SearchSpaceTooLarge, oracle_solve
 from .search import (CUT, FEASIBLE, INFEASIBLE, OPTIMAL, RESOLUTION,
-                     Solver, SolverConfig, TraceWriter)
+                     Solver, SolverConfig)
 
 EXIT_ANSWERED = 0
 EXIT_BUDGET = 1
@@ -129,14 +129,13 @@ def main(argv=None) -> int:
         print(f"t={elapsed:.3f} obj={shown}", flush=True)
 
     try:  # an OSError here comes from the trace file or from printing an incumbent
-        with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as file:
-            trace = TraceWriter(file) if file is not None else None
+        with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as trace:
             solver = Solver(problem, config, trace=trace)
             outcome = solver.solve(on_incumbent if obj is not None else None)
             if trace is not None:
-                trace.emit("final trail:")
+                print("final trail:", file=trace)
                 for line in solver.trail.dump_lines(problem.var_names):
-                    trace.emit(line)
+                    print(line, file=trace)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -213,12 +213,16 @@ def write_solution(outcome: SolveOutcome, problem: Problem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_terms(pairs, problem) -> str:
+def _render_terms(pairs, problem, scale=1) -> str:
+    """(var, coefficient) pairs, each coefficient over ``scale``, as a sum of
+    terms; a var of None gives a bare number."""
     parts = []
     for v, c in pairs:
         if c == 0:
             continue
-        mag = f"{abs(c)}*{problem.name_of(v)}"
+        mag = format_objective_value(abs(c), scale)
+        if v is not None:
+            mag += f"*{problem.name_of(v)}"
         if not parts:
             parts.append(mag if c > 0 else f"-{mag}")
         else:
@@ -232,9 +236,10 @@ def write_problem(problem: Problem) -> str:
     for v in range(problem.num_vars):
         lines.append(f"var {problem.name_of(v)} int "
                      f"[{problem.initial_lb[v]}, {problem.initial_ub[v]}]")
-    if problem.objective is not None:
-        lines.append("min: " + _render_terms(sorted(problem.objective.coeffs.items()),
-                                             problem))
+    obj = problem.objective
+    if obj is not None:  # exact decimals, so the reported values survive a reparse
+        terms = sorted(obj.coeffs.items()) + [(None, obj.offset)]
+        lines.append("min: " + _render_terms(terms, problem, obj.scale))
     for c in problem.constraints:
         lines.append(f"{_render_terms(c.monomials, problem)} <= {c.rhs}")
     return "\n".join(lines) + "\n"

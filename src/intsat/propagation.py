@@ -173,12 +173,11 @@ class Propagator:
         self.problem = problem
         self.trail = trail
         self.stats = stats
-        self.trace = trace
+        self.trace = trace  # an open text file, or None
         n = problem.num_vars
         self.constraints = []  # every row by cid: reasons and cuts read dead ones too
         self.lits = []  # literal codes of a clause or binary row, None for a general row
         self.alive = []
-        self.activity = []  # cleanup counter, read on learned rows only
         self.reasons = []  # the ReasonInfo of every bound the row propagates
         # (cid, |coeff|) of the general rows whose minimum rises with the lower
         # bound of a var, at occs[2*var + 1], or falls with its upper, at occs[2*var]
@@ -201,8 +200,8 @@ class Propagator:
         self.last_value = [None] * n  # phase saving: last defined value
         self.post_push = None  # optional hook, called after every push
         self.on_undefined = None  # optional hook, var became undefined by a pop
-        # at most 29 attributes: with more, CPython 3.11 leaves its shared-key
-        # layout and every attribute read and write here slows down
+        # 27 attributes, of at most 29: with more, CPython 3.11 leaves its
+        # shared-key layout and every attribute read and write here slows down
         box = ReasonInfo.propagated((), None)  # seeds hold unconditionally
         for var in range(n):
             low, high = problem.initial_lb[var], problem.initial_ub[var]
@@ -255,7 +254,6 @@ class Propagator:
         self.constraints.append(c)
         self.lits.append(lits)
         self.alive.append(True)
-        self.activity.append(0)
         self.reasons.append(ReasonInfo(None, cid, False, c))  # reason set derived on demand
         self.filters.append(0)
         self.in_queue.append(False)
@@ -321,11 +319,10 @@ class Propagator:
             self.stats.propagations[tier] += 1
         if self.trace is not None and not info.is_decision:
             cid = info.reason_constraint
-            self.trace.emit(
-                f"propagate {b.format(self.problem.var_names)} "
-                f"reason={cid if cid is not None else 'none'} "
-                f"set={{{','.join(str(h) for h in trail.reason_heights(height))}}}"
-            )
+            print(f"propagate {b.format(self.problem.var_names)} "
+                  f"reason={cid if cid is not None else 'none'} "
+                  f"set={{{','.join(str(h) for h in trail.reason_heights(height))}}}",
+                  file=self.trace)
         if self.post_push is not None:
             self.post_push(height)
         return height

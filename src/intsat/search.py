@@ -2,8 +2,11 @@
 
 Parameterised by the conflict-analysis mode, with activity-based
 variable selection, configurable value strategies, Luby or inner-outer
-geometric restarts, a learned-row cleanup at scheduled restarts, and an
-optimisation wrapper that repeatedly strengthens the objective.
+geometric restarts, and an optimisation wrapper that repeatedly
+strengthens the objective.  The ``Solver`` owns the learned rows: it
+keeps the activity of each live one, and every
+``cleanup_learned_threshold`` learned rows it reduces them at the next
+scheduled restart.  The ``Propagator`` only files and kills rows.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from math import inf
 from typing import Callable, Optional
 
 from .model import Bound, Problem, Solution, normalize
@@ -49,13 +53,11 @@ def restart_limits(policy):
             outer *= factor
 
 
-def learned_row_bytes(c) -> int:
-    """The estimated size of a learned row, for the cleanup memory cap."""
-    return 64 + 16 * len(c.monomials)
-
-
 RESOLUTION, CUT = "resolution", "cut"
 TOTAL_STRATEGIES = {1, 2, 3, 4}
+HALVE, FIX, SHRINK = 1, 2, 3  # how a value strategy steers toward its reference
+STRATEGY_STYLE = {1: HALVE, 2: FIX, 3: HALVE, 4: FIX, 5: HALVE, 6: FIX,
+                  7: HALVE, 8: FIX, 9: SHRINK, 10: SHRINK, 11: SHRINK}
 
 
 @dataclass
@@ -63,8 +65,7 @@ class SolverConfig:
     mode: str = CUT
     strategy_order: tuple = (7, 5, 1)
     restart: tuple = ("inout", 100, 1000, 1.1)  # or ("luby", unit)
-    cleanup_learned_threshold: int = 10000  # learned rows that make a cleanup due,
-    cleanup_memory_cap: int = 64 * 1024 * 1024  # or their estimated bytes above it
+    cleanup_learned_threshold: int = 10000  # learned rows between two cleanups
     time_limit: Optional[float] = None
     max_conflicts: Optional[int] = None
     random_seed: int = 0
@@ -83,14 +84,14 @@ class SolverConfig:
         if kind == "luby":  # ("luby", unit)
             ends = len(params) == 1 and params[0] >= 1
         elif kind == "inout":  # ("inout", inner, outer, factor)
-            ends = len(params) == 3 and 1 <= params[0] <= params[1] and params[2] > 1
+            ends = len(params) == 3 and 1 <= params[0] <= params[1] < inf and 1 < params[2] < inf
         else:
             raise ValueError(f"unknown restart policy {kind!r}")
         if not ends:  # intervals must grow without bound, or a run may never end
             raise ValueError(f"restart {self.restart!r} needs a luby unit >= 1, or "
-                             f"an inout inner >= 1, outer >= inner and factor > 1")
-        if any(v is not None and v < 0 for v in (self.time_limit, self.max_conflicts)):
-            raise ValueError("time_limit and max_conflicts must not be negative")
+                             f"an inout inner >= 1, finite outer >= inner and finite factor > 1")
+        if any(v is not None and not v >= 0 for v in (self.time_limit, self.max_conflicts)):
+            raise ValueError("time_limit and max_conflicts must not be negative or NaN")
 
 
 @dataclass
@@ -170,14 +171,6 @@ class ActivityQueue:
             heapq.heappop(self.heap)
 
 
-class TraceWriter:
-    def __init__(self, stream):
-        self.stream = stream
-
-    def emit(self, line: str):
-        self.stream.write(line + "\n")
-
-
 class Budget:
     """Cooperative cancellation: wall clock and conflict ceiling."""
 
@@ -201,7 +194,7 @@ class Solver:
         self.problem = problem
         self.config = config or SolverConfig()
         self.config.validate()
-        self.trace = trace
+        self.trace = trace  # an open text file, or None
         self.instr = instrumentation
         self.stats = SolverStats()
         self.trail = Trail(problem.num_vars, problem.initial_lb, problem.initial_ub)
@@ -212,9 +205,9 @@ class Solver:
         self.propagator.on_undefined = self.activity.on_undefined
         self.last_solution = None
         self.strengthening_cid = None
+        self.learned_activity = {}  # cid -> activity of each live learned row, in cid order
         self.cleanup_mark = 0  # rows with cid >= it were added since the last cleanup
-        self.learned_since_cleanup = 0
-        self.learned_bytes = 0  # an estimate, over the live learned rows
+        self.next_cleanup = self.config.cleanup_learned_threshold  # a value of stats.learned
         self.restart_limits = restart_limits(self.config.restart)
         self.next_restart = next(self.restart_limits)  # a value of stats.conflicts
         if self.instr is not None:
@@ -229,40 +222,32 @@ class Solver:
         assert l < u
         m = (l + u) // 2  # floor toward -inf so [l,m] and [m+1,u] always split
         for strat in self.config.strategy_order:
-            b = self._try_strategy(strat, var, l, u, m)
+            v = self._reference(strat, var, l, u)
+            b = self._toward(STRATEGY_STYLE[strat], var, v, l, u, m)
             if b is not None:
                 return b
         raise AssertionError("strategy order had no applicable strategy")
 
-    def _try_strategy(self, strat, var, l, u, m) -> Optional[Bound]:
-        if strat == 1:
-            return Bound(var, True, m + 1)
-        if strat == 2:
-            return Bound(var, True, u)
-        if strat == 3:
-            return Bound(var, False, m)
-        if strat == 4:
-            return Bound(var, False, l)
-        if strat in (5, 6):
+    def _reference(self, strat, var, l, u) -> Optional[int]:
+        """The value strategy ``strat`` steers var toward, None if it has
+        none: u, l, the objective's better end, the saved phase, the
+        incumbent's value or the user's hint."""
+        if strat <= 2:
+            return u
+        if strat <= 4:
+            return l
+        if strat <= 6:
             obj = self.problem.objective
             c = obj.coeffs.get(var, 0) if obj is not None else 0
             if c == 0:
                 return None
-            v = l if c > 0 else u
-            if strat == 5:
-                return Bound(var, False, m) if v == l else Bound(var, True, m + 1)
-            return Bound(var, False, l) if v == l else Bound(var, True, u)
-        if strat in (7, 8, 9):
-            v = self.propagator.last_value[var]
-            return self._toward(strat - 6, var, v, l, u, m)
+            return l if c > 0 else u
+        if strat <= 9:
+            return self.propagator.last_value[var]
         if strat == 10:
-            v = self.last_solution.values[var] if self.last_solution else None
-            return self._toward(3, var, v, l, u, m)
-        if strat == 11:
-            hint = self.config.user_hint
-            v = hint.get(var) if hint else None
-            return self._toward(3, var, v, l, u, m)
-        raise AssertionError(strat)
+            return self.last_solution.values[var] if self.last_solution else None
+        hint = self.config.user_hint
+        return hint.get(var) if hint else None
 
     @staticmethod
     def _toward(style, var, v, l, u, m) -> Optional[Bound]:
@@ -270,9 +255,9 @@ class Solver:
         jump to the nearer endpoint, or shrink the interval onto it."""
         if v is None:
             return None
-        if style == 1:  # halve toward v
+        if style == HALVE:
             return Bound(var, False, m) if v <= m else Bound(var, True, m + 1)
-        if style == 2:  # fix at the endpoint on v's side
+        if style == FIX:  # at the endpoint on v's side
             return Bound(var, False, l) if v <= m else Bound(var, True, u)
         if not l <= v <= u:
             return None
@@ -308,11 +293,11 @@ class Solver:
             self.stats.early_backjumps += 1
 
     def _learn(self, c) -> int:
-        """File a learned row and count it toward the next cleanup."""
+        """File a learned row, count it, and give it activity 0."""
         self.stats.learned += 1
-        self.learned_since_cleanup += 1
-        self.learned_bytes += learned_row_bytes(c)
-        return self.propagator.add_row(c)
+        cid = self.propagator.add_row(c)
+        self.learned_activity[cid] = 0
+        return cid
 
     def _restart(self):
         """Back to level 0; the one place where a due cleanup runs."""
@@ -322,35 +307,33 @@ class Solver:
         self.next_restart = self.stats.conflicts + next(self.restart_limits)
         if self.instr is not None:
             self.instr.reset(self)
-        if self._cleanup_due():
+        if self.stats.learned >= self.next_cleanup:
             self._cleanup()
-
-    def _cleanup_due(self) -> bool:
-        return (self.learned_since_cleanup >= self.config.cleanup_learned_threshold
-                or self.learned_bytes > self.config.cleanup_memory_cap)
 
     def _cleanup(self):
         """Kill inactive long learned rows, at level 0, where kept rows'
-        filters are upper bounds, queued if positive.  A live row is learned
-        unless it is an input or the strengthening row.  A killed row may be
-        the reason of a level-0 entry, which analysis never rewrites.  Only a
-        scheduled restart cleans up, and ``validate`` admits only intervals
-        that grow without bound, while between two restarts each push lowers
-        the finite ``termination_measure``: so deletion cannot loop, and
-        keeping the rows learned since the last cleanup, unaged, is policy."""
+        filters are upper bounds, queued if positive.  A row is learned iff
+        it is in ``learned_activity``; the rows learned since the last
+        cleanup are kept and not aged, the others' activity is halved.  A
+        killed row may be the reason of a level-0 entry, which analysis
+        never rewrites.  Only a scheduled restart cleans up, and ``validate``
+        admits only intervals that grow without bound, while between two
+        restarts each push lowers the finite ``termination_measure``: so
+        deletion cannot loop, and keeping the fresh rows is policy."""
         assert self.trail.num_decisions == 0
-        pr = self.propagator
+        pr, activity = self.propagator, self.learned_activity
         dead = set()
-        for cid in range(len(self.problem.constraints), self.cleanup_mark):
-            if not pr.alive[cid] or cid == self.strengthening_cid:
-                continue
-            if len(pr.constraints[cid].monomials) > 2 and pr.activity[cid] == 0:
+        for cid, count in activity.items():
+            if cid >= self.cleanup_mark:
+                break
+            if count == 0 and len(pr.constraints[cid].monomials) > 2:
                 dead.add(cid)
             else:
-                pr.activity[cid] //= 2
+                activity[cid] = count // 2
+        for cid in dead:
+            del activity[cid]
         pr.kill_rows(dead)
-        self.learned_bytes -= sum(learned_row_bytes(pr.constraints[cid]) for cid in dead)
-        self.learned_since_cleanup = 0
+        self.next_cleanup = self.stats.learned + self.config.cleanup_learned_threshold
         self.cleanup_mark = len(pr.constraints)
         self.stats.cleanups += 1
 
@@ -382,7 +365,8 @@ class Solver:
                 return "unsat"
             self.activity.bump_conflict_vars(result.bumped_vars)
             for cid in result.touched_cids:
-                self.propagator.activity[cid] += 1
+                if cid in self.learned_activity:
+                    self.learned_activity[cid] += 1
             self._apply_analysis(result)
             if budget.exhausted(self.stats):
                 return "limit"

@@ -86,6 +86,7 @@ class TestExitCodes:
         path = write(tmp_path, "opt.ilp", OPT)
         assert cli.main([path, "--restart", "luby:0"]) == 2
         assert cli.main([path, "--restart", "inout:1,1,1.0"]) == 2
+        assert cli.main([path, "--restart", "inout:1,1,inf"]) == 2  # third limit: int(inf)
         assert "luby unit >= 1" in capsys.readouterr().err
 
     def test_unwritable_trace_is_two(self, tmp_path, capsys):
@@ -110,6 +111,7 @@ class TestExitCodes:
         path = write(tmp_path, "opt.ilp", OPT)
         assert cli.main([path, "--time-limit", "-1"]) == 2
         assert cli.main([path, "--max-conflicts", "-1"]) == 2
+        assert cli.main([path, "--time-limit", "nan"]) == 2  # now + nan never passes
         assert "must not be negative" in capsys.readouterr().err
 
     def test_verify_disagreement_is_three(self, tmp_path, capsys, monkeypatch):

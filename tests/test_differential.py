@@ -3,9 +3,11 @@
 Hypothesis draws a small bounded problem, which the exhaustive oracle
 can solve, and a valid ``SolverConfig`` from the space it exposes: both
 modes, any value-strategy order ending with a total strategy (with a
-``user_hint`` when strategy 11 is in it), both restart policies, small
-cleanup triggers, the random seed, an optional conflict budget and an
-optional time limit (0 or a few milliseconds).
+``user_hint`` when strategy 11 is in it), both restart policies, a
+cleanup after every 1 to 10 learned rows, the random seed, an optional
+conflict budget and an optional time limit (0 or a few milliseconds).
+A cleanup runs only at a restart, so the Luby unit is drawn small half
+of the time, where restarts come often enough for cleanups to run.
 
 A run whose config sets no budget gets a safety cap and must give the
 oracle's status and objective.  A run that stops at its drawn conflict
@@ -65,7 +67,7 @@ def configs(draw, num_vars):
     if 11 in order:
         hint = draw(st.dictionaries(st.integers(0, num_vars - 1), st.integers(-4, 6)))
     if draw(st.booleans()):
-        restart = ("luby", draw(st.integers(1, 30)))
+        restart = ("luby", draw(st.integers(1, 3) | st.integers(1, 30)))
     else:
         inner = draw(st.integers(1, 30))
         restart = ("inout", inner, draw(st.integers(inner, 200)),
@@ -75,7 +77,6 @@ def configs(draw, num_vars):
         strategy_order=tuple(order),
         restart=restart,
         cleanup_learned_threshold=draw(st.integers(1, 10)),
-        cleanup_memory_cap=draw(st.integers(1, 2000)),
         max_conflicts=draw(st.none() | st.integers(0, 20)),
         time_limit=draw(st.none() | st.sampled_from([0, 0.001, 0.002, 0.005])),
         random_seed=draw(st.integers(0, 2 ** 16)),

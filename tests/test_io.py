@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,27 @@ class TestRoundTrip:
         zero = Problem(1, [0], [1], objective=Objective({0: 0}))
         assert "min: 0\n" in write_problem(zero)
         assert parse(write_problem(zero)).objective.coeffs == {}
+
+    def test_decimal_objectives_with_a_constant_report_the_same_values(self, rng):
+        def reported(p, values):
+            obj = p.objective
+            return format_objective_value(obj.value_of(values) + obj.offset, obj.scale)
+
+        p = parse("var x int [0, 1]\nvar y int [0, 1]\nmin: 0.5 x - 2 y + 3\n")
+        assert reported(p, [1, 0]) == "3.5"
+        assert "min: 0.5*x - 2*y + 3\n" in write_problem(p)
+        texts = []
+        for _ in range(30):
+            terms = [f"{rng.choice('+-')} {rng.randint(0, 30) / 10 ** rng.randint(0, 3)} {v}"
+                     for v in ("x", "y")]
+            const = f"{rng.choice('+-')} {rng.randint(0, 2000) / 10 ** rng.randint(0, 3)}"
+            texts.append("var x int [-2, 3]\nvar y int [0, 4]\n"
+                         f"min: {' '.join(terms)} {const}\n")
+        for text in texts:
+            p = parse(text)
+            p2 = parse(write_problem(p))
+            for point in itertools.product(range(-2, 4), range(0, 5)):
+                assert reported(p2, point) == reported(p, point), text
 
 
 class TestRationalRewriting:
