@@ -108,14 +108,13 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
                 if new_cc.is_contradiction():
                     raise AnalysisInfeasible
                 if not new_cc.is_tautology():
-                    skip = cut_skip_check(cc, rc, entry.bound.var)
                     if trace is not None:
                         print(f"cut {cc_label}×{rc_cid} on "
                               f"{problem.name_of(entry.bound.var)} → "
                               f"{new_cc.format(problem.var_names)}", file=trace)
                     cc = new_cc
                     cc_label = "cc"
-                    pending_scan = not skip
+                    pending_scan = True
         if pending_scan and cc.monomials:
             pending_scan = False
             hit = early_backjump_scan(cc, trail)
@@ -148,17 +147,6 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         bumped_vars=frozenset(bumped),
         touched_cids=tuple(touched),
     )
-
-
-def cut_skip_check(cc: Constraint, rc: Constraint, var: int) -> bool:
-    """True when an eliminating cut cannot enable an early backjump.
-
-    Holds when the premises share only the eliminated variable: both
-    were already propagated exhaustively, and a cut of constraints with
-    disjoint remaining support propagates nothing its premises did not.
-    """
-    common = set(cc.vars()) & set(rc.vars())
-    return common == {var}
 
 
 def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[EarlyBackjump]:

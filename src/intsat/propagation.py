@@ -162,11 +162,11 @@ class Propagator:
     """The row store and its three tiers; the single push/pop path.
 
     The constructor pushes the initial box as level-0 seeds and files the
-    problem's rows, the only place that sorts rows into tiers.  After
-    that, everything that changes the trail goes through push_bound /
-    pop_to so filters, cursors and phase saving stay consistent.  Later
+    problem's rows, the only place that sorts rows into tiers.  Later
     rows enter through add_row, in the general tier, and leave through
-    kill_rows.
+    kill_rows.  Every trail change goes through push_bound / pop_to, so
+    filters, cursors and saved phases stay consistent.  It counts no
+    defined variables: a decision reads them off the trail.
     """
 
     def __init__(self, problem, trail: Trail, stats, trace=None):
@@ -196,19 +196,16 @@ class Propagator:
         self.watched = {}  # cid -> [lit index, lit index]
         self.binary_cursor = 0
         self.clause_cursor = 0
-        self.num_defined = 0
         self.last_value = [None] * n  # phase saving: last defined value
         self.post_push = None  # optional hook, called after every push
-        self.on_undefined = None  # optional hook, var became undefined by a pop
-        # 27 attributes, of at most 29: with more, CPython 3.11 leaves its
-        # shared-key layout and every attribute read and write here slows down
+        # 25 attributes, of at most 29 (a test counts them): with more, CPython
+        # 3.11 leaves its shared-key layout and every attribute access slows down
         box = ReasonInfo.propagated((), None)  # seeds hold unconditionally
         for var in range(n):
             low, high = problem.initial_lb[var], problem.initial_ub[var]
             trail.push(Bound(var, True, low), box, seed=True)
             trail.push(Bound(var, False, high), box, seed=True)
             if low == high:
-                self.num_defined += 1
                 self.last_value[var] = low
         for c in problem.constraints:  # in input order, so cids follow it
             lits = self._as_clause(c)
@@ -313,7 +310,6 @@ class Propagator:
                 in_queue[cid] = True
                 self.queue.append(cid)
         if trail.lb[var] == trail.ub[var]:
-            self.num_defined += 1
             self.last_value[var] = trail.lb[var]
         if tier is not None:
             self.stats.propagations[tier] += 1
@@ -329,14 +325,7 @@ class Propagator:
 
     def pop_one(self):
         """Pop the top entry; ``pop_to`` restores filters, queue and cursors."""
-        trail = self.trail
-        var = trail.entries[-1].bound.var
-        was_defined = trail.lb[var] == trail.ub[var]
-        trail.pop()
-        if was_defined and trail.lb[var] != trail.ub[var]:
-            self.num_defined -= 1
-            if self.on_undefined is not None:
-                self.on_undefined(var)
+        self.trail.pop()
 
     def pop_to(self, height: int):
         """Backjump to a level start or the trail's length: saves are exact there."""

@@ -1,17 +1,16 @@
 """The main search loop: propagate, decide, analyze, backjump, learn.
 
-Parameterised by the conflict-analysis mode, with activity-based
-variable selection, configurable value strategies, Luby or inner-outer
-geometric restarts, and an optimisation wrapper that repeatedly
-strengthens the objective.  The ``Solver`` owns the learned rows: it
-keeps the activity of each live one, and every
-``cleanup_learned_threshold`` learned rows it reduces them at the next
-scheduled restart.  The ``Propagator`` only files and kills rows.
+Parameterised by the conflict-analysis mode, with configurable value
+strategies, Luby or inner-outer geometric restarts, and an optimisation
+wrapper that repeatedly strengthens the objective.  A decision takes the
+most active undefined variable; when none is left, the assignment is total.
+The ``Solver`` owns the learned rows: it keeps the activity of each live
+one, and every ``cleanup_learned_threshold`` learned rows it reduces them at
+the next scheduled restart.  The ``Propagator`` only files and kills rows.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 import time
@@ -92,6 +91,9 @@ class SolverConfig:
                              f"an inout inner >= 1, finite outer >= inner and finite factor > 1")
         if any(v is not None and not v >= 0 for v in (self.time_limit, self.max_conflicts)):
             raise ValueError("time_limit and max_conflicts must not be negative or NaN")
+        threshold = self.cleanup_learned_threshold
+        if not (isinstance(threshold, int) and threshold >= 1):
+            raise ValueError("cleanup_learned_threshold must be an integer >= 1")
 
 
 @dataclass
@@ -130,7 +132,7 @@ ACTIVITY_BUMP_FACTOR, ACTIVITY_RESCALE_CAP = 1.05, 1e100
 
 
 class ActivityQueue:
-    """Max-priority queue of variables by activity, with lazy invalidation."""
+    """Variable activities, bumped per conflict as in Chaff."""
 
     def __init__(self, num_vars, bump_factor, rescale_cap, rng: random.Random):
         # tiny jitter makes tie-breaking seed-dependent but deterministic
@@ -138,14 +140,11 @@ class ActivityQueue:
         self.increment = 1.0
         self.bump_factor = bump_factor
         self.rescale_cap = rescale_cap
-        self.heap = [(-s, v) for v, s in enumerate(self.scores)]
-        heapq.heapify(self.heap)
 
     def bump_conflict_vars(self, variables):
         """Bump each variable once, then grow the increment geometrically."""
         for v in variables:
             self.scores[v] += self.increment
-            heapq.heappush(self.heap, (-self.scores[v], v))
         self.increment *= self.bump_factor
         if self.scores and max(self.scores) > self.rescale_cap:
             self._rescale()
@@ -154,21 +153,16 @@ class ActivityQueue:
         factor = 1.0 / self.rescale_cap
         self.scores = [s * factor for s in self.scores]
         self.increment *= factor
-        self.heap = [(-s, v) for v, s in enumerate(self.scores)]
-        heapq.heapify(self.heap)
 
-    def on_undefined(self, var):
-        heapq.heappush(self.heap, (-self.scores[var], var))
-
-    def pick(self, trail: Trail) -> int:
-        """The undefined variable of highest score; one must exist.  Each has
-        a current entry: the heap starts with all, bumps and undefining pops
-        push one, and only stale or defined entries are popped."""
-        while True:
-            neg, var = self.heap[0]
-            if -neg == self.scores[var] and not trail.is_defined(var):
-                return var
-            heapq.heappop(self.heap)
+    def pick(self, trail: Trail) -> Optional[int]:
+        """The undefined variable of highest score, the lowest on a tie, or
+        None if all are defined; one sweep, as every bump reads all scores."""
+        lb, ub = trail.lb, trail.ub
+        best, top = None, -inf
+        for var, score in enumerate(self.scores):
+            if score > top and lb[var] != ub[var]:
+                best, top = var, score
+        return best
 
 
 class Budget:
@@ -202,7 +196,6 @@ class Solver:
         rng = random.Random(self.config.random_seed)
         self.activity = ActivityQueue(
             problem.num_vars, ACTIVITY_BUMP_FACTOR, ACTIVITY_RESCALE_CAP, rng)
-        self.propagator.on_undefined = self.activity.on_undefined
         self.last_solution = None
         self.strengthening_cid = None
         self.learned_activity = {}  # cid -> activity of each live learned row, in cid order
@@ -216,8 +209,12 @@ class Solver:
 
     # -- decisions -------------------------------------------------------------
 
-    def decide(self) -> Bound:
+    def decide(self) -> Optional[Bound]:
+        """A decision on the most active undefined variable, by the first
+        value strategy that applies; None once every variable is defined."""
         var = self.activity.pick(self.trail)
+        if var is None:
+            return None
         l, u = self.trail.lb[var], self.trail.ub[var]
         assert l < u
         m = (l + u) // 2  # floor toward -inf so [l,m] and [m+1,u] always split
@@ -348,9 +345,9 @@ class Solver:
             except OutOfTime:
                 return "limit"
             if conflict is None:
-                if self.propagator.num_defined == self.problem.num_vars:
-                    return "sat"
                 b = self.decide()
+                if b is None:
+                    return "sat"
                 self.stats.decisions += 1
                 self.propagator.push_bound(b, ReasonInfo.decision())
                 continue

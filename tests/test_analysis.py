@@ -4,7 +4,7 @@ import pytest
 
 from intsat.analysis import (AnalysisInfeasible, analyze_hybrid,
                              analyze_resolution, clause_to_constraint,
-                             cut_skip_check, early_backjump_scan)
+                             early_backjump_scan)
 from intsat.model import Bound, Objective, Problem, normalize
 from intsat.propagation import Conflict
 from intsat.search import Solver, SolverConfig
@@ -453,18 +453,6 @@ class TestOneRewriteLoop:
             for name in fields:
                 assert getattr(hybrid, name) == getattr(resolution, name), name
             assert hybrid_steps == resolution_steps
-
-
-class TestCutSkipCheck:
-    def test_single_shared_variable_skips(self):
-        cc = C([(0, 1), (1, 2), (2, 3)], 0)
-        rc = C([(0, -1), (3, 1)], 0)
-        assert cut_skip_check(cc, rc, 0) is True
-
-    def test_two_shared_variables_do_not_skip(self):
-        cc = C([(0, 1), (1, 1)], 0)
-        rc = C([(0, -1), (1, 1)], 0)
-        assert cut_skip_check(cc, rc, 0) is False
 
 
 class TestBackjumpTarget:

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from intsat import propagation
-from intsat.model import Bound, Problem, normalize
+from intsat.model import Bound, Objective, Problem, normalize
 from intsat.propagation import (BINARY, CLAUSE, GENERAL, exact_filter, falsifying_heights,
                                 find_conflict, propagate_constraint, slack_and_widest)
 from intsat.search import Solver, SolverConfig, SolverStats
@@ -269,6 +269,22 @@ class TestSeeds:
             assert s.propagator.constraints == list(p.constraints)
             assert all(line.endswith(" reason={} constraint=none")
                        for line in t.dump_lines()[:2 * n])
+
+
+class TestPropagatorLayout:
+    def test_instance_attributes_stay_under_the_shared_key_cliff(self):
+        # the cap keeps the Propagator's __dict__ in CPython 3.11's shared-key
+        # layout; at 33 attributes it left it and every attribute access slowed
+        rows = [normalize([(0, -1), (1, -1), (2, -1)], -1),  # a clause row
+                normalize([(0, 1), (3, 1)], 1),  # a binary row
+                normalize([(1, 1), (4, 2)], 7)]  # a general row
+        p = Problem(5, [0] * 5, [1, 1, 1, 1, 5], rows, Objective({4: -1, 2: 1}))
+        s = Solver(p)
+        pr = s.propagator
+        assert len(pr.lits[0]) == 3 and 0 in pr.watched
+        assert len(pr.lits[1]) == 2 and pr.lits[2] is None
+        assert s.solve().status == "optimal"
+        assert len(vars(pr)) <= 29
 
 
 class TestFilters:

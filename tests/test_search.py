@@ -78,6 +78,14 @@ class TestDecide:
         s = solver_for([0], [5], strategy_order=(11, 1), user_hint={0: 2})
         assert s.decide() == up(0, 2)
 
+    def test_decide_returns_none_once_every_variable_is_defined(self):
+        s = solver_for([0, 0], [3, 3])
+        assert s.decide() is not None
+        s.propagator.push_bound(up(0, 0), DECISION)
+        s.propagator.push_bound(lo(1, 3), DECISION)
+        assert s.decide() is None
+        assert solver_for([2], [2]).decide() is None  # defined from the start
+
     def test_highest_activity_variable_is_picked(self):
         s = solver_for([0, 0, 0], [5, 5, 5], strategy_order=(4,))
         s.activity.bump_conflict_vars([2])
@@ -119,9 +127,10 @@ class TestActivity:
 
     @pytest.mark.parametrize("rescale_cap", [1e100, 4.0])
     @pytest.mark.parametrize("mode", ["cut", "resolution"])
-    def test_every_undefined_variable_has_a_current_entry(self, mode, rescale_cap,
-                                                          monkeypatch):
-        # pick relies on it: it never rebuilds the heap.  A cap of 4 makes
+    def test_pick_is_the_argmax_over_undefined_variables(self, mode, rescale_cap,
+                                                         monkeypatch):
+        # after every push and backjump, pick is the undefined variable of
+        # highest score, the lowest on a tie, or None; a cap of 4 makes
         # bump_conflict_vars rescale every few conflicts
         monkeypatch.setattr(search, "ACTIVITY_RESCALE_CAP", rescale_cap)
         rescales, rescale = [], ActivityQueue._rescale
@@ -132,20 +141,21 @@ class TestActivity:
 
         monkeypatch.setattr(ActivityQueue, "_rescale", counted_rescale)
 
-        class HeapProbe:
-            checks = 0
+        class PickProbe:
+            checks = nones = 0
 
             def after_push(self, solver):
                 q, t = solver.activity, solver.trail
-                current = set(q.heap)
-                assert all((-q.scores[v], v) in current
-                           for v in range(t.num_vars) if not t.is_defined(v))
+                undefined = [v for v in range(t.num_vars) if not t.is_defined(v)]
+                expected = max(undefined, key=lambda v: (q.scores[v], -v), default=None)
+                assert q.pick(t) == expected
                 self.checks += 1
+                self.nones += expected is None
 
             def reset(self, solver):
                 pass
 
-        probe, cleanups = HeapProbe(), 0
+        probe, cleanups = PickProbe(), 0
         for p in config_space_problems()[::3]:
             s = Solver(p, SolverConfig(mode=mode, max_conflicts=300, **AGGRESSIVE_CLEANUP),
                        instrumentation=probe)
@@ -158,7 +168,7 @@ class TestActivity:
             s.propagator.pop_to = checked_pop_to
             s.solve()
             cleanups += s.stats.cleanups
-        assert probe.checks > 1000 and cleanups > 0
+        assert probe.checks > 1000 and probe.nones > 0 and cleanups > 0
         assert bool(rescales) == (rescale_cap < 100)
 
 
@@ -342,6 +352,13 @@ class TestSolveFeasibility:
         # a deadline of now + nan never passes, so the run would ignore it
         with pytest.raises(ValueError):
             SolverConfig(time_limit=float("nan")).validate()
+
+    @pytest.mark.parametrize("threshold", [None, "10", float("nan"), 2.5, 0, -1])
+    def test_cleanup_threshold_must_be_an_integer_of_at_least_one(self, threshold):
+        # otherwise None or "10" raise TypeError at the first restart,
+        # and nan turns cleanup off
+        with pytest.raises(ValueError):
+            SolverConfig(cleanup_learned_threshold=threshold).validate()
 
     def test_time_limit_holds_inside_propagation(self):
         # x < y and y < x: root propagation walks the upper bounds down
