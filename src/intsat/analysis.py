@@ -8,9 +8,11 @@ heights at that level, as in MiniSat (Een & Sorensson, SAT 2003).  The
 resolution engine then learns the negated set as a constraint when its
 shape allows; the hybrid (cut) engine additionally carries a conflicting
 constraint, updated by eliminating cuts against reason constraints,
-which is always learned and can justify an early backjump to a lower
-level.  ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry
-points, for the search and for hooks that wrap them by name.
+which is always learned.  After the first rewrite step and after each
+new cut, the walk stops early if that constraint propagates over the
+level-0 bounds: it backjumps to level 0 and pushes the root fact.
+``analyze_resolution`` and ``analyze_hybrid`` stay the two entry points,
+for the search and for hooks that wrap them by name.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .model import COEFF_CAP, Bound, Constraint, cut, normalize
-from .propagation import Conflict, propagated_bounds
+from .propagation import Conflict, propagated_bounds, slack_and_widest
 from .trail import Trail
 
 
@@ -40,8 +42,7 @@ class AnalysisResult(NamedTuple):
 
 
 class EarlyBackjump(NamedTuple):
-    cutoff: int  # new trail length
-    bound: Bound
+    bound: Bound  # pushed after popping to the start of level 1
     reason_set: tuple
 
 
@@ -119,10 +120,11 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
             pending_scan = False
             hit = early_backjump_scan(cc, trail)
     if hit is not None:
+        pop_to = trail.level_start(1)
+        bound, reason_set = hit
         if trace is not None:
-            print(f"early-backjump k={len(trail) - hit.cutoff} push "
-                  f"{hit.bound.format(problem.var_names)}", file=trace)
-        pop_to, bound, reason_set = hit
+            print(f"early-backjump k={len(trail) - pop_to} push "
+                  f"{bound.format(problem.var_names)}", file=trace)
     else:
         reason_set = tuple(sorted(cs - {h}))
         rest_top = reason_set[-1] if reason_set else -1  # the runner-up
@@ -150,64 +152,32 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
 
 
 def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[EarlyBackjump]:
-    """Deepest level-prefix of the trail where cc propagates a fresh bound.
+    """The bound cc propagates over the level-0 bounds, if any.
 
-    Candidate states are the trail prefixes ending just below each
-    decision, scanned from level 0 upward; the first hit gives the
-    maximal number of popped bounds.  One walk down the chains of cc's
-    variables gives their level-0 bounds and later entries, applied in
-    height order to the slack and their term's width; a prefix that adds
-    no entry is not tested again.  Once cc is false the scan ends (false
-    at level 0: the problem is infeasible).  The hit's bound comes from
-    ``propagated_bounds``, its reasons from ``height_of_strongest_below``.
+    Only root facts are learned early, as MiniSat's top-level units: the
+    hit's backjump pops every decision.  The level-0 bounds of cc's
+    variables come from ``bounds_at_height``; a negative slack there means
+    the problem is infeasible.  The hit's bound is the first one
+    ``propagated_bounds`` gives, its reasons come from
+    ``height_of_strongest_below``.
     """
     decisions = trail.decision_heights
     if not cc.monomials or not decisions:
         return None
-    entries, first, last = trail.entries, decisions[0], decisions[-1]
-    lb, ub, widths, coeffs = {}, {}, {}, dict(cc.monomials)
-    above = []  # heights of cc's entries from level 1 to the last but one
-    slack = cc.rhs
-    for var, coeff in cc.monomials:
-        p = trail.pl[var]
-        while p >= first:
-            if p < last:  # the top level lies in no prefix
-                above.append(p)
-            p = entries[p].pos
-        lb[var] = entries[p].bound.value if p >= 0 else trail.initial_lb[var]
-        p = trail.pu[var]
-        while p >= first:
-            if p < last:
-                above.append(p)
-            p = entries[p].pos
-        ub[var] = entries[p].bound.value if p >= 0 else trail.initial_ub[var]
-        slack -= coeff * (lb[var] if coeff > 0 else ub[var])
-        widths[var] = abs(coeff) * (ub[var] - lb[var])
-    above.sort()
-    k = level = 0
-    while True:
-        cutoff = decisions[level]
-        while k < len(above) and above[k] < cutoff:
-            var, is_lower, value = entries[above[k]].bound
-            coeff, bounds = coeffs[var], lb if is_lower else ub
-            if is_lower == (coeff > 0):  # the slack reads this bound
-                slack -= coeff * (value - bounds[var])
-            bounds[var] = value
-            widths[var] = abs(coeff) * (ub[var] - lb[var])
-            k += 1
-        if slack < 0:
-            if level == 0:
-                raise AnalysisInfeasible
-            return None
-        if max(widths.values()) > slack:
-            break
-        if k == len(above):
-            return None
-        level = bisect_right(decisions, above[k])  # next prefix with a new entry
-    i, b = propagated_bounds(cc, SimpleNamespace(lb=lb, ub=ub), slack)[0]
-    reason = sorted(trail.height_of_strongest_below(other, ocoeff > 0, cutoff)
-                    for j, (other, ocoeff) in enumerate(cc.monomials) if j != i)
-    return EarlyBackjump(cutoff, b, tuple(reason))
+    root = decisions[0]
+    lb, ub = {}, {}
+    for var, _ in cc.monomials:
+        lb[var], ub[var] = trail.bounds_at_height(var, root)
+    bounds = SimpleNamespace(lb=lb, ub=ub)
+    slack, widest = slack_and_widest(cc, bounds)
+    if slack < 0:
+        raise AnalysisInfeasible
+    if widest <= slack:
+        return None
+    i, b = propagated_bounds(cc, bounds, slack)[0]
+    reason = sorted(trail.height_of_strongest_below(var, coeff > 0, root)
+                    for j, (var, coeff) in enumerate(cc.monomials) if j != i)
+    return EarlyBackjump(b, tuple(reason))
 
 
 def clause_to_constraint(lits, problem) -> Optional[Constraint]:

@@ -23,9 +23,9 @@ that pass says they fire; a visit that propagates reads the new widths
 once more for its filter.
 
 ``propagated_bounds`` is the one rule for the bounds a row propagates.
-It reads only the ``lb``/``ub`` of its bounds argument, so the
-early-backjump scan, which finds its level in one sweep, applies it and
-the reason rule below to a past trail prefix at its hit.
+It and ``slack_and_widest`` read only the ``lb``/``ub`` of their bounds
+argument, so the early-backjump scan applies them, and the reason rule
+below, to the level-0 bounds.
 
 All three tiers share one extraction rule for conflict sets and reason
 sets: the height of the current strongest bound of each variable on the
@@ -80,13 +80,14 @@ PUSHES_PER_DEADLINE_CHECK = 1024
 BINARY, CLAUSE, GENERAL = "binary", "clause", "general"  # SolverStats.propagations keys
 
 
-def slack_and_widest(c: Constraint, trail: Trail):
-    """The row's slack, rhs minus its minimum over the current bounds,
-    and its widest term, the largest |a|*(ub-lb).  The row is false iff
-    slack < 0; otherwise it propagates a fresh bound on x iff
-    |a_x|*(ub-lb) > slack, so it propagates something iff widest > slack.
+def slack_and_widest(c: Constraint, bounds):
+    """The row's slack, rhs minus its minimum under ``bounds`` (anything
+    with per-variable ``lb``/``ub``, like the trail), and its widest term,
+    the largest |a|*(ub-lb).  The row is false iff slack < 0; otherwise it
+    propagates a fresh bound on x iff |a_x|*(ub-lb) > slack, so it
+    propagates something iff widest > slack.
     """
-    lb, ub = trail.lb, trail.ub
+    lb, ub = bounds.lb, bounds.ub
     slack = c.rhs
     widest = 0
     for var, coeff in c.monomials:

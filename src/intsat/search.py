@@ -89,8 +89,12 @@ class SolverConfig:
         if not ends:  # intervals must grow without bound, or a run may never end
             raise ValueError(f"restart {self.restart!r} needs a luby unit >= 1, or "
                              f"an inout inner >= 1, finite outer >= inner and finite factor > 1")
-        if any(v is not None and not v >= 0 for v in (self.time_limit, self.max_conflicts)):
-            raise ValueError("time_limit and max_conflicts must not be negative or NaN")
+        if any(v is not None and not (isinstance(v, (int, float)) and v >= 0)
+               for v in (self.time_limit, self.max_conflicts)):
+            raise ValueError("time_limit and max_conflicts must not be negative or NaN, "
+                             "and must be numbers or None")
+        if self.user_hint is not None and not isinstance(self.user_hint, dict):
+            raise ValueError("user_hint must be None or a dict from variable to value")
         threshold = self.cleanup_learned_threshold
         if not (isinstance(threshold, int) and threshold >= 1):
             raise ValueError("cleanup_learned_threshold must be an integer >= 1")

@@ -132,8 +132,8 @@ class Trail:
         """Strongest (lb, ub) of var among entries below `cutoff`.
 
         Walks the pos chains, so the cost is the number of entries of
-        this variable above the cutoff.  Only the tests and the benchmark
-        tracer, which wraps it by name, still call it.
+        this variable above the cutoff.  The early-backjump scan reads
+        the level-0 bounds with it.
         """
         p = self.pl[var]
         while p >= cutoff:

@@ -9,6 +9,7 @@ from intsat.model import Bound, Objective, Problem, normalize
 from intsat.propagation import Conflict
 from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
+from test_search_snapshot import corpus
 from conftest import (C, RecordingSolver, ValidityProbe, box_points,
                       feasible_points, lo, php_problem, refutation_violated,
                       small_integer_problem, up)
@@ -162,7 +163,6 @@ class TestEarlyBackjumpScan:
         core_conflict(s)
         hit = early_backjump_scan(C([(1, -1)], -1), s.trail)  # 1 <= y
         assert hit is not None
-        assert hit.cutoff == s.trail.decision_heights[0]
         assert hit.bound == lo(1, 1)
         assert hit.reason_set == ()
 
@@ -182,7 +182,7 @@ class TestEarlyBackjumpScan:
         core_conflict(s)
         hit = early_backjump_scan(C([(0, 1), (1, 1)], 0), s.trail)
         if hit is not None:
-            assert all(h < hit.cutoff for h in hit.reason_set)
+            assert all(h < s.trail.level_start(1) for h in hit.reason_set)
 
 
 def reference_level(cc, t, level):
@@ -211,38 +211,22 @@ def reference_level(cc, t, level):
     return None
 
 
-def reference_scan(cc, t):
-    """The scan recomputed per level from the trail entries below each
-    cutoff: the hit as (cutoff, bound, reason heights), None, or
-    "infeasible"."""
-    for level in range(t.num_decisions):
-        got = reference_level(cc, t, level)
-        if got == "false":
-            return "infeasible" if level == 0 else None
-        if got is not None:
-            return got
-    return None
-
-
-def passes_an_untouched_level(cc, t):
-    """True when the scan, before it ends, reaches a level that adds no
-    entry of cc's variables to the prefix below it."""
-    support = set(cc.vars())
-    for level in range(1, t.num_decisions):
-        if reference_level(cc, t, level - 1) is not None:
-            return False  # the scan ended one level below
-        new = range(t.decision_heights[level - 1], t.decision_heights[level])
-        if not any(t.entries[h].bound.var in support for h in new):
-            return True
-    return False
-
-
 def scan_outcome(cc, t):
+    """The scan in reference_level's terms: a hit pops to the first decision."""
     try:
         hit = early_backjump_scan(cc, t)
     except AnalysisInfeasible:
-        return "infeasible"
-    return hit if hit is None else (hit.cutoff, hit.bound, hit.reason_set)
+        return "false"
+    return hit if hit is None else (t.level_start(1), hit.bound, hit.reason_set)
+
+
+def expected_scan(cc, t):
+    """The scan checks only the level-0 prefix; with no decision it has none."""
+    return reference_level(cc, t, 0) if t.num_decisions else None
+
+
+def count_outcome(outcomes, got):
+    outcomes[{None: "none", "false": "infeasible"}.get(got, "hit")] += 1
 
 
 class TestScanAgainstReference:
@@ -268,17 +252,17 @@ class TestScanAgainstReference:
             terms = [(v, rng.choice([-7, -3, -2, -1, 1, 2, 3, 7]))
                      for v in rng.sample(range(n), rng.randint(1, n))]
             cc = C(terms, rng.randint(-20, 20))
-            want = reference_scan(cc, t)
-            hit = scan_outcome(cc, t)
-            assert hit == want, (cc, t.dump_lines())
-            outcomes["hit" if hit not in (None, "infeasible") else hit or "none"] += 1
+            got = scan_outcome(cc, t)
+            assert got == expected_scan(cc, t), (cc, t.dump_lines())
+            count_outcome(outcomes, got)
         assert min(outcomes.values()) >= 20, outcomes
 
     def test_matches_the_reference_on_deep_trails(self):
-        # 20-60 pushes over up to 8 variables: levels that touch none of
-        # cc's variables, variables outside cc, long chains on one variable
+        # 20-60 pushes over up to 8 variables: long chains of cc's
+        # variables above level 0, which the scan must walk past, levels
+        # that touch none of cc's variables, variables outside cc
         rng = random.Random(48)
-        outcomes = {"hit": 0, "none": 0, "infeasible": 0, "skip": 0}
+        outcomes = {"hit": 0, "none": 0, "infeasible": 0}
         for _ in range(300):
             n = rng.randint(2, 8)
             lbs = [rng.randint(-30, 0) for _ in range(n)]
@@ -310,12 +294,37 @@ class TestScanAgainstReference:
             offset = (-rng.randint(1, 5) if rng.random() < 0.15
                       else rng.randint(0, 2 * widest))
             cc = C(terms, smin + offset)
-            want = reference_scan(cc, t)
-            hit = scan_outcome(cc, t)
-            assert hit == want, (cc, t.dump_lines())
-            outcomes["hit" if hit not in (None, "infeasible") else hit or "none"] += 1
-            outcomes["skip"] += passes_an_untouched_level(cc, t)
+            got = scan_outcome(cc, t)
+            assert got == expected_scan(cc, t), (cc, t.dump_lines())
+            count_outcome(outcomes, got)
         assert min(outcomes.values()) >= 20, outcomes
+
+
+class EarlyBackjumpSolver(Solver):
+    """Checks every early backjump of its search against reference_level
+    on the trail it analysed, and counts them."""
+
+    early_seen = 0
+
+    def _analyze(self, conflict):
+        result = super()._analyze(conflict)
+        if result.early:
+            assert result.pop_to == self.trail.level_start(1)
+            assert (reference_level(result.attach_cc, self.trail, 0)
+                    == (result.pop_to, result.bound, result.reason_set))
+            self.early_seen += 1
+        return result
+
+
+def test_every_early_backjump_in_cut_mode_solves_pushes_a_root_fact():
+    # the snapshot corpus under its conflict caps: every early backjump
+    # pops all decisions and pushes what its row propagates over level 0
+    seen = 0
+    for name, p, cap in corpus():
+        s = EarlyBackjumpSolver(p, SolverConfig(mode="cut", max_conflicts=cap))
+        s.solve()
+        seen += s.early_seen
+    assert seen >= 250, seen
 
 
 def _stop_state(cs, trail):

@@ -360,6 +360,14 @@ class TestSolveFeasibility:
         with pytest.raises(ValueError):
             SolverConfig(cleanup_learned_threshold=threshold).validate()
 
+    @pytest.mark.parametrize("settings", [{"max_conflicts": "10"}, {"time_limit": "1"},
+                                          {"user_hint": [1], "strategy_order": (11, 1)}])
+    def test_budgets_and_hint_of_the_wrong_type_are_rejected(self, settings):
+        # otherwise the budgets raise TypeError inside validate, and a list
+        # hint raises AttributeError at the first decision
+        with pytest.raises(ValueError):
+            SolverConfig(**settings).validate()
+
     def test_time_limit_holds_inside_propagation(self):
         # x < y and y < x: root propagation walks the upper bounds down
         # one step per push, about a million pushes before the conflict
