@@ -180,9 +180,10 @@ class TestEarlyBackjumpScan:
     def test_reason_heights_lie_below_the_cutoff(self):
         s = core_solver(mode="cut")
         core_conflict(s)
-        hit = early_backjump_scan(C([(0, 1), (1, 1)], 0), s.trail)
-        if hit is not None:
-            assert all(h < s.trail.level_start(1) for h in hit.reason_set)
+        # x + y <= -2 over the level-0 box x, y in [-2, 1]: x <= 0 because -2 <= y
+        hit = early_backjump_scan(C([(0, 1), (1, 1)], -2), s.trail)
+        assert hit is not None and hit.bound == up(0, 0)
+        assert hit.reason_set and all(h < s.trail.level_start(1) for h in hit.reason_set)
 
 
 def reference_level(cc, t, level):
@@ -320,7 +321,7 @@ def test_every_early_backjump_in_cut_mode_solves_pushes_a_root_fact():
     # the snapshot corpus under its conflict caps: every early backjump
     # pops all decisions and pushes what its row propagates over level 0
     seen = 0
-    for name, p, cap in corpus():
+    for _, p, cap in corpus():
         s = EarlyBackjumpSolver(p, SolverConfig(mode="cut", max_conflicts=cap))
         s.solve()
         seen += s.early_seen
