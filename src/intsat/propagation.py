@@ -46,12 +46,16 @@ variables.  The initial box bounds are pushed as level-0 seeds with an
 empty reason and no row.
 
 A general row's filter is at least its ``exact_filter``, and a row with
-a positive filter is queued.  Filters are undone per decision level: the
-first change to a row within a level saves its old filter (nothing is
-saved at level 0), and ``pop_to``, which only lands on a level start,
-writes the oldest saves back.  A row registered above the target is
-recomputed there instead, and saved again for the level that resumes.
-A backjump re-queues only the rows it recomputes: the level it lands on
+a positive filter is queued.  Filters are undone per decision level, and
+a row's stamp is the level of its latest save: the first push to change a
+row within level k > 0 saves its old filter and stamps it k (nothing is
+saved at level 0).  ``pop_to``, which only lands on a level start, writes
+the oldest saves back and clears the stamps of the rows it restores.  A
+row registered above the target is recomputed there instead, and saved
+and stamped again for the level that resumes.  A visit saves nothing:
+the Solver decides only at a fixpoint, so the push, ``add_row`` or
+recompute that queued the row stamped it in the current level.  A
+backjump re-queues only the rows it recomputes: the level it lands on
 began at a fixpoint, when its decision was pushed, so every save it
 writes back is <= 0.
 """
@@ -186,10 +190,9 @@ class Propagator:
         self.filters = []
         self.in_queue = []
         # saves holds (cid, old filter, or None: recompute), and level k's
-        # begin at save_marks[k - 1]; a row is saved in this level iff
-        # stamp[cid] >= epoch, a clock tick per decision and backjump, 0 at level 0
+        # begin at save_marks[k - 1], so the level is len(save_marks); a row
+        # is saved in level k > 0 iff stamp[cid] == k, and no stamp exceeds the level
         self.saves, self.save_marks, self.stamp = [], [], []
-        self.epoch = self.clock = 0
         self.queue = deque()
         # by literal code: the clause cids watching it, its implication edges
         # [(other code, cid)] and the bound it pushes; built with the first literal row
@@ -199,15 +202,13 @@ class Propagator:
         self.clause_cursor = 0
         self.last_value = [None] * n  # phase saving: last defined value
         self.post_push = None  # optional hook, called after every push
-        # 25 attributes, of at most 29 (a test counts them): with more, CPython
+        # 23 attributes, of at most 29 (a test counts them): with more, CPython
         # 3.11 leaves its shared-key layout and every attribute access slows down
         box = ReasonInfo.propagated((), None)  # seeds hold unconditionally
         for var in range(n):
             low, high = problem.initial_lb[var], problem.initial_ub[var]
             trail.push(Bound(var, True, low), box, seed=True)
             trail.push(Bound(var, False, high), box, seed=True)
-            if low == high:
-                self.last_value[var] = low
         for c in problem.constraints:  # in input order, so cids follow it
             lits = self._as_clause(c)
             if lits is None:
@@ -255,7 +256,7 @@ class Propagator:
         self.reasons.append(ReasonInfo(None, cid, False, c))  # reason set derived on demand
         self.filters.append(0)
         self.in_queue.append(False)
-        self.stamp.append(self.epoch)  # 0 at level 0; add_row saves a row filed above it
+        self.stamp.append(len(self.save_marks))  # add_row saves a row filed above level 0
         return cid
 
     def add_row(self, c: Constraint) -> int:
@@ -265,7 +266,7 @@ class Propagator:
         for var, coeff in c.monomials:
             self.occs[2 * var + (coeff > 0)].append((cid, abs(coeff)))
         self.filters[cid] = exact_filter(c, self.trail)
-        if self.epoch:  # registered above level 0: recompute on unwind
+        if self.save_marks:  # registered above level 0: recompute on unwind
             self.saves.append((cid, None))
         if self.filters[cid] > 0:
             self.in_queue[cid] = True
@@ -298,12 +299,12 @@ class Propagator:
         height = trail.push(b, info)
         if info.is_decision:
             self.save_marks.append(len(self.saves))
-            self.epoch = self.clock = self.clock + 1
-        filters, in_queue, stamp, epoch = self.filters, self.in_queue, self.stamp, self.epoch
+        filters, in_queue, stamp = self.filters, self.in_queue, self.stamp
+        level = len(self.save_marks)
         for cid, weight in occs:
             old = filters[cid]
-            if stamp[cid] < epoch:
-                stamp[cid] = epoch
+            if stamp[cid] < level:
+                stamp[cid] = level
                 self.saves.append((cid, old))
             new = old + weight * delta
             filters[cid] = new
@@ -342,18 +343,17 @@ class Propagator:
         self.clause_cursor = min(self.clause_cursor, height)
         undone = self.saves[self.save_marks[level]:]
         del self.saves[self.save_marks[level]:], self.save_marks[level:]
-        self.clock += 1
-        self.epoch = self.clock if level else 0
-        filters, queue, in_queue = self.filters, self.queue, self.in_queue
+        filters, queue, in_queue, stamp = self.filters, self.queue, self.in_queue, self.stamp
         recomputed = []
         for cid, old in reversed(undone):  # the oldest value is written last
+            stamp[cid] = 0
             if old is None:  # registered above: exact here, saved for the level
                 if not self.alive[cid]:
                     continue  # a dead row is never visited again
                 old = exact_filter(self.constraints[cid], trail)
                 recomputed.append(cid)
                 if level:
-                    self.stamp[cid] = self.epoch
+                    stamp[cid] = level
                     self.saves.append((cid, None))
             filters[cid] = old
         # a restored save is <= 0, as the level started at a fixpoint: only
@@ -449,10 +449,7 @@ class Propagator:
             for b in propagate_constraint(c, trail, slack):
                 self.push_bound(b, info, tier=GENERAL)
             slack, widest = slack_and_widest(c, trail)
-        if self.stamp[cid] < self.epoch:
-            self.stamp[cid] = self.epoch
-            self.saves.append((cid, self.filters[cid]))
-        self.filters[cid] = widest - slack
+        self.filters[cid] = widest - slack  # saved in this level by what queued it
         return None
 
     # -- the fixpoint loop ------------------------------------------------------

@@ -326,6 +326,9 @@ class TestFilters:
         # filters[cid] >= exact_filter and every positive row queued; the
         # row a visit reads is off the queue until the visit ends, and a
         # row that a visit found false stays off it until the backjump.
+        # No stamp exceeds the decision level, a row stamped k >= 1 has a
+        # save in level k's segment, and a visit above level 0 reads only a
+        # row stamped in the current level, as it saves nothing itself.
         # With a cleanup every two learned rows, rows die at cleanups and
         # strengthenings, no dead row may stay in an occurs list, and a
         # backjump saves no dead row again for recompute
@@ -343,6 +346,7 @@ class TestFilters:
                     self.check_invariants_during(s, seen)
         assert seen["backjump"] >= 200 and seen["unwound"] >= 20, seen
         assert seen["cleanup"] >= 20 and seen["strengthening"] >= 20, seen
+        assert seen["stamped"] >= 100_000, seen
 
     @staticmethod
     def check_invariants_during(s, seen):
@@ -360,6 +364,14 @@ class TestFilters:
                     assert pr.filters[cid] >= exact_filter(c, t), cid
                     if pr.filters[cid] > 0 and cid not in off_queue:
                         assert pr.in_queue[cid] and cid in queued, cid
+            level = len(pr.save_marks)
+            assert level == t.num_decisions
+            ends = [*pr.save_marks, len(pr.saves)]
+            saved = [set()] + [{cid for cid, _ in pr.saves[ends[k - 1]:ends[k]]}
+                               for k in range(1, level + 1)]
+            for cid, k in enumerate(pr.stamp):
+                assert k <= level and (k == 0 or cid in saved[k]), (cid, k, level)
+                seen["stamped"] += k > 0
 
         def checked_push(b, info, tier=None):
             height = push(b, info, tier)
@@ -367,6 +379,7 @@ class TestFilters:
             return height
 
         def checked_visit(cid):
+            assert pr.stamp[cid] == len(pr.save_marks), cid
             off_queue.add(cid)
             conflict = visit(cid)
             if conflict is None:
@@ -418,11 +431,16 @@ class TestFilters:
         s.solve()
 
     def test_filter_upper_bounds_exact_value(self):
+        # a problem whose level-0 fixpoint conflicts takes no decision, as
+        # in the search: a decision is pushed only at a fixpoint
         rng = random.Random(77)
+        checked = 0
         for _ in range(30):
             p = random_problem(rng, objective=False)
             s = Solver(p)
-            s.propagator.propagate_fixpoint()
+            if s.propagator.propagate_fixpoint() is not None:
+                continue
+            checked += 1
             for _ in range(10):
                 undefined = [v for v in range(p.num_vars)
                              if not s.trail.is_defined(v)]
@@ -440,6 +458,7 @@ class TestFilters:
                     assert s.propagator.filters[cid] >= exact_filter(c, s.trail)
                     if propagate_constraint(c, s.trail):
                         assert s.propagator.filters[cid] > 0
+        assert checked >= 10
 
 
 class TestClauseTiers:
