@@ -197,12 +197,11 @@ class Propagator:
         # by literal code: the clause cids watching it, its implication edges
         # [(other code, cid)] and the bound it pushes; built with the first literal row
         self.watch, self.bin_adj, self.lit_bounds = [], [], []
-        self.watched = {}  # cid -> [lit index, lit index]
         self.binary_cursor = 0
         self.clause_cursor = 0
         self.last_value = [None] * n  # phase saving: last defined value
         self.post_push = None  # optional hook, called after every push
-        # 23 attributes, of at most 29 (a test counts them): with more, CPython
+        # 22 attributes, of at most 29 (a test counts them): with more, CPython
         # 3.11 leaves its shared-key layout and every attribute access slows down
         box = ReasonInfo.propagated((), None)  # seeds hold unconditionally
         for var in range(n):
@@ -222,8 +221,7 @@ class Propagator:
             if len(lits) == 2:  # a binary clause: two implication edges
                 self.bin_adj[lits[0]].append((lits[1], cid))
                 self.bin_adj[lits[1]].append((lits[0], cid))
-            else:
-                self.watched[cid] = [0, 1]
+            else:  # a clause row watches lits[0] and lits[1]
                 self.watch[lits[0]].append(cid)
                 self.watch[lits[1]].append(cid)
 
@@ -406,24 +404,23 @@ class Propagator:
         if not watchers:
             return None
         lb, ub = self.trail.lb, self.trail.ub
-        all_lits, watched = self.lits, self.watched
+        all_lits = self.lits
         keep = []
         conflict = None
         for i, cid in enumerate(watchers):
             lits = all_lits[cid]
-            w = watched[cid]
-            w0, w1 = w
-            if lits[w0] == false_lit:
-                slot, other = 0, lits[w1]
-            else:
-                slot, other = 1, lits[w0]
+            other = lits[0]
+            if other == false_lit:  # the false watch goes to lits[1]
+                other = lits[0] = lits[1]
+                lits[1] = false_lit
             v = other >> 1
             if lb[v] if other & 1 else not ub[v]:  # the other watch is true
                 keep.append(cid)
                 continue
-            for j, lit in enumerate(lits):  # the first open or true unwatched literal
-                if j != w0 and j != w1 and (ub[lit >> 1] if lit & 1 else not lb[lit >> 1]):
-                    w[slot] = j
+            for j in range(2, len(lits)):  # the first open or true unwatched literal
+                lit = lits[j]
+                if ub[lit >> 1] if lit & 1 else not lb[lit >> 1]:
+                    lits[1], lits[j] = lit, false_lit
                     watch[lit].append(cid)
                     break
             else:

@@ -281,7 +281,7 @@ class TestPropagatorLayout:
         p = Problem(5, [0] * 5, [1, 1, 1, 1, 5], rows, Objective({4: -1, 2: 1}))
         s = Solver(p)
         pr = s.propagator
-        assert len(pr.lits[0]) == 3 and 0 in pr.watched
+        assert len(pr.lits[0]) == 3 and pr.watch[1] == pr.watch[3] == [0]
         assert len(pr.lits[1]) == 2 and pr.lits[2] is None
         assert s.solve().status == "optimal"
         assert len(vars(pr)) <= 29
@@ -483,7 +483,7 @@ class TestClauseTiers:
         p = Problem(4, [0, 0, 0, -1], [1, 1, 1, 1], rows)
         pr = self.propagator(p)
         assert pr.constraints == rows and pr.lits[:2] == [[1, 3, 5], [1, 3]]
-        assert pr.watched == {0: [0, 1]} and pr.watch[1] == pr.watch[3] == [0]
+        assert pr.watch[1] == pr.watch[3] == [0]  # the clause row watches lits[0] and lits[1]
         assert pr.bin_adj[1] == [(3, 1)] and pr.bin_adj[3] == [(1, 1)]
         assert self.occurring(pr) == {2, 3, 4} and pr.lits[2:] == [None] * 3
         learned = pr.add_row(cover3)
@@ -536,9 +536,12 @@ class TestClauseTiers:
 
     def test_every_fixpoint_leaves_literal_rows_quiet_and_watched(self):
         # after every fixpoint without a conflict, no clause or binary row
-        # is false or propagates, and each clause row sits in exactly the
-        # watch lists of its two watched literals; also through the
-        # restarts and cleanups of a cleanup every two learned rows
+        # is false or propagates, each clause row sits in exactly the watch
+        # lists of lits[0] and lits[1], its literals stay a permutation of
+        # the filed ones, and a false watch has a true partner, as the
+        # decisions come at fixpoints and backjumps land on level starts;
+        # also through the restarts and cleanups of a cleanup every two
+        # learned rows
         seen = Counter()
         rng = random.Random(55)
         problems = ([pairwise_php_problem(5, 4), pairwise_php_problem(6, 5)]
@@ -551,6 +554,7 @@ class TestClauseTiers:
                                                **cleanups))
                     self.check_literal_rows_during(s, seen)
         assert seen["fixpoint after a backjump"] >= 300 and seen["watch move"] >= 3000, seen
+        assert seen["false watch"] >= 5000, seen
         assert seen["cleanup"] >= 100, seen
 
     @staticmethod
@@ -559,8 +563,15 @@ class TestClauseTiers:
         fixpoint, pop_to = pr.propagate_fixpoint, pr.pop_to
         literal = [cid for cid, lits in enumerate(pr.lits) if lits is not None]
         clauses = [cid for cid in literal if len(pr.lits[cid]) > 2]
-        last = {cid: list(pr.watched[cid]) for cid in clauses}
+        filed = {cid: sorted(pr.lits[cid]) for cid in clauses}
+        last = {cid: pr.lits[cid][:2] for cid in clauses}
         backjumped = False
+
+        def status(lit):
+            var, true_side = lit >> 1, lit & 1
+            if t.lb[var] == t.ub[var]:
+                return "true" if t.lb[var] == true_side else "false"
+            return "open"
 
         def checked_pop_to(height):
             nonlocal backjumped
@@ -578,10 +589,15 @@ class TestClauseTiers:
             where = Counter((code, cid) for code, cids in enumerate(pr.watch) for cid in cids)
             assert sum(where.values()) == 2 * len(clauses)
             for cid in clauses:
-                lits, w = pr.lits[cid], pr.watched[cid]
-                assert where[lits[w[0]], cid] == where[lits[w[1]], cid] == 1, cid
-                seen["watch move"] += (w[0] != last[cid][0]) + (w[1] != last[cid][1])
-                last[cid] = list(w)
+                lits = pr.lits[cid]
+                assert sorted(lits) == filed[cid], cid
+                assert where[lits[0], cid] == where[lits[1], cid] == 1, cid
+                watches = sorted((status(lits[0]), status(lits[1])))
+                if watches[0] == "false":
+                    assert watches[1] == "true", cid
+                    seen["false watch"] += 1
+                seen["watch move"] += len(set(lits[:2]) - set(last[cid]))
+                last[cid] = lits[:2]
             seen["fixpoint after a backjump"] += backjumped
             backjumped = False
             return None
