@@ -6,7 +6,7 @@ Constraints live in three tiers:
   cheap per-constraint filter that certifies "cannot propagate" without
   touching the constraint;
 * clauses (input set-covering style constraints over binary variables),
-  propagated with two watched literals;
+  propagated with two watched literals, the first two of the row's codes;
 * binary clauses, kept as edges of a binary implication graph.
 
 The two literal tiers work on integer literal codes, as MiniSat does: on
@@ -46,18 +46,15 @@ variables.  The initial box bounds are pushed as level-0 seeds with an
 empty reason and no row.
 
 A general row's filter is at least its ``exact_filter``, and a row with
-a positive filter is queued.  Filters are undone per decision level, and
-a row's stamp is the level of its latest save: the first push to change a
-row within level k > 0 saves its old filter and stamps it k (nothing is
-saved at level 0).  ``pop_to``, which only lands on a level start, writes
-the oldest saves back and clears the stamps of the rows it restores.  A
-row registered above the target is recomputed there instead, and saved
-and stamped again for the level that resumes.  A visit saves nothing:
-the Solver decides only at a fixpoint, so the push, ``add_row`` or
-recompute that queued the row stamped it in the current level.  A
-backjump re-queues only the rows it recomputes: the level it lands on
-began at a fixpoint, when its decision was pushed, so every save it
-writes back is <= 0.
+a positive filter is queued.  Filters are undone per decision level: the
+first push to change a row in level k > 0 saves its old filter and
+stamps the row k, and ``pop_to``, which only lands on a level start,
+writes the oldest saves back and clears their stamps.  A row registered
+above the target is recomputed there instead, and saved and stamped
+again for the level that resumes.  A visit saves nothing: the Solver
+decides only at a fixpoint, so what queued the row stamped it in this
+level, and a backjump re-queues only the rows it recomputes, as every
+save it writes back is <= 0.
 """
 
 from __future__ import annotations
@@ -170,8 +167,7 @@ class Propagator:
     problem's rows, the only place that sorts rows into tiers.  Later
     rows enter through add_row, in the general tier, and leave through
     kill_rows.  Every trail change goes through push_bound / pop_to, so
-    filters, cursors and saved phases stay consistent.  It counts no
-    defined variables: a decision reads them off the trail.
+    filters, cursors and saved phases stay consistent.
     """
 
     def __init__(self, problem, trail: Trail, stats, trace=None):

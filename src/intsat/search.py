@@ -79,6 +79,9 @@ class SolverConfig:
             raise ValueError("value strategies are numbered 1..11")
         if self.strategy_order[-1] not in TOTAL_STRATEGIES:
             raise ValueError("strategy_order must end with a total strategy (1-4)")
+        if not (isinstance(self.restart, tuple) and self.restart
+                and all(isinstance(v, (int, float)) for v in self.restart[1:])):
+            raise ValueError(f"restart {self.restart!r} must be a kind and numbers")
         kind, *params = self.restart
         if kind == "luby":  # ("luby", unit)
             ends = len(params) == 1 and params[0] >= 1
@@ -93,8 +96,10 @@ class SolverConfig:
                for v in (self.time_limit, self.max_conflicts)):
             raise ValueError("time_limit and max_conflicts must not be negative or NaN, "
                              "and must be numbers or None")
-        if self.user_hint is not None and not isinstance(self.user_hint, dict):
-            raise ValueError("user_hint must be None or a dict from variable to value")
+        hint = {} if self.user_hint is None else self.user_hint
+        if not (isinstance(hint, dict)
+                and all(isinstance(v, int) for v in (*hint, *hint.values()))):
+            raise ValueError("user_hint must be None or a dict from variable to integer value")
         threshold = self.cleanup_learned_threshold
         if not (isinstance(threshold, int) and threshold >= 1):
             raise ValueError("cleanup_learned_threshold must be an integer >= 1")

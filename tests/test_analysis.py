@@ -11,8 +11,8 @@ from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
 from test_search_snapshot import corpus
 from conftest import (C, RecordingSolver, ValidityProbe, box_points,
-                      feasible_points, lo, php_problem, refutation_violated,
-                      small_integer_problem, up)
+                      feasible_points, lo, pairwise_php_problem, php_problem,
+                      planted_3sat_problem, refutation_violated, small_integer_problem, up)
 
 
 def core_solver(**cfg):
@@ -326,6 +326,29 @@ def test_every_early_backjump_in_cut_mode_solves_pushes_a_root_fact():
         s.solve()
         seen += s.early_seen
     assert seen >= 250, seen
+
+
+class AnalysisCountingSolver(Solver):
+    analysed = 0
+
+    def _analyze(self, conflict):
+        self.analysed += 1
+        return super()._analyze(conflict)
+
+
+def test_resolution_mode_learns_on_almost_every_analysed_conflict():
+    # on clause-only problems every 1UIP analysis learns a clause; a
+    # resolution mode that never learns would still give right answers
+    rng = random.Random(61)
+    problems = ([pairwise_php_problem(5, 4), pairwise_php_problem(6, 5)]
+                + [planted_3sat_problem(rng, n) for n in (60, 80, 100)])
+    total = 0
+    for p in problems:
+        s = AnalysisCountingSolver(p, SolverConfig(mode="resolution", max_conflicts=300))
+        s.solve()
+        assert s.stats.learned >= 0.95 * s.analysed, (s.stats.learned, s.analysed)
+        total += s.analysed
+    assert total >= 250, total
 
 
 def _stop_state(cs, trail):

@@ -360,11 +360,17 @@ class TestSolveFeasibility:
         with pytest.raises(ValueError):
             SolverConfig(cleanup_learned_threshold=threshold).validate()
 
-    @pytest.mark.parametrize("settings", [{"max_conflicts": "10"}, {"time_limit": "1"},
-                                          {"user_hint": [1], "strategy_order": (11, 1)}])
+    @pytest.mark.parametrize("settings", [
+        {"max_conflicts": "10"}, {"time_limit": "1"},
+        {"user_hint": [1], "strategy_order": (11, 1)},
+        {"user_hint": {0: 2.5, 1: 1.5}, "strategy_order": (11, 1)},
+        {"user_hint": {0: "a"}, "strategy_order": (11, 1)},
+        {"restart": ("luby", "2")}, {"restart": ("inout", 1, 2, "1.1")}, {"restart": None}])
     def test_budgets_and_hint_of_the_wrong_type_are_rejected(self, settings):
-        # otherwise the budgets raise TypeError inside validate, and a list
-        # hint raises AttributeError at the first decision
+        # otherwise the budgets and restarts raise TypeError inside
+        # validate; a list hint raises AttributeError and a string value
+        # TypeError at the first decision, and a fractional value pushes a
+        # fractional bound, which under python -O answers a wrong optimum
         with pytest.raises(ValueError):
             SolverConfig(**settings).validate()
 
