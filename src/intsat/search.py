@@ -73,8 +73,8 @@ class SolverConfig:
     def validate(self):
         if self.mode not in (RESOLUTION, CUT):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.strategy_order:
-            raise ValueError("strategy_order must be non-empty")
+        if not (isinstance(self.strategy_order, tuple) and self.strategy_order):
+            raise ValueError("strategy_order must be a non-empty tuple")
         if any(s not in range(1, 12) for s in self.strategy_order):
             raise ValueError("value strategies are numbered 1..11")
         if self.strategy_order[-1] not in TOTAL_STRATEGIES:
@@ -103,6 +103,8 @@ class SolverConfig:
         threshold = self.cleanup_learned_threshold
         if not (isinstance(threshold, int) and threshold >= 1):
             raise ValueError("cleanup_learned_threshold must be an integer >= 1")
+        if not isinstance(self.random_seed, int):
+            raise ValueError("random_seed must be an integer")
 
 
 @dataclass

@@ -365,12 +365,14 @@ class TestSolveFeasibility:
         {"user_hint": [1], "strategy_order": (11, 1)},
         {"user_hint": {0: 2.5, 1: 1.5}, "strategy_order": (11, 1)},
         {"user_hint": {0: "a"}, "strategy_order": (11, 1)},
-        {"restart": ("luby", "2")}, {"restart": ("inout", 1, 2, "1.1")}, {"restart": None}])
+        {"restart": ("luby", "2")}, {"restart": ("inout", 1, 2, "1.1")}, {"restart": None},
+        {"strategy_order": 5}, {"random_seed": [1]}])
     def test_budgets_and_hint_of_the_wrong_type_are_rejected(self, settings):
-        # otherwise the budgets and restarts raise TypeError inside
-        # validate; a list hint raises AttributeError and a string value
-        # TypeError at the first decision, and a fractional value pushes a
-        # fractional bound, which under python -O answers a wrong optimum
+        # otherwise the budgets, restarts and strategy order raise TypeError
+        # inside validate, and a list seed in the Solver's constructor; a
+        # list hint raises AttributeError and a string value TypeError at
+        # the first decision, and a fractional value pushes a fractional
+        # bound, which under python -O answers a wrong optimum
         with pytest.raises(ValueError):
             SolverConfig(**settings).validate()
 
