@@ -6,7 +6,7 @@ Constraints live in three tiers:
   cheap per-constraint filter that certifies "cannot propagate" without
   touching the constraint;
 * clauses (input set-covering style constraints over binary variables),
-  propagated with two watched literals, the first two of the row's codes;
+  propagated with two watches, the first two of the row's literal codes;
 * binary clauses, kept as edges of a binary implication graph.
 
 The two literal tiers work on integer literal codes, as MiniSat does: on
@@ -413,7 +413,7 @@ class Propagator:
             if lb[v] if other & 1 else not ub[v]:  # the other watch is true
                 keep.append(cid)
                 continue
-            for j in range(2, len(lits)):  # the first open or true unwatched literal
+            for j in range(2, len(lits)):  # the first open or true literal past the watches
                 lit = lits[j]
                 if ub[lit >> 1] if lit & 1 else not lb[lit >> 1]:
                     lits[1], lits[j] = lit, false_lit

@@ -177,7 +177,7 @@ class ActivityQueue:
 
 
 class Budget:
-    """Cooperative cancellation: wall clock and conflict ceiling."""
+    """Cooperative cancellation: wall time and conflict ceiling."""
 
     def __init__(self, time_limit, max_conflicts):
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
