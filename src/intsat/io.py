@@ -9,8 +9,10 @@ The format is line-oriented UTF-8 with ``#`` comments:
 A term is an optional decimal number (at most 3 fraction digits), an
 optional ``*``, and a variable name; or a bare number.  A ``+`` or ``-``
 stands between terms.  Every variable must be declared with integer
-bounds.  ``>=`` rows are negated into ``<=`` form, equalities are split
-in two, and each row is scaled by the least power of 10 that clears its
+bounds; a line is a declaration iff it starts with ``var `` and holds
+no relation, so a row may start with a variable named ``var``.
+``>=`` rows are negated into ``<=`` form, equalities are split in two,
+and each row is scaled by the least power of 10 that clears its
 decimals before normalisation: a number is read as an integer mantissa
 and its count of fraction digits, so no rational arithmetic is needed.
 """
@@ -104,7 +106,7 @@ def parse(text: str) -> Problem:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("var "):
+        if line.startswith("var ") and not _RELATION_RE.search(line):
             m = _VAR_RE.match(line)
             if m is None:
                 raise ParseError("malformed variable declaration "

@@ -64,6 +64,13 @@ class TestParse:
         p = parse("var alpha int [-3, 3]\nalpha <= 2\n")
         assert p.var_names == ["alpha"] and p.initial_lb == [-3]
 
+    def test_a_row_may_start_with_a_variable_named_var(self):
+        # a line starting "var " is a declaration only without a relation
+        p = parse("var var int [0, 1]\nvar x int [0, 1]\nvar + x >= 1\nvar - x = 0\n")
+        assert p.var_names == ["var", "x"]
+        assert p.constraints == [C([(0, -1), (1, -1)], -1),
+                                 C([(0, 1), (1, -1)], 0), C([(0, -1), (1, 1)], 0)]
+
 
 class TestParseErrors:
     def err(self, text):
