@@ -48,10 +48,11 @@ empty reason and no row.
 A general row's filter is at least its ``exact_filter``, and a row with
 a positive filter is queued.  Filters are undone per decision level: the
 first push to change a row in level k > 0 saves its old filter and
-stamps the row k, and ``pop_to``, which only lands on a level start,
-writes the oldest saves back and clears their stamps.  A row registered
-above the target is recomputed there instead, and saved and stamped
-again for the level that resumes.  A visit saves nothing: the Solver
+stamp and stamps the row k, and ``pop_to``, which only lands on a level
+start, writes the oldest saves back, stamps too.  So a row's stamp is
+the highest level that saved it, and no level saves a row twice.  A row
+registered above the target is recomputed there instead, and saved and
+stamped again for the level that resumes.  A visit saves nothing: the Solver
 decides only at a fixpoint, so what queued the row stamped it in this
 level, and a backjump re-queues only the rows it recomputes, as every
 save it writes back is <= 0.
@@ -185,9 +186,10 @@ class Propagator:
         self.occs = [[] for _ in range(2 * n)]
         self.filters = []
         self.in_queue = []
-        # saves holds (cid, old filter, or None: recompute), and level k's
-        # begin at save_marks[k - 1], so the level is len(save_marks); a row
-        # is saved in level k > 0 iff stamp[cid] == k, and no stamp exceeds the level
+        # saves holds (cid, old filter, or None: recompute, the row's previous
+        # stamp), and level k's begin at save_marks[k - 1], so the level is
+        # len(save_marks); stamp[cid] is the highest level whose saves hold the
+        # row, 0 if none, and each level's saves hold a row at most once
         self.saves, self.save_marks, self.stamp = [], [], []
         self.queue = deque()
         # by literal code: the clause cids watching it, its implication edges
@@ -261,7 +263,7 @@ class Propagator:
             self.occs[2 * var + (coeff > 0)].append((cid, abs(coeff)))
         self.filters[cid] = exact_filter(c, self.trail)
         if self.save_marks:  # registered above level 0: recompute on unwind
-            self.saves.append((cid, None))
+            self.saves.append((cid, None, 0))
         if self.filters[cid] > 0:
             self.in_queue[cid] = True
             self.queue.append(cid)
@@ -298,8 +300,8 @@ class Propagator:
         for cid, weight in occs:
             old = filters[cid]
             if stamp[cid] < level:
+                self.saves.append((cid, old, stamp[cid]))
                 stamp[cid] = level
-                self.saves.append((cid, old))
             new = old + weight * delta
             filters[cid] = new
             if new > 0 and not in_queue[cid]:
@@ -339,8 +341,8 @@ class Propagator:
         del self.saves[self.save_marks[level]:], self.save_marks[level:]
         filters, queue, in_queue, stamp = self.filters, self.queue, self.in_queue, self.stamp
         recomputed = []
-        for cid, old in reversed(undone):  # the oldest value is written last
-            stamp[cid] = 0
+        for cid, old, prev in reversed(undone):  # the oldest value is written last
+            stamp[cid] = prev
             if old is None:  # registered above: exact here, saved for the level
                 if not self.alive[cid]:
                     continue  # a dead row is never visited again
@@ -348,7 +350,7 @@ class Propagator:
                 recomputed.append(cid)
                 if level:
                     stamp[cid] = level
-                    self.saves.append((cid, None))
+                    self.saves.append((cid, None, 0))
             filters[cid] = old
         # a restored save is <= 0, as the level started at a fixpoint: only
         # recomputed rows join the queue, in the order they were saved

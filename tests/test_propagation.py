@@ -326,9 +326,10 @@ class TestFilters:
         # filters[cid] >= exact_filter and every positive row queued; the
         # row a visit reads is off the queue until the visit ends, and a
         # row that a visit found false stays off it until the backjump.
-        # No stamp exceeds the decision level, a row stamped k >= 1 has a
-        # save in level k's segment, and a visit above level 0 reads only a
-        # row stamped in the current level, as it saves nothing itself.
+        # A row's stamp is the highest level, up to the current one, whose
+        # segment of saves holds it (0 if none), no segment holds a row
+        # twice, and a visit above level 0 reads only a row stamped in the
+        # current level, as it saves nothing itself.
         # With a cleanup every two learned rows, rows die at cleanups and
         # strengthenings, no dead row may stay in an occurs list, and a
         # backjump saves no dead row again for recompute
@@ -366,12 +367,16 @@ class TestFilters:
                         assert pr.in_queue[cid] and cid in queued, cid
             level = len(pr.save_marks)
             assert level == t.num_decisions
-            ends = [*pr.save_marks, len(pr.saves)]
-            saved = [set()] + [{cid for cid, _ in pr.saves[ends[k - 1]:ends[k]]}
-                               for k in range(1, level + 1)]
-            for cid, k in enumerate(pr.stamp):
-                assert k <= level and (k == 0 or cid in saved[k]), (cid, k, level)
-                seen["stamped"] += k > 0
+            ends = [0, *pr.save_marks, len(pr.saves)]
+            assert ends[1] == 0  # level 0 saves nothing
+            highest = [0] * len(pr.stamp)
+            for k in range(1, level + 1):
+                rows = [cid for cid, _, _ in pr.saves[ends[k]:ends[k + 1]]]
+                assert len(rows) == len(set(rows)), k  # a row is saved once per level
+                for cid in rows:
+                    highest[cid] = k
+            assert pr.stamp == highest
+            seen["stamped"] += sum(k > 0 for k in pr.stamp)
 
         def checked_push(b, info, tier=None):
             height = push(b, info, tier)
@@ -395,7 +400,7 @@ class TestFilters:
             pop_to(height)
             off_queue.clear()
             check()
-            assert all(pr.alive[cid] for cid, old in pr.saves[kept:] if old is None)
+            assert all(pr.alive[cid] for cid, old, _ in pr.saves[kept:] if old is None)
             seen["backjump"] += 1
             seen["unwound"] += bool(unwound)
             for cid in unwound:  # saved again for the resumed level, if above 0 and alive
