@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from .model import COEFF_CAP, Bound, Constraint, cut, normalize
 from .propagation import Conflict, propagated_bounds, slack_and_widest
-from .trail import Trail
+from .trail import DECISION, Trail
 
 
 class AnalysisInfeasible(Exception):
@@ -79,7 +79,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
     count = sum(1 for x in cs if x >= start)  # heights of cs in L
     while count > 1 and hit is None:
         entry = trail.entries[h]
-        assert not entry.info.is_decision
+        assert entry.info is not DECISION
         rc_cid = entry.info.reason_constraint
         if rc_cid is not None:
             touched.append(rc_cid)

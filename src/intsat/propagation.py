@@ -42,20 +42,26 @@ only bounds pushed after a row is filed, so later rows (learned, or
 strengthening the objective) enter through ``add_row``, in the general
 tier.  They alone die, through ``kill_rows`` (learned rows at a cleanup,
 a replaced strengthening row): a dead row leaves the occurs lists of its
-variables.  The initial box bounds are pushed as level-0 seeds with an
-empty reason and no row.
+variables.  The trail holds the initial box from birth, as level-0 seeds
+with an empty reason and no row.
 
-A general row's filter is at least its ``exact_filter``, and a row with
-a positive filter is queued.  Filters are undone per decision level: the
+A general row's filter is at least its ``exact_filter``, and a row is
+queued iff its filter is positive, which the queue alone records: a push
+queues a row whose filter it lifts from at most 0 above 0, and a visit,
+which dequeues the row, leaves it at most 0 unless it finds the row
+false.  A row's own pushes never touch its filter, as a normalised row
+holds each variable once.  Filters are undone per decision level: the
 first push to change a row in level k > 0 saves its old filter and
 stamp and stamps the row k, and ``pop_to``, which only lands on a level
 start, writes the oldest saves back, stamps too.  So a row's stamp is
 the highest level that saved it, and no level saves a row twice.  A row
 registered above the target is recomputed there instead, and saved and
-stamped again for the level that resumes.  A visit saves nothing: the Solver
-decides only at a fixpoint, so what queued the row stamped it in this
-level, and a backjump re-queues only the rows it recomputes, as every
-save it writes back is <= 0.
+stamped again for the level that resumes.  A visit saves nothing: the
+Solver decides only at a fixpoint, so what queued the row stamped it in
+this level.  Every save a backjump writes back is <= 0, and a row found
+false was lifted or registered in the top level, which the backjump
+undoes: the queue keeps its rows still positive and gains the positive
+rows the backjump recomputes.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from .model import Bound, Constraint
-from .trail import ReasonInfo, Trail
+from .trail import DECISION, ReasonInfo, Trail
 
 
 class Conflict(NamedTuple):
@@ -115,12 +121,8 @@ def exact_filter(c: Constraint, trail: Trail) -> int:
 
 def falsifying_heights(c: Constraint, trail: Trail) -> tuple:
     """Heights of the strongest bound of each variable on its min side."""
-    heights = []
-    for var, coeff in c.monomials:
-        h = trail.pl[var] if coeff > 0 else trail.pu[var]
-        assert h >= 0, "variable without a trail bound"
-        heights.append(h)
-    return tuple(heights)
+    pl, pu = trail.pl, trail.pu
+    return tuple(pl[var] if coeff > 0 else pu[var] for var, coeff in c.monomials)
 
 
 def find_conflict(c: Constraint, trail: Trail, cid: int = -1) -> Optional[Conflict]:
@@ -164,11 +166,11 @@ def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = Non
 class Propagator:
     """The row store and its three tiers; the single push/pop path.
 
-    The constructor pushes the initial box as level-0 seeds and files the
-    problem's rows, the only place that sorts rows into tiers.  Later
-    rows enter through add_row, in the general tier, and leave through
-    kill_rows.  Every trail change goes through push_bound / pop_to, so
-    filters, cursors and saved phases stay consistent.
+    The constructor files the problem's rows, the only place that sorts
+    rows into tiers.  Later rows enter through add_row, in the general
+    tier, and leave through kill_rows.  Every trail change goes through
+    push_bound / pop_to, so filters, cursors and saved phases stay
+    consistent.
     """
 
     def __init__(self, problem, trail: Trail, stats, trace=None):
@@ -185,7 +187,6 @@ class Propagator:
         # bound of a var, at occs[2*var + 1], or falls with its upper, at occs[2*var]
         self.occs = [[] for _ in range(2 * n)]
         self.filters = []
-        self.in_queue = []
         # saves holds (cid, old filter, or None: recompute, the row's previous
         # stamp), and level k's begin at save_marks[k - 1], so the level is
         # len(save_marks); stamp[cid] is the highest level whose saves hold the
@@ -199,13 +200,8 @@ class Propagator:
         self.clause_cursor = 0
         self.last_value = [None] * n  # phase saving: last defined value
         self.post_push = None  # optional hook, called after every push
-        # 22 attributes, of at most 29 (a test counts them): with more, CPython
+        # 21 attributes, of at most 29 (a test counts them): with more, CPython
         # 3.11 leaves its shared-key layout and every attribute access slows down
-        box = ReasonInfo.propagated((), None)  # seeds hold unconditionally
-        for var in range(n):
-            low, high = problem.initial_lb[var], problem.initial_ub[var]
-            trail.push(Bound(var, True, low), box, seed=True)
-            trail.push(Bound(var, False, high), box, seed=True)
         for c in problem.constraints:  # in input order, so cids follow it
             lits = self._as_clause(c)
             if lits is None:
@@ -249,9 +245,8 @@ class Propagator:
         self.constraints.append(c)
         self.lits.append(lits)
         self.alive.append(True)
-        self.reasons.append(ReasonInfo(None, cid, False, c))  # reason set derived on demand
+        self.reasons.append(ReasonInfo(None, cid, c))  # reason set derived on demand
         self.filters.append(0)
-        self.in_queue.append(False)
         self.stamp.append(len(self.save_marks))  # add_row saves a row filed above level 0
         return cid
 
@@ -265,7 +260,6 @@ class Propagator:
         if self.save_marks:  # registered above level 0: recompute on unwind
             self.saves.append((cid, None, 0))
         if self.filters[cid] > 0:
-            self.in_queue[cid] = True
             self.queue.append(cid)
         return cid
 
@@ -293,9 +287,9 @@ class Propagator:
             delta = trail.ub[var] - b.value
             occs = self.occs[2 * var]
         height = trail.push(b, info)
-        if info.is_decision:
+        if info is DECISION:
             self.save_marks.append(len(self.saves))
-        filters, in_queue, stamp = self.filters, self.in_queue, self.stamp
+        filters, stamp = self.filters, self.stamp
         level = len(self.save_marks)
         for cid, weight in occs:
             old = filters[cid]
@@ -304,14 +298,13 @@ class Propagator:
                 stamp[cid] = level
             new = old + weight * delta
             filters[cid] = new
-            if new > 0 and not in_queue[cid]:
-                in_queue[cid] = True
+            if new > 0 >= old:  # queued iff positive
                 self.queue.append(cid)
         if trail.lb[var] == trail.ub[var]:
             self.last_value[var] = trail.lb[var]
         if tier is not None:
             self.stats.propagations[tier] += 1
-        if self.trace is not None and not info.is_decision:
+        if self.trace is not None and info is not DECISION:
             cid = info.reason_constraint
             print(f"propagate {b.format(self.problem.var_names)} "
                   f"reason={cid if cid is not None else 'none'} "
@@ -339,7 +332,7 @@ class Propagator:
         self.clause_cursor = min(self.clause_cursor, height)
         undone = self.saves[self.save_marks[level]:]
         del self.saves[self.save_marks[level]:], self.save_marks[level:]
-        filters, queue, in_queue, stamp = self.filters, self.queue, self.in_queue, self.stamp
+        filters, stamp = self.filters, self.stamp
         recomputed = []
         for cid, old, prev in reversed(undone):  # the oldest value is written last
             stamp[cid] = prev
@@ -354,14 +347,9 @@ class Propagator:
             filters[cid] = old
         # a restored save is <= 0, as the level started at a fixpoint: only
         # recomputed rows join the queue, in the order they were saved
-        rows = [*queue, *reversed(recomputed)]
-        queue.clear()
-        for cid in rows:
-            in_queue[cid] = False
-        for cid in rows:
-            if filters[cid] > 0 and not in_queue[cid]:
-                in_queue[cid] = True
-                queue.append(cid)
+        rows = dict.fromkeys([*self.queue, *reversed(recomputed)])
+        self.queue.clear()
+        self.queue.extend(cid for cid in rows if filters[cid] > 0)
 
     # -- clause / binary tiers -------------------------------------------------
     # A literal code is true, false or open by the bounds of its binary
@@ -483,7 +471,6 @@ class Propagator:
                 continue
             if queue:
                 cid = queue.popleft()
-                self.in_queue[cid] = False
                 if not alive[cid] or filters[cid] <= 0:
                     continue
                 conflict = self._visit_general(cid)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .model import Bound, Problem, Solution, normalize
 from .propagation import BINARY, CLAUSE, GENERAL, OutOfTime, Propagator
-from .trail import ReasonInfo, Trail
+from .trail import DECISION, ReasonInfo, Trail
 from . import analysis
 
 
@@ -360,7 +360,7 @@ class Solver:
                 if b is None:
                     return "sat"
                 self.stats.decisions += 1
-                self.propagator.push_bound(b, ReasonInfo.decision())
+                self.propagator.push_bound(b, DECISION)
                 continue
             self.stats.conflicts += 1
             if not conflict.cs:

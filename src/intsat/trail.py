@@ -1,6 +1,7 @@
 """The assignment stack: bounds with reason metadata, plus flat value
 lists `lb[]` / `ub[]` so that reading a current bound is one list index.
-`pop` restores them from the entry's `pos` link or the initial bounds.
+The trail is born holding the initial box as level-0 seeds, so `pop`
+restores a bound from the entry's `pos` link alone.
 
 Reason sets are trail heights, stable while the bound is on the stack;
 a reason bound is always popped after every bound it justified.  A bound
@@ -17,47 +18,47 @@ from .model import Bound, Constraint
 
 
 class ReasonInfo(NamedTuple):
-    reason_set: Optional[tuple]  # trail heights, () for decisions; None: derive from reason_row
+    reason_set: Optional[tuple]  # trail heights, () for seeds and decisions; None: from reason_row
     reason_constraint: Optional[int]  # the row's cid in the Propagator, or None
-    is_decision: bool
     reason_row: Optional[Constraint] = None  # the row that propagated the bound
 
     @staticmethod
-    def decision() -> "ReasonInfo":
-        return ReasonInfo((), None, True)
-
-    @staticmethod
     def propagated(heights, cid) -> "ReasonInfo":
-        return ReasonInfo(tuple(heights), cid, False)
+        return ReasonInfo(tuple(heights), cid)
 
 
-DECISION = ReasonInfo.decision()
+# A bound is a decision iff its reason is this object: a seed's reason,
+# or any other empty one, compares equal to it but is not it.
+DECISION = ReasonInfo((), None)
 
 
 class TrailEntry(NamedTuple):
     bound: Bound
-    pos: int  # height of the previous bound of the same kind for this var, -1 if none
+    pos: int  # height of the previous bound of the same kind for this var, -1 for a seed
     info: ReasonInfo
 
 
 class Trail:
     """Stack of bound entries over a fixed set of variables.
 
-    `lb[v]` / `ub[v]` hold the current bounds of `v`, and `pl[v]` /
-    `pu[v]` the height of the entry that set them, or -1 before any has
-    been pushed.  The `pos` field of each entry chains to the previous
-    entry of the same (variable, kind), so popping restores both in O(1).
+    It starts with 2n level-0 seeds, the initial lower then upper bound of
+    each variable in turn, which are never popped.  `lb[v]` / `ub[v]` hold
+    the current bounds of `v`, and `pl[v]` / `pu[v]` the height of the
+    entry that set them.  The `pos` field of each entry chains to the
+    previous entry of the same (variable, kind), so popping restores both
+    in O(1).
     """
 
     def __init__(self, num_vars, initial_lb, initial_ub):
         self.num_vars = num_vars
-        self.initial_lb = list(initial_lb)
-        self.initial_ub = list(initial_ub)
         self.lb = list(initial_lb)
         self.ub = list(initial_ub)
-        self.entries = []
-        self.pl = [-1] * num_vars
-        self.pu = [-1] * num_vars
+        seed = ReasonInfo((), None)  # the box holds unconditionally
+        self.entries = [TrailEntry(Bound(var, is_lower, value), -1, seed)
+                        for var in range(num_vars)
+                        for is_lower, value in ((True, self.lb[var]), (False, self.ub[var]))]
+        self.pl = list(range(0, 2 * num_vars, 2))
+        self.pu = list(range(1, 2 * num_vars, 2))
         self.decision_heights = []  # heights of decision entries, increasing
 
     def __len__(self):
@@ -77,12 +78,8 @@ class Trail:
             return self.lb[var] < value <= self.ub[var]
         return self.lb[var] <= value < self.ub[var]
 
-    def push(self, b: Bound, info: ReasonInfo, seed: bool = False) -> int:
-        if seed:
-            # initial bounds enter the trail verbatim, before search starts
-            assert (self.pl[b.var] if b.is_lower else self.pu[b.var]) == -1
-        else:
-            assert self.is_fresh(b), f"pushing non-fresh bound {b}"
+    def push(self, b: Bound, info: ReasonInfo) -> int:
+        assert self.is_fresh(b), f"pushing non-fresh bound {b}"
         height = len(self.entries)
         assert info.reason_set is None or all(h < height for h in info.reason_set)
         var, is_lower, value = b
@@ -95,22 +92,22 @@ class Trail:
             self.pu[var] = height
             self.ub[var] = value
         self.entries.append(TrailEntry(b, pos, info))
-        if info.is_decision:
+        if info is DECISION:
             self.decision_heights.append(height)
         return height
 
     def pop(self) -> TrailEntry:
-        assert self.entries, "pop on empty trail"
         entry = self.entries.pop()
         var = entry.bound.var
         pos = entry.pos
+        assert pos >= 0, "popping a level-0 seed"
         if entry.bound.is_lower:
             self.pl[var] = pos
-            self.lb[var] = self.entries[pos].bound.value if pos >= 0 else self.initial_lb[var]
+            self.lb[var] = self.entries[pos].bound.value
         else:
             self.pu[var] = pos
-            self.ub[var] = self.entries[pos].bound.value if pos >= 0 else self.initial_ub[var]
-        if entry.info.is_decision:
+            self.ub[var] = self.entries[pos].bound.value
+        if entry.info is DECISION:
             self.decision_heights.pop()
         return entry
 
@@ -129,7 +126,8 @@ class Trail:
         return self.decision_heights[level - 1]
 
     def bounds_at_height(self, var: int, cutoff: int):
-        """Strongest (lb, ub) of var among entries below `cutoff`.
+        """Strongest (lb, ub) of var among entries below `cutoff`, which
+        lies above the seeds.
 
         Walks the pos chains, so the cost is the number of entries of
         this variable above the cutoff.  The early-backjump scan reads
@@ -138,12 +136,11 @@ class Trail:
         p = self.pl[var]
         while p >= cutoff:
             p = self.entries[p].pos
-        lb = self.entries[p].bound.value if p >= 0 else self.initial_lb[var]
+        lb = self.entries[p].bound.value
         p = self.pu[var]
         while p >= cutoff:
             p = self.entries[p].pos
-        ub = self.entries[p].bound.value if p >= 0 else self.initial_ub[var]
-        return lb, ub
+        return lb, self.entries[p].bound.value
 
     def height_of_strongest_below(self, var: int, lower: bool, cutoff: int) -> int:
         p = self.pl[var] if lower else self.pu[var]
@@ -177,7 +174,7 @@ class Trail:
             kind = "lb" if b.is_lower else "ub"
             name = names[b.var] if names else f"x{b.var}"
             level = self.decision_level_of(h)
-            if entry.info.is_decision:
+            if entry.info is DECISION:
                 reason = "decision"
             else:
                 hs = ",".join(str(x) for x in self.reason_heights(h))

@@ -20,9 +20,6 @@ def _random_state(rng, max_vars=4, width=6, lo=-5):
     lbs = [rng.randint(lo, lo + width) for _ in range(n)]
     ubs = [lb + rng.randint(0, width) for lb in lbs]
     t = Trail(n, lbs, ubs)
-    for var in range(n):
-        t.push(Bound(var, True, lbs[var]), ReasonInfo.propagated((), None), seed=True)
-        t.push(Bound(var, False, ubs[var]), ReasonInfo.propagated((), None), seed=True)
     for _ in range(rng.randint(0, 2 * n)):
         var = rng.randrange(n)
         lb, ub = t.lb[var], t.ub[var]
@@ -62,7 +59,7 @@ def _per_var_propagates(c, trail, var):
 def pushed_with_reasons(c, trail, cid=None):
     """Push the bounds c propagates as the propagator does, with the row
     as their reason, and read each reason back through the trail."""
-    info = ReasonInfo(None, cid, False, c)
+    info = ReasonInfo(None, cid, c)
     heights = [trail.push(b, info) for b in propagate_constraint(c, trail)]
     return [(trail.entries[h].bound, trail.reason_heights(h)) for h in heights]
 
@@ -181,9 +178,6 @@ def lemma6_disjoint_cut_case(rng):
     lbs = [0] * n
     ubs = [rng.randint(0, 3) for _ in range(n)]
     t = Trail(n, lbs, ubs)
-    for var in range(n):
-        t.push(Bound(var, True, lbs[var]), ReasonInfo.propagated((), None), seed=True)
-        t.push(Bound(var, False, ubs[var]), ReasonInfo.propagated((), None), seed=True)
     a = rng.randint(1, 5)
     b = rng.randint(1, 5)
     t1 = [(0, a)] + [(1 + i, rng.choice([-5, -2, -1, 1, 2, 5])) for i in range(ny)]

@@ -7,7 +7,7 @@ import random
 import time
 
 from intsat.analysis import analyze_hybrid, analyze_resolution, clause_to_constraint
-from intsat.model import Bound, Objective, Problem, cut, normalize
+from intsat.model import Objective, Problem, cut, normalize
 from intsat.oracle import oracle_solve
 from intsat.search import (CUT, INFEASIBLE, OPTIMAL, RESOLUTION, Solver,
                            SolverConfig)
@@ -48,11 +48,8 @@ def test_criterion_1_worked_examples():
 
     # (b) bound propagation with rounding: 1<=x, y<=2, x-2y+5z <= 5 give z<=1
     from intsat.propagation import propagate_constraint
-    from intsat.trail import ReasonInfo, Trail
+    from intsat.trail import Trail
     t = Trail(3, [1, -9, -9], [9, 2, 9])
-    for v in range(3):
-        t.push(Bound(v, True, t.initial_lb[v]), ReasonInfo.propagated((), None), seed=True)
-        t.push(Bound(v, False, t.initial_ub[v]), ReasonInfo.propagated((), None), seed=True)
     bounds = propagate_constraint(C([(0, 1), (1, -2), (2, 5)], 5), t)
     ok_b = up(2, 1) in bounds
 
@@ -185,7 +182,7 @@ def test_criterion_4_validity_suite():
                 # the new trail is a strict prefix ending below a decision,
                 # plus one bound that is fresh in that prefix
                 if not (0 <= result.pop_to < len(pre_entries)
-                        and pre_entries[result.pop_to].info.is_decision):
+                        and pre_entries[result.pop_to].info is DECISION):
                     violations += 1
                 lbs = list(p.initial_lb)
                 ubs = list(p.initial_ub)

@@ -72,7 +72,7 @@ class TestResolutionAnalysis:
         # x <= 1 sits at level 0, so only the negated decision is learned
         assert res.learned == (C([(0, 1)], 0),)  # x <= 0
         assert len(s.trail) - res.pop_to == 3  # pops z<=0, y<=0, 1<=x
-        assert s.trail.entries[res.pop_to].info.is_decision
+        assert s.trail.entries[res.pop_to].info is DECISION
 
     def test_rounding_example(self):
         s = rounding_solver(mode="resolution")
@@ -239,9 +239,6 @@ class TestScanAgainstReference:
             lbs = [rng.randint(-6, 2) for _ in range(n)]
             ubs = [lb + rng.randint(0, 8) for lb in lbs]
             t = Trail(n, lbs, ubs)
-            for var in range(n):
-                t.push(lo(var, lbs[var]), ReasonInfo.propagated((), None), seed=True)
-                t.push(up(var, ubs[var]), ReasonInfo.propagated((), None), seed=True)
             for _ in range(rng.randint(1, 10)):
                 var = rng.randrange(n)
                 lb, ub = t.lb[var], t.ub[var]
@@ -269,9 +266,6 @@ class TestScanAgainstReference:
             lbs = [rng.randint(-30, 0) for _ in range(n)]
             ubs = [lb + rng.randint(10, 40) for lb in lbs]
             t = Trail(n, lbs, ubs)
-            for var in range(n):
-                t.push(lo(var, lbs[var]), ReasonInfo.propagated((), None), seed=True)
-                t.push(up(var, ubs[var]), ReasonInfo.propagated((), None), seed=True)
             support = rng.sample(range(n), rng.randint(1, n))
             outside = [v for v in range(n) if v not in support] or support
             hot = rng.choice(support)
@@ -398,9 +392,6 @@ def random_reason_trail(rng):
     ubs = [rng.choice([1, 4, 8]) for _ in range(n)]
     problem = Problem(n, [0] * n, ubs)
     t = Trail(n, [0] * n, ubs)
-    for var in range(n):
-        t.push(lo(var, 0), ReasonInfo.propagated((), None), seed=True)
-        t.push(up(var, ubs[var]), ReasonInfo.propagated((), None), seed=True)
     for _ in range(rng.randint(10, 40)):
         var = rng.randrange(n)
         lb, ub = t.lb[var], t.ub[var]
@@ -590,7 +581,7 @@ class TestRefutationRecording:
         assert (out.status, out.objective_value) == ("optimal", -1)
         assert probe.analyses == []
         [(pre_entries, strengthening)] = probe.refutations
-        assert pre_entries[-1].info.is_decision
+        assert pre_entries[-1].info is DECISION
         assert strengthening == normalize([(0, -1)], -2)
         feasible = feasible_points(p)
         assert feasible == [(0,), (1,)]  # S0 alone is feasible

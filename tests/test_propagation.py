@@ -18,9 +18,6 @@ from test_search_snapshot import integer_rows_problem
 
 def state(lbs, ubs, *bounds):
     t = Trail(len(lbs), list(lbs), list(ubs))
-    for var in range(len(lbs)):
-        t.push(lo(var, lbs[var]), ReasonInfo.propagated((), None), seed=True)
-        t.push(up(var, ubs[var]), ReasonInfo.propagated((), None), seed=True)
     for b in bounds:
         t.push(b, DECISION)
     return t
@@ -323,9 +320,10 @@ class TestFilters:
         assert len(t) == start and pr.filters[cid] == before
 
     def test_invariants_hold_after_every_push_visit_and_backjump(self):
-        # filters[cid] >= exact_filter and every positive row queued; the
-        # row a visit reads is off the queue until the visit ends, and a
-        # row that a visit found false stays off it until the backjump.
+        # filters[cid] >= exact_filter, every positive row queued and none
+        # queued twice; the row a visit reads is off the queue until the
+        # visit ends, and a row that a visit found false stays off it until
+        # the backjump.
         # A row's stamp is the highest level, up to the current one, whose
         # segment of saves holds it (0 if none), no segment holds a row
         # twice, and a visit above level 0 reads only a row stamped in the
@@ -360,11 +358,12 @@ class TestFilters:
 
         def check():
             queued = set(pr.queue)
+            assert len(queued) == len(pr.queue)  # no row is queued twice
             for cid, c in enumerate(pr.constraints):
                 if pr.alive[cid] and pr.lits[cid] is None:  # a live general row
                     assert pr.filters[cid] >= exact_filter(c, t), cid
                     if pr.filters[cid] > 0 and cid not in off_queue:
-                        assert pr.in_queue[cid] and cid in queued, cid
+                        assert cid in queued, cid
             level = len(pr.save_marks)
             assert level == t.num_decisions
             ends = [0, *pr.save_marks, len(pr.saves)]

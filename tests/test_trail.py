@@ -8,28 +8,55 @@ from conftest import lo, up
 
 
 def fresh_trail(lbs=(0, 0, 0), ubs=(9, 9, 9)):
+    """A trail over the box, holding its 2n level-0 seeds (6 by default)."""
     return Trail(len(lbs), list(lbs), list(ubs))
 
 
+class TestSeeds:
+    def test_a_fresh_trail_holds_the_box_as_level_zero_seeds(self):
+        t = fresh_trail((0, -2, 3), (9, 4, 3))
+        assert [e.bound for e in t.entries] == [
+            lo(0, 0), up(0, 9), lo(1, -2), up(1, 4), lo(2, 3), up(2, 3)]
+        assert all(e.pos == -1 and e.info.reason_set == () and e.info is not DECISION
+                   for e in t.entries)
+        assert t.pl == [0, 2, 4] and t.pu == [1, 3, 5]
+        assert (t.lb, t.ub) == ([0, -2, 3], [9, 4, 3])
+        assert t.num_decisions == 0 and t.decision_level_of(5) == 0
+
+    def test_popping_a_seed_asserts(self):
+        t = fresh_trail()
+        t.push(lo(0, 3), DECISION)
+        t.pop()
+        with pytest.raises(AssertionError):
+            t.pop()
+
+    def test_an_empty_reason_that_is_not_decision_opens_no_level(self):
+        t = fresh_trail()
+        h = t.push(lo(0, 3), ReasonInfo((), None))
+        assert ReasonInfo((), None) == DECISION
+        assert t.num_decisions == 0 and t.decision_level_of(h) == 0
+        assert t.dump_lines()[h] == "6 lb x0 3 0 reason={} constraint=none"
+
+
 class TestPushPop:
-    def test_first_entry_has_pos_minus_one(self):
+    def test_first_push_chains_to_the_seed(self):
         t = fresh_trail()
         h = t.push(up(0, 1), ReasonInfo.propagated((), 4))
-        assert h == 0 and t.entries[0].pos == -1
+        assert h == 6 and t.entries[h].pos == 1
 
     def test_pos_chains_to_previous_same_kind(self):
         t = fresh_trail()
         t.push(up(0, 5), ReasonInfo.propagated((), None))
         t.push(lo(1, 3), ReasonInfo.propagated((), None))
-        h = t.push(up(0, 2), ReasonInfo.propagated((0,), None))
-        assert t.entries[h].pos == 0
+        h = t.push(up(0, 2), ReasonInfo.propagated((6,), None))
+        assert t.entries[h].pos == 6
 
     def test_decision_heights_grow(self):
         t = fresh_trail()
         t.push(lo(0, 1), DECISION)
-        assert t.decision_heights == [0]
+        assert t.decision_heights == [6]
         t.push(lo(1, 1), DECISION)
-        assert t.decision_heights == [0, 1]
+        assert t.decision_heights == [6, 7]
 
     def test_push_pop_roundtrip(self):
         t = fresh_trail()
@@ -54,16 +81,8 @@ class TestPushPop:
         with pytest.raises(AssertionError):
             t.push(up(0, 2), DECISION)  # contradictory
 
-    def test_pop_empty_asserts(self):
-        with pytest.raises(AssertionError):
-            fresh_trail().pop()
-
 
 class TestCurrentBounds:
-    def test_falls_back_to_initial(self):
-        t = fresh_trail()
-        assert (t.lb[0], t.ub[0]) == (0, 9)
-
     def test_after_push(self):
         t = fresh_trail()
         t.push(lo(0, 3), DECISION)
@@ -93,23 +112,26 @@ class TestIsFresh:
 class TestLevels:
     def test_level_zero_before_any_decision(self):
         t = fresh_trail()
-        t.push(lo(0, 1), ReasonInfo.propagated((), None))
-        assert t.decision_level_of(0) == 0
+        h = t.push(lo(0, 1), ReasonInfo.propagated((), None))
+        assert t.decision_level_of(0) == t.decision_level_of(h) == 0
 
     def test_first_decision_starts_level_one(self):
         t = fresh_trail()
         t.push(lo(0, 1), ReasonInfo.propagated((), None))
         t.push(lo(1, 1), DECISION)
-        t.push(up(2, 0), ReasonInfo.propagated((1,), None))
-        assert t.decision_level_of(1) == 1
-        assert t.decision_level_of(2) == 1  # pushed after the decision
+        t.push(up(2, 0), ReasonInfo.propagated((7,), None))
+        assert t.decision_level_of(6) == 0
+        assert t.decision_level_of(7) == 1
+        assert t.decision_level_of(8) == 1  # pushed after the decision
         assert t.level_start(0) == 0
-        assert t.level_start(1) == 1
+        assert t.level_start(1) == 7
 
     def test_out_of_range(self):
         t = fresh_trail()
         with pytest.raises(IndexError):
-            t.decision_level_of(0)
+            t.decision_level_of(6)
+        with pytest.raises(IndexError):
+            t.decision_level_of(-1)
         with pytest.raises(IndexError):
             t.level_start(1)
 
@@ -152,7 +174,7 @@ class TestBoundsVectorInvariant:
             n = 3
             t = Trail(n, [-4] * n, [4] * n)
             for _ in range(80):
-                if len(t) and rng.random() < 0.4:
+                if len(t) > 2 * n and rng.random() < 0.4:
                     t.pop()
                 else:
                     var = rng.randrange(n)
@@ -175,7 +197,7 @@ class TestBoundsVectorInvariant:
         while p != -1:
             chain.append(p)
             p = t.entries[p].pos
-        assert chain == list(reversed(heights))
+        assert chain == [*reversed(heights), 0]  # ending at the seed
 
 
 class TestTerminationMeasure:
@@ -219,8 +241,9 @@ class TestDump:
         t = fresh_trail()
         t.push(up(0, 1), ReasonInfo.propagated((), 4))
         t.push(lo(1, 1), DECISION)
-        t.push(up(2, 0), ReasonInfo.propagated((1,), 2))
+        t.push(up(2, 0), ReasonInfo.propagated((7,), 2))
         lines = t.dump_lines(["x", "y", "z"])
-        assert lines[0] == "0 ub x 1 0 reason={} constraint=4"
-        assert lines[1] == "1 lb y 1 1 decision constraint=none"
-        assert lines[2] == "2 ub z 0 1 reason={1} constraint=2"
+        assert lines[0] == "0 lb x 0 0 reason={} constraint=none"  # a seed
+        assert lines[6] == "6 ub x 1 0 reason={} constraint=4"
+        assert lines[7] == "7 lb y 1 1 decision constraint=none"
+        assert lines[8] == "8 ub z 0 1 reason={7} constraint=2"
