@@ -126,8 +126,8 @@ class Trail:
         return self.decision_heights[level - 1]
 
     def bounds_at_height(self, var: int, cutoff: int):
-        """Strongest (lb, ub) of var among entries below `cutoff`, which
-        lies above the seeds.
+        """Strongest (lb, ub) of var among entries below `cutoff`, a height
+        at or above the end of the seeds.
 
         Walks the pos chains, so the cost is the number of entries of
         this variable above the cutoff.  The early-backjump scan reads
