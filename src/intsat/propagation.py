@@ -449,7 +449,7 @@ class Propagator:
         read by a tier or not.
         """
         entries = self.trail.entries
-        queue, alive, filters = self.queue, self.alive, self.filters
+        queue, alive = self.queue, self.alive
         literal = bool(self.lit_bounds)  # a clause or binary row is filed
         next_check = self.binary_cursor + PUSHES_PER_DEADLINE_CHECK
         while True:
@@ -471,7 +471,7 @@ class Propagator:
                 continue
             if queue:
                 cid = queue.popleft()
-                if not alive[cid] or filters[cid] <= 0:
+                if not alive[cid]:
                     continue
                 conflict = self._visit_general(cid)
                 if conflict is not None:

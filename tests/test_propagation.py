@@ -320,10 +320,10 @@ class TestFilters:
         assert len(t) == start and pr.filters[cid] == before
 
     def test_invariants_hold_after_every_push_visit_and_backjump(self):
-        # filters[cid] >= exact_filter, every positive row queued and none
-        # queued twice; the row a visit reads is off the queue until the
-        # visit ends, and a row that a visit found false stays off it until
-        # the backjump.
+        # filters[cid] >= exact_filter, and a live row is queued iff its
+        # filter is positive, never twice; the row a visit reads is off the
+        # queue until the visit ends, and a row that a visit found false
+        # stays off it until the backjump.
         # A row's stamp is the highest level, up to the current one, whose
         # segment of saves holds it (0 if none), no segment holds a row
         # twice, and a visit above level 0 reads only a row stamped in the
@@ -359,6 +359,7 @@ class TestFilters:
         def check():
             queued = set(pr.queue)
             assert len(queued) == len(pr.queue)  # no row is queued twice
+            assert all(pr.filters[cid] > 0 for cid in queued if pr.alive[cid])
             for cid, c in enumerate(pr.constraints):
                 if pr.alive[cid] and pr.lits[cid] is None:  # a live general row
                     assert pr.filters[cid] >= exact_filter(c, t), cid
