@@ -95,6 +95,36 @@ def test_search_matches_the_snapshot_without_asserts():
     assert_matches_the_snapshot(got)
 
 
+def test_regeneration_reports_what_moved():
+    rec = dict(status="optimal", objective=3, conflicts=9)
+    want = {"a/cut": rec, "b/cut": rec, "a/resolution": rec}
+    got = {"a/cut": dict(rec, conflicts=8), "b/cut": dict(rec, objective=2),
+           "a/resolution": rec}
+    assert report_changes(want, got) == [
+        "cut: 2 of 2 records changed",
+        "  b/cut: status, objective ('optimal', 3) -> ('optimal', 2)",
+        "resolution: 0 of 1 records changed"]
+
+
+def report_changes(want, got):
+    """Lines saying, per mode, how many records changed, and naming every
+    record whose status or objective changed."""
+    lines = []
+    for mode in ("cut", "resolution"):
+        keys = [key for key in got if key.endswith(f"/{mode}")]
+        changed = [key for key in keys if want.get(key) != got[key]]
+        lines.append(f"{mode}: {len(changed)} of {len(keys)} records changed")
+        for key in changed:
+            old = want.get(key, {})
+            old = (old.get("status"), old.get("objective"))
+            new = (got[key]["status"], got[key]["objective"])
+            if old != new:
+                lines.append(f"  {key}: status, objective {old} -> {new}")
+    return lines
+
+
 if __name__ == "__main__":
-    SNAPSHOT.write_text(json.dumps(records(), indent=1, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    want = json.loads(SNAPSHOT.read_text(encoding="utf-8")) if SNAPSHOT.exists() else {}
+    got = records()
+    print("\n".join(report_changes(want, got)))
+    SNAPSHOT.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
