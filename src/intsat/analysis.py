@@ -7,10 +7,17 @@ level.  It is one walk down the trail with a counter of the set's
 heights at that level, as in MiniSat (Een & Sorensson, SAT 2003).  The
 resolution engine then learns the negated set as a constraint when its
 shape allows; the hybrid (cut) engine additionally carries a conflicting
-constraint, updated by eliminating cuts against reason constraints,
-which is always learned.  After the first rewrite step and after each
-new cut, the walk stops early if that constraint propagates over the
-level-0 bounds: it backjumps to level 0 and pushes the root fact.
+constraint, updated by eliminating cuts against reason constraints.
+After the first rewrite step and after each new cut, the walk stops
+early if that constraint propagates over the level-0 bounds: it
+backjumps to level 0 and pushes the root fact.
+
+A row is filed once.  The analysis learns only rows it derived: the
+resolution engine's clause, or the cut engine's constraint once a cut
+replaced the conflicting row; a conflicting row no cut replaced is
+already filed, and ``attach_cid`` names it.  The pushed bound's reason
+row is the learned row, or else the row ``attach_cid`` names, as in
+MiniSat the learned clause is the reason of the literal it asserts.
 ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry points,
 for the search and for hooks that wrap them by name.
 """
@@ -34,8 +41,9 @@ class AnalysisResult(NamedTuple):
     pop_to: int  # new trail length after backjumping
     bound: Bound  # pushed with the reason info below
     reason_set: tuple  # heights, all < pop_to
-    attach_cc: Optional[Constraint]  # reason constraint for the pushed bound
-    learned: tuple  # rows to file with Solver._learn
+    attach_cid: Optional[int]  # a filed row: the pushed bound's reason if nothing is learned
+    learned: tuple  # the row the analysis derived, if any: Solver._learn files
+    # it, and it is the pushed bound's reason row
     early: bool
     bumped_vars: frozenset
     touched_cids: tuple  # conflicting/reason constraints seen (activity counters)
@@ -60,7 +68,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
     """``constraints`` is the Propagator's row list, read by cid."""
     cs = set(conflict.cs)
     cc = constraints[conflict.cid] if cut_mode else None
-    cc_label = str(conflict.cid)
+    cc_cid = conflict.cid if cut_mode else None  # None once a cut replaced cc
     bumped = {trail.entries[h].bound.var for h in cs}
     touched = [conflict.cid]
     pending_scan = cut_mode  # scan once per distinct conflicting constraint
@@ -110,11 +118,11 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
                     raise AnalysisInfeasible
                 if not new_cc.is_tautology():
                     if trace is not None:
-                        print(f"cut {cc_label}×{rc_cid} on "
+                        print(f"cut {'cc' if cc_cid is None else cc_cid}×{rc_cid} on "
                               f"{problem.name_of(entry.bound.var)} → "
                               f"{new_cc.format(problem.var_names)}", file=trace)
                     cc = new_cc
-                    cc_label = "cc"
+                    cc_cid = None
                     pending_scan = True
         if pending_scan and cc.monomials:
             pending_scan = False
@@ -131,7 +139,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         pop_to = trail.decision_heights[bisect_right(trail.decision_heights, rest_top)]
         bound = trail.entries[h].bound.negated()
     if cut_mode:
-        learned = (cc,)
+        learned = (cc,) if cc_cid is None else ()
     else:
         # level-0 bounds hold in every later state, so their negations
         # can be left out of the learned clause
@@ -143,7 +151,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         pop_to=pop_to,
         bound=bound,
         reason_set=reason_set,
-        attach_cc=cc,
+        attach_cid=cc_cid,
         learned=learned,
         early=hit is not None,
         bumped_vars=frozenset(bumped),

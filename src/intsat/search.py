@@ -289,12 +289,12 @@ class Solver:
                        trace=self.trace, probe=probe)
 
     def _apply_analysis(self, result) -> None:
+        """Backjump, file the rows the analysis derived, and push its bound
+        with its reason row: the row it learned, or the filed row it names."""
         self.propagator.pop_to(result.pop_to)
-        rc_cid = None
+        rc_cid = result.attach_cid
         for c in result.learned:
-            cid = self._learn(c)
-            if result.attach_cc is c:
-                rc_cid = cid
+            rc_cid = self._learn(c)
         self.propagator.push_bound(
             result.bound, ReasonInfo.propagated(result.reason_set, rc_cid))
         if result.early:

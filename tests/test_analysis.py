@@ -80,7 +80,7 @@ class TestResolutionAnalysis:
         res = analyze_resolution(conflict, s.trail, s.propagator.constraints, s.problem)
         assert res.bound == up(1, 0)
         assert [s.trail.entries[h].bound for h in res.reason_set] == [lo(0, 0)]
-        assert res.learned == () and res.attach_cc is None
+        assert res.learned == () and res.attach_cid is None
 
     def test_single_decision_pops_to_level_zero(self):
         # deciding 1 <= x0 propagates x1 <= 0, which falsifies x0 <= x1;
@@ -119,8 +119,8 @@ class TestHybridAnalysis:
         res = analyze_hybrid(conflict, s.trail, s.propagator.constraints, s.problem)
         assert res.bound == up(1, 0)
         assert [s.trail.entries[h].bound for h in res.reason_set] == [lo(0, 0)]
-        assert res.learned == (C([(0, 1), (1, 1)], 1),)
-        assert res.attach_cc == C([(0, 1), (1, 1)], 1)
+        assert res.learned == (C([(0, 1), (1, 1)], 1),)  # a cut: its reason row
+        assert res.attach_cid is None
         assert not res.early  # nothing fresh propagates at lower levels here
 
     def test_core_example_early_backjump(self):
@@ -305,7 +305,9 @@ class EarlyBackjumpSolver(Solver):
         result = super()._analyze(conflict)
         if result.early:
             assert result.pop_to == self.trail.level_start(1)
-            assert (reference_level(result.attach_cc, self.trail, 0)
+            reason = (result.learned[0] if result.learned
+                      else self.propagator.constraints[result.attach_cid])
+            assert (reference_level(reason, self.trail, 0)
                     == (result.pop_to, result.bound, result.reason_set))
             self.early_seen += 1
         return result
@@ -320,6 +322,44 @@ def test_every_early_backjump_in_cut_mode_solves_pushes_a_root_fact():
         s.solve()
         seen += s.early_seen
     assert seen >= 250, seen
+
+
+class FilingSolver(Solver):
+    """Counts the rows it learns that the store already holds, and checks
+    that each bound an analysis pushes names the row it learned, or else
+    the filed row the analysis named."""
+
+    learned_rows = refiled = named = 0
+
+    def _learn(self, c):
+        self.learned_rows += 1
+        self.refiled += any(c is row for row in self.propagator.constraints)
+        return super()._learn(c)
+
+    def _apply_analysis(self, result):
+        filed = len(self.propagator.constraints)
+        super()._apply_analysis(result)
+        reason = self.trail.entries[-1].info.reason_constraint
+        assert reason == (filed if result.learned else result.attach_cid)
+        self.named += not result.learned and reason is not None
+        if self.config.mode == "cut":
+            assert reason is not None
+
+
+@pytest.mark.parametrize("mode, min_learned, min_named", [("cut", 1000, 100),
+                                                          ("resolution", 700, 0)])
+def test_analysis_files_only_rows_it_derived(mode, min_learned, min_named):
+    # the snapshot corpus under its conflict caps: a conflicting row that no
+    # cut replaced, such as the strengthening row, is not filed a second time
+    # but named as the reason row
+    learned = named = 0
+    for _, p, cap in corpus():
+        s = FilingSolver(p, SolverConfig(mode=mode, max_conflicts=cap))
+        s.solve()
+        assert s.refiled == 0, s.refiled
+        learned += s.learned_rows
+        named += s.named
+    assert learned >= min_learned and named >= min_named, (learned, named)
 
 
 class AnalysisCountingSolver(Solver):

@@ -292,8 +292,8 @@ class TestCleanup:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rebuild_rewatches_literals_false_at_level_zero(self, seed):
-        # with cleanup after every second learned row, rebuilt clause
-        # watches land on literals already false at level 0
+        # with cleanup after every learned row, rebuilt clause watches
+        # land on literals already false at level 0
         rows = [normalize([(0, -1), (3, -1), (4, -1), (6, -1)], -1),
                 normalize([(0, 1), (1, 1), (3, 1), (5, 1)], 1),
                 normalize([(0, 1), (3, 1), (5, 1)], 1),
@@ -303,7 +303,7 @@ class TestCleanup:
         p = Problem(7, [0] * 7, [1] * 7, rows,
                     Objective({0: 5, 1: -2, 2: 5, 3: 1, 4: 1, 5: -3, 6: 1}))
         ref = oracle_solve(p)
-        s = Solver(p, SolverConfig(mode="cut", cleanup_learned_threshold=2,
+        s = Solver(p, SolverConfig(mode="cut", cleanup_learned_threshold=1,
                                    restart=("luby", 1), random_seed=seed))
         out = s.solve()
         assert (out.status, out.objective_value) == (OPTIMAL, ref.objective_value)
@@ -529,14 +529,16 @@ def test_config_space_matches_the_oracle():
 
 
 def test_aggressive_cleanup_terminates():
-    # cleanup after every two learned rows, each with a restart, used to
-    # delete the two rows just learned and meet the same conflicts forever
+    # a cleanup due after every learned row runs at each Luby restart, on
+    # the instances where cleanups once met the same conflicts forever:
+    # the restart schedule alone makes every run end, at the optimum
     problems = config_space_problems()
     for i in (300, 321, 326, 339):
         ref = oracle_solve(problems[i])
         for order in ((7, 5, 1), (10, 4)):
             s = Solver(problems[i], SolverConfig(mode="cut", strategy_order=order,
-                                                 max_conflicts=300, **AGGRESSIVE_CLEANUP))
+                                                 max_conflicts=300, restart=("luby", 1),
+                                                 cleanup_learned_threshold=1))
             out = s.solve()
             assert (out.status, out.objective_value) == (OPTIMAL, ref.objective_value), (
                 i, order)
