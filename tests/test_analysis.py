@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from intsat import analysis
 from intsat.analysis import (AnalysisInfeasible, analyze_hybrid,
                              analyze_resolution, clause_to_constraint,
                              early_backjump_scan)
 from intsat.model import Bound, Objective, Problem, normalize
+from intsat.oracle import oracle_solve
 from intsat.propagation import Conflict
 from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
@@ -155,6 +157,24 @@ class TestHybridAnalysis:
         assert not res.early
         assert res.bound == up(1, 0)
         assert res.pop_to == s.trail.decision_heights[0]
+
+
+    def test_contradicting_cut_refutes(self, monkeypatch):
+        # the analysis cuts the first row with the third on x2: 0 <= -2
+        p = Problem(3, [-3] * 3, [3] * 3,
+                    [normalize([(0, 3), (1, 1), (2, -2)], -1),
+                     normalize([(0, -3), (1, -1), (2, 3)], 1),
+                     normalize([(0, -3), (1, -1), (2, 2)], -1)])
+        cuts, cut = [], analysis.cut
+
+        def recorded(c1, c2, var):
+            cuts.append(cut(c1, c2, var))
+            return cuts[-1]
+
+        monkeypatch.setattr(analysis, "cut", recorded)
+        assert Solver(p, SolverConfig(mode="cut")).solve().status == "infeasible"
+        assert oracle_solve(p).status == "infeasible"
+        assert any(c is not None and c.is_contradiction() for c in cuts)
 
 
 class TestEarlyBackjumpScan:

@@ -7,8 +7,8 @@ from intsat.io import (ParseError, format_objective_value, parse,
                        write_problem, write_solution)
 from intsat.model import Problem, Objective, Solution, normalize
 from intsat.oracle import SearchSpaceTooLarge, oracle_solve
-from intsat.search import (FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT,
-                           SolveOutcome)
+from intsat.search import (BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT,
+                           SolveOutcome, Solver, SolverConfig)
 from conftest import C, box_points, random_problem
 
 
@@ -135,6 +135,13 @@ class TestParseErrors:
     def test_dangling_sign(self, row):
         assert "dangling sign" in self.err(f"var x int [0, 1]\nvar y int [0, 1]\n{row}\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("min:", "empty expression"), ("<= 3", "empty expression"),
+        ("var z int [0, 2000000000]", "bound magnitude exceeds the cap"),
+        ("x <= y", "right-hand side must be a number")])
+    def test_message_names_the_fault(self, line, message):
+        assert message in self.err(f"var x int [0, 1]\nvar y int [0, 1]\n{line}\n")
+
 
 class TestWriteSolution:
     def test_infeasible(self):
@@ -150,6 +157,12 @@ class TestWriteSolution:
         p = Problem(2, [0, 0], [1, 1], var_names=["a", "b"])
         text = write_solution(SolveOutcome(FEASIBLE, Solution([0, 1])), p)
         assert text == "FEASIBLE\na = 0\nb = 1\n"
+
+    def test_bounded_run_prints_its_incumbent_as_feasible(self):
+        p = parse("var x int [0, 9]\nvar y int [0, 9]\nmin: -x - y\nx + y <= 9\n")
+        out = Solver(p, SolverConfig(max_conflicts=0)).solve()
+        assert out.status == BOUNDED
+        assert write_solution(out, p).splitlines()[0] == "FEASIBLE -9"
 
     def test_unknown_without_solution(self):
         p = Problem(1, [0], [1])

@@ -99,6 +99,10 @@ class TestDecide:
         with pytest.raises(ValueError):
             SolverConfig(strategy_order=(12, 1)).validate()
 
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(mode="x").validate()
+
 
 class TestActivity:
     def test_increment_grows_geometrically(self):
