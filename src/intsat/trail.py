@@ -187,19 +187,19 @@ class Trail:
         return lines
 
 
-def termination_measure(trail: Trail, initial_lb, initial_ub) -> tuple:
+def termination_measure(trail: Trail) -> tuple:
     """Well-founded measure: aggregated domain sizes per decision-level prefix.
 
     Component i is the total domain size of the trail prefix strictly
     below the (i+1)-th decision (the whole trail when fewer decisions
     exist).  The tuple has one component per possible decision plus one,
     and decreases lexicographically at every fresh push and every
-    backjump.
+    backjump.  The initial box is read from the seeds.
     """
-    n = trail.num_vars
-    max_decisions = sum(u - l for l, u in zip(initial_lb, initial_ub))
-    lb = list(initial_lb)
-    ub = list(initial_ub)
+    seeds = trail.entries[:2 * trail.num_vars]
+    lb = [e.bound.value for e in seeds[0::2]]
+    ub = [e.bound.value for e in seeds[1::2]]
+    max_decisions = sum(u - l for l, u in zip(lb, ub))
     values = []
     next_cut = 0  # index into decision_heights
     total = sum(u - l + 1 for l, u in zip(lb, ub))

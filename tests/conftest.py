@@ -114,8 +114,7 @@ class MeasureProbe:
         self.checks = 0
 
     def _measure(self, solver):
-        return termination_measure(
-            solver.trail, solver.problem.initial_lb, solver.problem.initial_ub)
+        return termination_measure(solver.trail)
 
     def after_push(self, solver):
         m = self._measure(solver)

@@ -203,16 +203,16 @@ class TestBoundsVectorInvariant:
 class TestTerminationMeasure:
     def test_single_binary_variable(self):
         t = Trail(1, [0], [1])
-        assert termination_measure(t, [0], [1]) == (2, 2)
+        assert termination_measure(t) == (2, 2)
         t.push(lo(0, 1), ReasonInfo.propagated((), None))
-        assert termination_measure(t, [0], [1]) == (1, 1)
+        assert termination_measure(t) == (1, 1)
 
     def test_fresh_push_strictly_decreases(self):
         rng = random.Random(4)
         for _ in range(40):
             n = 3
             t = Trail(n, [-3] * n, [3] * n)
-            prev = termination_measure(t, [-3] * n, [3] * n)
+            prev = termination_measure(t)
             for _ in range(30):
                 var = rng.randrange(n)
                 lb, ub = t.lb[var], t.ub[var]
@@ -223,7 +223,7 @@ class TestTerminationMeasure:
                 else:
                     b = Bound(var, False, rng.randint(lb, ub - 1))
                 t.push(b, DECISION if rng.random() < 0.4 else ReasonInfo.propagated((), None))
-                cur = termination_measure(t, [-3] * n, [3] * n)
+                cur = termination_measure(t)
                 assert cur < prev
                 prev = cur
 
@@ -232,7 +232,7 @@ class TestTerminationMeasure:
         t.push(lo(0, 1), ReasonInfo.propagated((), None))  # level 0: domain size 3
         t.push(lo(0, 2), DECISION)  # level 1: size 2
         t.push(up(0, 2), ReasonInfo.propagated((), None))  # defined: size 1
-        m = termination_measure(t, [0], [3])
+        m = termination_measure(t)
         assert m[0] == 3 and m[1] == 1 and len(m) == 4
 
 
