@@ -182,9 +182,9 @@ def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[EarlyBackjump]
         raise AnalysisInfeasible
     if widest <= slack:
         return None
-    i, b = propagated_bounds(cc, bounds, slack)[0]
+    b = propagated_bounds(cc, bounds, slack)[0]
     reason = sorted(trail.height_of_strongest_below(var, coeff > 0, root)
-                    for j, (var, coeff) in enumerate(cc.monomials) if j != i)
+                    for var, coeff in cc.monomials if var != b.var)  # each var once
     return EarlyBackjump(b, tuple(reason))
 
 

@@ -133,9 +133,9 @@ def find_conflict(c: Constraint, trail: Trail, cid: int = -1) -> Optional[Confli
 
 
 def propagated_bounds(c: Constraint, bounds, slack: int) -> list:
-    """Every fresh bound the row propagates, as (monomial index, bound)
-    pairs in row order, given its slack >= 0 under ``bounds`` (anything
-    with per-variable ``lb``/``ub``, like the trail).
+    """Every fresh bound the row propagates, in row order, given its
+    slack >= 0 under ``bounds`` (anything with per-variable ``lb``/``ub``,
+    like the trail).
 
     For each variable, the bound obtained by moving every other variable
     to its minimum and rounding: ``x <= lb + floor(slack/a)`` for a > 0,
@@ -144,12 +144,12 @@ def propagated_bounds(c: Constraint, bounds, slack: int) -> list:
     """
     lb, ub = bounds.lb, bounds.ub
     out = []
-    for i, (var, coeff) in enumerate(c.monomials):
+    for var, coeff in c.monomials:
         if coeff > 0:
             if coeff * (ub[var] - lb[var]) > slack:
-                out.append((i, Bound(var, False, lb[var] + slack // coeff)))
+                out.append(Bound(var, False, lb[var] + slack // coeff))
         elif coeff * (lb[var] - ub[var]) > slack:
-            out.append((i, Bound(var, True, ub[var] - slack // -coeff)))
+            out.append(Bound(var, True, ub[var] - slack // -coeff))
     return out
 
 
@@ -160,7 +160,7 @@ def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = Non
     """
     if slack is None:
         slack = slack_and_widest(c, trail)[0]
-    return [b for _, b in propagated_bounds(c, trail, slack)]
+    return propagated_bounds(c, trail, slack)
 
 
 class Propagator:
