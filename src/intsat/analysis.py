@@ -7,17 +7,11 @@ level.  It is one walk down the trail with a counter of the set's
 heights at that level, as in MiniSat (Een & Sorensson, SAT 2003).  The
 resolution engine then learns the negated set as a constraint when its
 shape allows; the hybrid (cut) engine additionally carries a conflicting
-constraint, updated by eliminating cuts against reason constraints.
-After the first rewrite step and after each new cut, the walk stops
-early if that constraint propagates over the level-0 bounds: it
-backjumps to level 0 and pushes the root fact.
-
-A row is filed once.  The analysis learns only rows it derived: the
-resolution engine's clause, or the cut engine's constraint once a cut
-replaced the conflicting row; a conflicting row no cut replaced is
-already filed, and ``attach_cid`` names it.  The pushed bound's reason
-row is the learned row, or else the row ``attach_cid`` names, as in
-MiniSat the learned clause is the reason of the literal it asserts.
+constraint, updated by eliminating cuts against reason constraints, and
+learns it only once a cut derived it.  A learned row is the reason row of
+its bound, as in MiniSat.  After the first rewrite step and after each
+new cut, the walk stops early if that constraint propagates over the
+level-0 bounds: it backjumps to level 0 and pushes the root fact.
 ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry points,
 for the search and for hooks that wrap them by name.
 """
@@ -41,9 +35,8 @@ class AnalysisResult(NamedTuple):
     pop_to: int  # new trail length after backjumping
     bound: Bound  # pushed with the reason info below
     reason_set: tuple  # heights, all < pop_to
-    attach_cid: Optional[int]  # a filed row: the pushed bound's reason if nothing is learned
-    learned: tuple  # the row the analysis derived, if any: Solver._learn files
-    # it, and it is the pushed bound's reason row
+    attach_cid: Optional[int]  # a filed row: the bound's reason row if nothing is learned
+    learned: tuple  # the row derived, if any: Solver._learn files it as the reason row
     early: bool
     bumped_vars: frozenset
     touched_cids: tuple  # conflicting/reason constraints seen (activity counters)
@@ -110,20 +103,19 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
             h -= 1
         if not cut_mode:
             continue
-        if rc_cid is not None:
-            rc = constraints[rc_cid]
-            new_cc = cut(cc, rc, entry.bound.var)
-            if new_cc is not None:
-                if new_cc.is_contradiction():
-                    raise AnalysisInfeasible
-                if not new_cc.is_tautology():
-                    if trace is not None:
-                        print(f"cut {'cc' if cc_cid is None else cc_cid}×{rc_cid} on "
-                              f"{problem.name_of(entry.bound.var)} → "
-                              f"{new_cc.format(problem.var_names)}", file=trace)
-                    cc = new_cc
-                    cc_cid = None
-                    pending_scan = True
+        # in cut mode every bound above level 0 but a decision has a reason row
+        new_cc = cut(cc, constraints[rc_cid], entry.bound.var)
+        if new_cc is not None:
+            if new_cc.is_contradiction():
+                raise AnalysisInfeasible
+            if not new_cc.is_tautology():
+                if trace is not None:
+                    print(f"cut {'cc' if cc_cid is None else cc_cid}×{rc_cid} on "
+                          f"{problem.name_of(entry.bound.var)} → "
+                          f"{new_cc.format(problem.var_names)}", file=trace)
+                cc = new_cc
+                cc_cid = None
+                pending_scan = True
         if pending_scan and cc.monomials:
             pending_scan = False
             hit = early_backjump_scan(cc, trail)

@@ -289,8 +289,7 @@ class Solver:
                        trace=self.trace, probe=probe)
 
     def _apply_analysis(self, result) -> None:
-        """Backjump, file the rows the analysis derived, and push its bound
-        with its reason row: the row it learned, or the filed row it names."""
+        """Backjump, then push the bound with the row learned, or else named."""
         self.propagator.pop_to(result.pop_to)
         rc_cid = result.attach_cid
         for c in result.learned:
