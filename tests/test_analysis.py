@@ -158,7 +158,6 @@ class TestHybridAnalysis:
         assert res.bound == up(1, 0)
         assert res.pop_to == s.trail.decision_heights[0]
 
-
     def test_contradicting_cut_refutes(self, monkeypatch):
         # the analysis cuts the first row with the third on x2: 0 <= -2
         p = Problem(3, [-3] * 3, [3] * 3,

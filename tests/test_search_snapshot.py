@@ -6,7 +6,8 @@ that alters the search on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_search_snapshot.py
 
-and says so in its change notes.
+which prints, per mode, how many records changed and every record whose
+status or objective moved, and says so in its change notes.
 """
 
 import json
@@ -95,17 +96,6 @@ def test_search_matches_the_snapshot_without_asserts():
     assert_matches_the_snapshot(got)
 
 
-def test_regeneration_reports_what_moved():
-    rec = dict(status="optimal", objective=3, conflicts=9)
-    want = {"a/cut": rec, "b/cut": rec, "a/resolution": rec}
-    got = {"a/cut": dict(rec, conflicts=8), "b/cut": dict(rec, objective=2),
-           "a/resolution": rec}
-    assert report_changes(want, got) == [
-        "cut: 2 of 2 records changed",
-        "  b/cut: status, objective ('optimal', 3) -> ('optimal', 2)",
-        "resolution: 0 of 1 records changed"]
-
-
 def report_changes(want, got):
     """Lines saying, per mode, how many records changed, and naming every
     record whose status or objective changed."""
@@ -121,6 +111,17 @@ def report_changes(want, got):
             if old != new:
                 lines.append(f"  {key}: status, objective {old} -> {new}")
     return lines
+
+
+def test_regeneration_reports_what_moved():
+    rec = dict(status="optimal", objective=3, conflicts=9)
+    want = {"a/cut": rec, "b/cut": rec, "a/resolution": rec}
+    got = {"a/cut": dict(rec, conflicts=8), "b/cut": dict(rec, objective=2),
+           "a/resolution": rec}
+    assert report_changes(want, got) == [
+        "cut: 2 of 2 records changed",
+        "  b/cut: status, objective ('optimal', 3) -> ('optimal', 2)",
+        "resolution: 0 of 1 records changed"]
 
 
 if __name__ == "__main__":
