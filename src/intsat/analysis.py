@@ -10,8 +10,10 @@ shape allows; the hybrid (cut) engine additionally carries a conflicting
 constraint, updated by eliminating cuts against reason constraints, and
 learns it only once a cut derived it.  A learned row is the reason row of
 its bound, as in MiniSat.  After the first rewrite step and after each
-new cut, the walk stops early if that constraint propagates over the
-level-0 bounds: it backjumps to level 0 and pushes the root fact.
+new cut, ``early_backjump_scan`` checks whether that constraint propagates
+over the level-0 box ``trail.root``.  A hit whose bound removes at least
+half of its variable's level-0 values stops the walk early: it backjumps
+to level 0 and pushes the root fact; the walk goes on past a weaker one.
 ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry points,
 for the search and for hooks that wrap them by name.
 """
@@ -19,12 +21,13 @@ for the search and for hooks that wrap them by name.
 from __future__ import annotations
 
 from bisect import bisect_right
-from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .model import COEFF_CAP, Bound, Constraint, cut, normalize
 from .propagation import Conflict, propagated_bounds, slack_and_widest
 from .trail import DECISION, Trail
+
+STRONG_HIT_SHARE = 0.5  # of the level-0 values a kept root fact removes
 
 
 class AnalysisInfeasible(Exception):
@@ -40,6 +43,7 @@ class AnalysisResult(NamedTuple):
     early: bool
     bumped_vars: frozenset
     touched_cids: tuple  # conflicting/reason constraints seen (activity counters)
+    weak_hits: int  # level-0 hits dropped as too weak to pay for the backjump
 
 
 class EarlyBackjump(NamedTuple):
@@ -66,6 +70,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
     touched = [conflict.cid]
     pending_scan = cut_mode  # scan once per distinct conflicting constraint
     hit = None
+    weak_hits = 0
     if probe is not None:
         probe(frozenset(cs))
     # L, the level of max(cs), is fixed once; it may lie below the top
@@ -119,6 +124,12 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         if pending_scan and cc.monomials:
             pending_scan = False
             hit = early_backjump_scan(cc, trail)
+            if hit is not None:  # keep it only if it pays for popping every decision
+                var, is_lower, value = hit.bound
+                lb, ub = trail.root.lb[var], trail.root.ub[var]
+                if (value - lb if is_lower else ub - value) < STRONG_HIT_SHARE * (ub - lb + 1):
+                    hit = None
+                    weak_hits += 1
     if hit is not None:
         pop_to = trail.level_start(1)
         bound, reason_set = hit
@@ -148,6 +159,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         early=hit is not None,
         bumped_vars=frozenset(bumped),
         touched_cids=tuple(touched),
+        weak_hits=weak_hits,
     )
 
 
@@ -156,26 +168,21 @@ def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[EarlyBackjump]
 
     Only root facts are learned early, as MiniSat's top-level units: the
     hit's backjump pops every decision.  The level-0 bounds of cc's
-    variables come from ``bounds_at_height``; a negative slack there means
-    the problem is infeasible.  The hit's bound is the first one
-    ``propagated_bounds`` gives, its reasons come from
-    ``height_of_strongest_below``.
+    variables, and the heights that set them, are read from the box
+    ``trail.root``; a negative slack there means the problem is
+    infeasible.  The hit's bound is the first one ``propagated_bounds``
+    gives.  Every hit is returned: ``_analyze`` decides which to keep.
     """
-    decisions = trail.decision_heights
-    if not cc.monomials or not decisions:
+    if not cc.monomials or not trail.decision_heights:
         return None
-    root = decisions[0]
-    lb, ub = {}, {}
-    for var, _ in cc.monomials:
-        lb[var], ub[var] = trail.bounds_at_height(var, root)
-    bounds = SimpleNamespace(lb=lb, ub=ub)
-    slack, widest = slack_and_widest(cc, bounds)
+    root = trail.root
+    slack, widest = slack_and_widest(cc, root)
     if slack < 0:
         raise AnalysisInfeasible
     if widest <= slack:
         return None
-    b = propagated_bounds(cc, bounds, slack)[0]
-    reason = sorted(trail.height_of_strongest_below(var, coeff > 0, root)
+    b = propagated_bounds(cc, root, slack)[0]
+    reason = sorted((root.pl if coeff > 0 else root.pu)[var]
                     for var, coeff in cc.monomials if var != b.var)  # each var once
     return EarlyBackjump(b, tuple(reason))
 

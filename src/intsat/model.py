@@ -63,9 +63,6 @@ class Constraint:
     monomials: tuple
     rhs: int
 
-    def vars(self):
-        return [m.var for m in self.monomials]
-
     def coeff_of(self, var: int) -> int:
         for m in self.monomials:
             if m.var == var:

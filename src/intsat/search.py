@@ -115,6 +115,7 @@ class SolverStats:
     cleanups: int = 0
     learned: int = 0
     early_backjumps: int = 0
+    weak_hits: int = 0  # level-0 hits the analysis dropped as too weak
     propagations: dict = field(default_factory=lambda: {BINARY: 0, CLAUSE: 0, GENERAL: 0})
 
     def as_dict(self):
@@ -285,8 +286,10 @@ class Solver:
             probe = lambda cs: self.instr.on_cs(self, cs)
         analyze = (analysis.analyze_resolution if self.config.mode == RESOLUTION
                    else analysis.analyze_hybrid)
-        return analyze(conflict, self.trail, self.propagator.constraints, self.problem,
-                       trace=self.trace, probe=probe)
+        result = analyze(conflict, self.trail, self.propagator.constraints, self.problem,
+                         trace=self.trace, probe=probe)
+        self.stats.weak_hits += result.weak_hits
+        return result
 
     def _apply_analysis(self, result) -> None:
         """Backjump, then push the bound with the row learned, or else named."""

@@ -32,6 +32,10 @@ class ReasonInfo(NamedTuple):
 DECISION = ReasonInfo((), None)
 
 
+# Level-0 bounds of every variable and the heights of the entries that set them
+RootBox = NamedTuple("RootBox", [("lb", list), ("ub", list), ("pl", list), ("pu", list)])
+
+
 class TrailEntry(NamedTuple):
     bound: Bound
     pos: int  # height of the previous bound of the same kind for this var, -1 for a seed
@@ -46,7 +50,9 @@ class Trail:
     the current bounds of `v`, and `pl[v]` / `pu[v]` the height of the
     entry that set them.  The `pos` field of each entry chains to the
     previous entry of the same (variable, kind), so popping restores both
-    in O(1).
+    in O(1).  `root` holds copies of those four lists taken just before the
+    first decision is pushed: level 0 cannot change while a decision is on
+    the trail, so they stay exact until every decision is popped.
     """
 
     def __init__(self, num_vars, initial_lb, initial_ub):
@@ -60,6 +66,7 @@ class Trail:
         self.pl = list(range(0, 2 * num_vars, 2))
         self.pu = list(range(1, 2 * num_vars, 2))
         self.decision_heights = []  # heights of decision entries, increasing
+        self.root = None  # a RootBox, read only while a decision is on the trail
 
     def __len__(self):
         return len(self.entries)
@@ -67,9 +74,6 @@ class Trail:
     @property
     def num_decisions(self) -> int:
         return len(self.decision_heights)
-
-    def is_defined(self, var: int) -> bool:
-        return self.lb[var] == self.ub[var]
 
     def is_fresh(self, b: Bound) -> bool:
         """True iff pushing b would strictly tighten a non-empty interval."""
@@ -82,6 +86,10 @@ class Trail:
         assert self.is_fresh(b), f"pushing non-fresh bound {b}"
         height = len(self.entries)
         assert info.reason_set is None or all(h < height for h in info.reason_set)
+        if info is DECISION:
+            if not self.decision_heights:
+                self.root = RootBox(self.lb[:], self.ub[:], self.pl[:], self.pu[:])
+            self.decision_heights.append(height)
         var, is_lower, value = b
         if is_lower:
             pos = self.pl[var]
@@ -92,8 +100,6 @@ class Trail:
             self.pu[var] = height
             self.ub[var] = value
         self.entries.append(TrailEntry(b, pos, info))
-        if info is DECISION:
-            self.decision_heights.append(height)
         return height
 
     def pop(self) -> TrailEntry:
@@ -130,8 +136,8 @@ class Trail:
         at or above the end of the seeds.
 
         Walks the pos chains, so the cost is the number of entries of
-        this variable above the cutoff.  The early-backjump scan reads
-        the level-0 bounds with it.
+        this variable above the cutoff.  Tests check `root` against it; the
+        early-backjump scan reads `root` and never walks the chains.
         """
         p = self.pl[var]
         while p >= cutoff:
@@ -143,6 +149,7 @@ class Trail:
         return lb, self.entries[p].bound.value
 
     def height_of_strongest_below(self, var: int, lower: bool, cutoff: int) -> int:
+        """Height of var's strongest bound of a kind below `cutoff`; not used by the scan."""
         p = self.pl[var] if lower else self.pu[var]
         while p >= cutoff:
             p = self.entries[p].pos

@@ -67,7 +67,7 @@ def pushed_with_reasons(c, trail, cid=None):
 def _constraint_grid(c, t, margin=4):
     """Points over the constraint's own variables, a margin beyond the
     current bounds; unmentioned variables are irrelevant to entailment."""
-    cvars = c.vars()
+    cvars = [m.var for m in c.monomials]
     ranges = []
     for v in cvars:
         lb, ub = t.lb[v], t.ub[v]

@@ -11,7 +11,7 @@ from intsat.oracle import oracle_solve
 from intsat.propagation import Conflict
 from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
-from test_search_snapshot import corpus
+from test_search_snapshot import corpus, integer_rows_problem
 from conftest import (C, RecordingSolver, ValidityProbe, box_points,
                       feasible_points, lo, pairwise_php_problem, php_problem,
                       planted_3sat_problem, refutation_violated, small_integer_problem, up)
@@ -114,6 +114,23 @@ class TestResolutionAnalysis:
         assert s.stats.learned > 0
 
 
+def level_zero_hit_conflict(k, w_ub, x_lb):
+    """x + y + z - w <= k and y + z >= 0 over [-20, 20]; decisions w <= w_ub
+    then x_lb <= x reach a conflict whose first cut, on z, is x - w <= k:
+    over the level-0 box it propagates x <= k + 20."""
+    cs = [normalize([(0, 1), (1, 1), (2, 1), (3, -1)], k),
+          normalize([(1, -1), (2, -1)], 0)]
+    s = Solver(Problem(4, [-20] * 4, [20] * 4, cs, None, ["x", "y", "z", "w"]),
+               SolverConfig(mode="cut"))
+    assert s.propagator.propagate_fixpoint() is None
+    s.propagator.push_bound(up(3, w_ub), DECISION)
+    assert s.propagator.propagate_fixpoint() is None
+    s.propagator.push_bound(lo(0, x_lb), DECISION)
+    conflict = s.propagator.propagate_fixpoint()
+    assert conflict is not None
+    return s, conflict
+
+
 class TestHybridAnalysis:
     def test_rounding_example_learns_cut(self):
         s = rounding_solver(mode="cut")
@@ -134,6 +151,28 @@ class TestHybridAnalysis:
         assert res.bound == lo(1, 1)
         assert res.reason_set == ()
         assert res.pop_to == s.trail.decision_heights[0]  # all the way to level 0
+
+    @pytest.mark.parametrize("k, w_ub, x_lb", [(-1, -19, 1),    # x <= 19: 1 of 41 values
+                                               (-20, 1, 0)])    # x <= 0: 20 of 41
+    def test_weak_level_zero_hit_is_dropped(self, k, w_ub, x_lb):
+        s, conflict = level_zero_hit_conflict(k, w_ub, x_lb)
+        res = s._analyze(conflict)
+        assert not res.early
+        assert res.weak_hits == s.stats.weak_hits == 1
+        assert res.learned == (C([(0, 1), (3, -1)], k),)
+        # the 1UIP bound, the last decision negated, pushed right below it
+        assert res.bound == up(0, x_lb - 1)
+        assert res.pop_to == s.trail.decision_heights[1]
+        assert s.trail.decision_heights[0] in res.reason_set
+
+    def test_strong_level_zero_hit_is_kept(self):
+        s, conflict = level_zero_hit_conflict(-21, 1, 0)  # x <= -1: 21 of 41 values
+        res = s._analyze(conflict)
+        assert res.early
+        assert res.weak_hits == s.stats.weak_hits == 0
+        assert res.bound == up(0, -1)
+        assert res.pop_to == s.trail.decision_heights[0]
+        assert [s.trail.entries[h].bound for h in res.reason_set] == [up(3, 20)]
 
     def test_over_cap_cut_leaves_cc_unchanged(self):
         # the second rewrite needs multipliers that blow the coefficient
@@ -314,6 +353,23 @@ class TestScanAgainstReference:
         assert min(outcomes.values()) >= 20, outcomes
 
 
+def set_packing_problem(rng, n=24, rows=24):
+    """At-most-one rows over 4 of n binaries, maximising random weights."""
+    cs = [normalize([(v, 1) for v in rng.sample(range(n), 4)], 1) for _ in range(rows)]
+    return Problem(n, [0] * n, [1] * n, cs, Objective({v: -rng.randint(1, 20) for v in range(n)}))
+
+
+def coverage_draw():
+    """More (name, problem, conflict cap) triples for the coverage floors
+    below.  The snapshot corpus alone reaches few early backjumps, as most
+    level-0 hits on its integer rows are too weak to keep; every hit on a
+    binary is kept."""
+    rng = random.Random(7101)
+    out = [(f"set-packing-{i}", set_packing_problem(rng), 100) for i in range(40)]
+    out += [(f"integer-rows-{i}", integer_rows_problem(rng), 100) for i in range(120)]
+    return out
+
+
 class EarlyBackjumpSolver(Solver):
     """Checks every early backjump of its search against reference_level
     on the trail it analysed, and counts them."""
@@ -333,10 +389,11 @@ class EarlyBackjumpSolver(Solver):
 
 
 def test_every_early_backjump_in_cut_mode_solves_pushes_a_root_fact():
-    # the snapshot corpus under its conflict caps: every early backjump
-    # pops all decisions and pushes what its row propagates over level 0
+    # the snapshot corpus and the coverage draw under their conflict caps:
+    # every early backjump pops all decisions and pushes what its row
+    # propagates over level 0
     seen = 0
-    for _, p, cap in corpus():
+    for _, p, cap in corpus() + coverage_draw():
         s = EarlyBackjumpSolver(p, SolverConfig(mode="cut", max_conflicts=cap))
         s.solve()
         seen += s.early_seen
@@ -368,11 +425,11 @@ class FilingSolver(Solver):
 @pytest.mark.parametrize("mode, min_learned, min_named", [("cut", 1000, 100),
                                                           ("resolution", 700, 0)])
 def test_analysis_files_only_rows_it_derived(mode, min_learned, min_named):
-    # the snapshot corpus under its conflict caps: a conflicting row that no
-    # cut replaced, such as the strengthening row, is not filed a second time
-    # but named as the reason row
+    # the snapshot corpus and the coverage draw under their conflict caps: a
+    # conflicting row that no cut replaced, such as the strengthening row, is
+    # not filed a second time but named as the reason row
     learned = named = 0
-    for _, p, cap in corpus():
+    for _, p, cap in corpus() + coverage_draw():
         s = FilingSolver(p, SolverConfig(mode=mode, max_conflicts=cap))
         s.solve()
         assert s.refiled == 0, s.refiled

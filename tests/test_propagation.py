@@ -448,7 +448,7 @@ class TestFilters:
             checked += 1
             for _ in range(10):
                 undefined = [v for v in range(p.num_vars)
-                             if not s.trail.is_defined(v)]
+                             if s.trail.lb[v] != s.trail.ub[v]]
                 if not undefined:
                     break
                 var = rng.choice(undefined)

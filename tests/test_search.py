@@ -150,7 +150,7 @@ class TestActivity:
 
             def after_push(self, solver):
                 q, t = solver.activity, solver.trail
-                undefined = [v for v in range(t.num_vars) if not t.is_defined(v)]
+                undefined = [v for v in range(t.num_vars) if t.lb[v] != t.ub[v]]
                 expected = max(undefined, key=lambda v: (q.scores[v], -v), default=None)
                 assert q.pick(t) == expected
                 self.checks += 1

@@ -200,6 +200,39 @@ class TestBoundsVectorInvariant:
         assert chain == [*reversed(heights), 0]  # ending at the seed
 
 
+class TestRootBox:
+    def test_matches_the_chains_below_the_first_decision(self):
+        # pops back to level 0 and pushes there again, so the box must be
+        # taken afresh on each descent, before the decision's own bound
+        rng = random.Random(17)
+        checks = descents = 0
+        for _ in range(40):
+            n = 4
+            t = Trail(n, [-6] * n, [6] * n)
+            for _ in range(100):
+                if len(t) > 2 * n and rng.random() < 0.35:
+                    t.pop()
+                else:
+                    var = rng.randrange(n)
+                    lb, ub = t.lb[var], t.ub[var]
+                    if lb == ub:
+                        continue
+                    decision = rng.random() < 0.3
+                    descents += decision and not t.num_decisions
+                    b = (lo(var, rng.randint(lb + 1, ub)) if rng.random() < 0.5
+                         else up(var, rng.randint(lb, ub - 1)))
+                    t.push(b, DECISION if decision else ReasonInfo.propagated((), None))
+                if not t.num_decisions:
+                    continue
+                cutoff, root = t.decision_heights[0], t.root
+                for var in range(n):
+                    assert (root.lb[var], root.ub[var]) == t.bounds_at_height(var, cutoff)
+                    assert root.pl[var] == t.height_of_strongest_below(var, True, cutoff)
+                    assert root.pu[var] == t.height_of_strongest_below(var, False, cutoff)
+                checks += 1
+        assert checks >= 1000 and descents >= 100, (checks, descents)
+
+
 class TestTerminationMeasure:
     def test_single_binary_variable(self):
         t = Trail(1, [0], [1])
