@@ -6,8 +6,9 @@ that alters the search on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_search_snapshot.py
 
-which prints, per mode, how many records changed and every record whose
-status or objective moved, and says so in its change notes.
+which prints, per mode, how many records changed, every record whose
+status or objective moved and the totals of the search counters before
+and after, and says so in its change notes.
 """
 
 import json
@@ -96,9 +97,14 @@ def test_search_matches_the_snapshot_without_asserts():
     assert_matches_the_snapshot(got)
 
 
+TOTALS = ("conflicts", "decisions", "learned",
+          "propagations_binary", "propagations_clause", "propagations_general")
+
+
 def report_changes(want, got):
-    """Lines saying, per mode, how many records changed, and naming every
-    record whose status or objective changed."""
+    """Lines saying, per mode, how many records changed, naming every
+    record whose status or objective changed, and giving the mode's
+    totals of the search counters before -> after."""
     lines = []
     for mode in ("cut", "resolution"):
         keys = [key for key in got if key.endswith(f"/{mode}")]
@@ -110,18 +116,37 @@ def report_changes(want, got):
             new = (got[key]["status"], got[key]["objective"])
             if old != new:
                 lines.append(f"  {key}: status, objective {old} -> {new}")
+        for name in TOTALS:
+            before = sum(want.get(key, {}).get(name, 0) for key in keys)
+            lines.append(f"  {name}: {before} -> {sum(got[key][name] for key in keys)}")
     return lines
 
 
 def test_regeneration_reports_what_moved():
-    rec = dict(status="optimal", objective=3, conflicts=9)
+    rec = dict(status="optimal", objective=3, conflicts=9, decisions=20, learned=7,
+               propagations_binary=5, propagations_clause=4, propagations_general=30)
     want = {"a/cut": rec, "b/cut": rec, "a/resolution": rec}
-    got = {"a/cut": dict(rec, conflicts=8), "b/cut": dict(rec, objective=2),
-           "a/resolution": rec}
+    got = {"a/cut": dict(rec, conflicts=8, propagations_general=25),
+           "b/cut": dict(rec, objective=2, learned=6),
+           "a/resolution": dict(rec, propagations_clause=9),
+           "c/resolution": rec}  # a record the snapshot did not hold
     assert report_changes(want, got) == [
         "cut: 2 of 2 records changed",
         "  b/cut: status, objective ('optimal', 3) -> ('optimal', 2)",
-        "resolution: 0 of 1 records changed"]
+        "  conflicts: 18 -> 17",
+        "  decisions: 40 -> 40",
+        "  learned: 14 -> 13",
+        "  propagations_binary: 10 -> 10",
+        "  propagations_clause: 8 -> 8",
+        "  propagations_general: 60 -> 55",
+        "resolution: 2 of 2 records changed",
+        "  c/resolution: status, objective (None, None) -> ('optimal', 3)",
+        "  conflicts: 9 -> 18",
+        "  decisions: 20 -> 40",
+        "  learned: 7 -> 14",
+        "  propagations_binary: 5 -> 10",
+        "  propagations_clause: 4 -> 13",
+        "  propagations_general: 30 -> 60"]
 
 
 if __name__ == "__main__":
