@@ -33,20 +33,25 @@ side its coefficient uses.  Conflict sets are taken at once; a bound is
 pushed with its row, and ``Trail.reason_heights`` derives its reason set.
 
 The ``Propagator`` is the row store: it keeps every row by cid, dead
-ones too, beside its per-row state.  Only its constructor sorts rows into
-tiers, filing the problem's rows in input order: a clause over binary
-variables is a binary row with two literals and a clause row with more;
-any other row, a one-literal clause too, is general.  It builds the
-literal-code tables with the first literal row.  The literal tiers see
-only bounds pushed after a row is filed, so later rows (learned, or
-strengthening the objective) enter through ``add_row``, in the general
-tier.  They alone die, through ``kill_rows`` (learned rows at a cleanup,
-a replaced strengthening row): a dead row leaves the occurs lists of its
-variables.  The trail holds the initial box from birth, as level-0 seeds
-with an empty reason and no row.
+ones too, beside its per-row state.  A clause over binary variables is
+a binary row with two literals and a clause row with more; any other
+row, a one-literal clause too, is general.  The constructor files the
+problem's rows in input order by this rule.  The literal tiers read each
+bound once, when it is pushed, so a later row (learned, or strengthening
+the objective) enters through ``add_row`` in a literal tier only if it
+asserts the bound pushed next with it as its reason: every literal but
+that bound's is false.  It watches that literal and the false one of
+greatest height, as in MiniSat, and a learned resolution clause always
+qualifies.  Every other later row is general.  The literal-code tables
+are built with the first literal row, whoever files it.  Later rows
+alone die, through ``kill_rows`` (learned rows at a cleanup, a replaced
+strengthening row): a dead row leaves the occurs lists of its variables,
+or its watch lists or implication edges.  The trail holds the initial
+box from birth, as level-0 seeds with an empty reason and no row.
 
-A general row's filter is at least its ``exact_filter``, and a row is
-queued iff its filter is positive, which the queue alone records: a push
+A literal row has no filter and is never saved or stamped.  A general
+row's filter is at least its ``exact_filter``, and a row is queued iff
+its filter is positive, which the queue alone records: a push
 queues a row whose filter it lifts from at most 0 above 0, and a visit,
 which dequeues the row, leaves it at most 0 unless it finds the row
 false.  A row's own pushes never touch its filter, as a normalised row
@@ -166,9 +171,9 @@ def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = Non
 class Propagator:
     """The row store and its three tiers; the single push/pop path.
 
-    The constructor files the problem's rows, the only place that sorts
-    rows into tiers.  Later rows enter through add_row, in the general
-    tier, and leave through kill_rows.  Every trail change goes through
+    The constructor files the problem's rows.  Later rows enter through
+    add_row, in a literal tier only if they assert the bound pushed next
+    with them, and leave through kill_rows.  Every trail change goes through
     push_bound / pop_to, so filters, cursors and saved phases stay
     consistent.
     """
@@ -203,21 +208,7 @@ class Propagator:
         # 21 attributes, of at most 29 (a test counts them): with more, CPython
         # 3.11 leaves its shared-key layout and every attribute access slows down
         for c in problem.constraints:  # in input order, so cids follow it
-            lits = self._as_clause(c)
-            if lits is None:
-                self.add_row(c)
-                continue
-            if not self.lit_bounds:
-                self.watch = [[] for _ in range(2 * n)]
-                self.bin_adj = [[] for _ in range(2 * n)]
-                self.lit_bounds = [Bound(var, s == 1, s) for var in range(n) for s in (0, 1)]
-            cid = self._file(c, lits)
-            if len(lits) == 2:  # a binary clause: two implication edges
-                self.bin_adj[lits[0]].append((lits[1], cid))
-                self.bin_adj[lits[1]].append((lits[0], cid))
-            else:  # a clause row watches lits[0] and lits[1]
-                self.watch[lits[0]].append(cid)
-                self.watch[lits[1]].append(cid)
+            self._file(c, self._as_clause(c))
 
     # -- the row store ----------------------------------------------------------
 
@@ -239,41 +230,98 @@ class Propagator:
             return None
         return lits
 
+    def _asserting(self, lits, b: Bound):
+        """The literal codes ordered for watching, as in MiniSat, if every
+        literal but b's is false: b's first, then the false literal of
+        greatest height; else None.  b is a fresh bound, pushed next with
+        the row as reason, so on a variable of the row it is a literal."""
+        first = 2 * b.var + b.is_lower
+        trail = self.trail
+        lb, ub, pl, pu = trail.lb, trail.ub, trail.pl, trail.pu
+        false = []  # (height, code)
+        for lit in lits:
+            if lit == first:
+                continue
+            v = lit >> 1
+            if lit & 1 and not ub[v]:
+                false.append((pu[v], lit))
+            elif not lit & 1 and lb[v]:
+                false.append((pl[v], lit))
+            else:
+                return None
+        if len(false) != len(lits) - 1:  # b's literal is not in the row
+            return None
+        second = max(false)[1]
+        return [first, second, *(lit for lit in lits if lit != first and lit != second)]
+
     def _file(self, c: Constraint, lits) -> int:
-        """Size the per-row state of a new row; returns its cid."""
+        """File a new row in the tier ``lits`` names, sized and indexed; a
+        general row is checked against the current trail.  Returns its cid."""
         cid = len(self.constraints)
         self.constraints.append(c)
         self.lits.append(lits)
         self.alive.append(True)
         self.reasons.append(ReasonInfo(None, cid, c))  # reason set derived on demand
         self.filters.append(0)
-        self.stamp.append(len(self.save_marks))  # add_row saves a row filed above level 0
+        self.stamp.append(0)
+        if lits is None:
+            for var, coeff in c.monomials:
+                self.occs[2 * var + (coeff > 0)].append((cid, abs(coeff)))
+            self.filters[cid] = exact_filter(c, self.trail)
+            if self.save_marks:  # registered above level 0: recompute on unwind
+                self.stamp[cid] = len(self.save_marks)
+                self.saves.append((cid, None, 0))
+            if self.filters[cid] > 0:
+                self.queue.append(cid)
+            return cid
+        if not self.lit_bounds:
+            n = self.problem.num_vars
+            self.watch = [[] for _ in range(2 * n)]
+            self.bin_adj = [[] for _ in range(2 * n)]
+            self.lit_bounds = [Bound(var, s == 1, s) for var in range(n) for s in (0, 1)]
+        if len(lits) == 2:  # a binary clause: two implication edges
+            self.bin_adj[lits[0]].append((lits[1], cid))
+            self.bin_adj[lits[1]].append((lits[0], cid))
+        else:  # a clause row watches lits[0] and lits[1]
+            self.watch[lits[0]].append(cid)
+            self.watch[lits[1]].append(cid)
         return cid
 
-    def add_row(self, c: Constraint) -> int:
-        """File the row in the general tier, which checks it against the
-        current trail, and index it; returns its cid."""
-        cid = self._file(c, None)
-        for var, coeff in c.monomials:
-            self.occs[2 * var + (coeff > 0)].append((cid, abs(coeff)))
-        self.filters[cid] = exact_filter(c, self.trail)
-        if self.save_marks:  # registered above level 0: recompute on unwind
-            self.saves.append((cid, None, 0))
-        if self.filters[cid] > 0:
-            self.queue.append(cid)
-        return cid
+    def add_row(self, c: Constraint, asserts: Optional[Bound] = None) -> int:
+        """File a row after construction; returns its cid.  A clause over
+        binary variables that asserts ``asserts``, the bound pushed next
+        with it as reason, joins a literal tier, watching the asserted
+        literal and its latest false one; any other row is general."""
+        lits = None if asserts is None else self._as_clause(c)
+        if lits is not None:
+            lits = self._asserting(lits, asserts)
+        return self._file(c, lits)
 
     def kill_rows(self, dead: set):
-        """Mark the general rows dead and take them out of the occurs lists
-        of their variables; they stay filed for reasons and cuts."""
+        """Mark the rows dead and take them out of the occurs lists, watch
+        lists and implication edges that name them; they stay filed for
+        reasons and cuts."""
+        sides, watched, edged = set(), set(), set()
         for cid in dead:
             assert self.alive[cid]
             self.alive[cid] = False
-        sides = {2 * var + (coeff > 0) for cid in dead
-                 for var, coeff in self.constraints[cid].monomials}
+            lits = self.lits[cid]
+            if lits is None:
+                sides.update(2 * var + (coeff > 0)
+                             for var, coeff in self.constraints[cid].monomials)
+            elif len(lits) == 2:
+                edged.update(lits)
+            else:
+                watched.update(lits[:2])
         for side in sides:
             occs = self.occs[side]
             occs[:] = [occ for occ in occs if occ[0] not in dead]
+        for code in watched:
+            watchers = self.watch[code]
+            watchers[:] = [cid for cid in watchers if cid not in dead]
+        for code in edged:
+            edges = self.bin_adj[code]
+            edges[:] = [edge for edge in edges if edge[1] not in dead]
 
     # -- push / pop ----------------------------------------------------------
 

@@ -296,16 +296,17 @@ class Solver:
         self.propagator.pop_to(result.pop_to)
         rc_cid = result.attach_cid
         for c in result.learned:
-            rc_cid = self._learn(c)
+            rc_cid = self._learn(c, result.bound)
         self.propagator.push_bound(
             result.bound, ReasonInfo.propagated(result.reason_set, rc_cid))
         if result.early:
             self.stats.early_backjumps += 1
 
-    def _learn(self, c) -> int:
-        """File a learned row, count it, and give it activity 0."""
+    def _learn(self, c, asserts=None) -> int:
+        """File a learned row, count it, and give it activity 0; ``asserts``
+        is the bound pushed next with it as reason, if any."""
         self.stats.learned += 1
-        cid = self.propagator.add_row(c)
+        cid = self.propagator.add_row(c, asserts)
         self.learned_activity[cid] = 0
         return cid
 

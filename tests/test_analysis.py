@@ -407,10 +407,10 @@ class FilingSolver(Solver):
 
     learned_rows = refiled = named = 0
 
-    def _learn(self, c):
+    def _learn(self, c, asserts=None):
         self.learned_rows += 1
         self.refiled += any(c is row for row in self.propagator.constraints)
-        return super()._learn(c)
+        return super()._learn(c, asserts)
 
     def _apply_analysis(self, result):
         filed = len(self.propagator.constraints)

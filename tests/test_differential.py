@@ -1,7 +1,9 @@
 """Differential test over drawn problems and drawn solver configurations.
 
 Hypothesis draws a small bounded problem, which the exhaustive oracle
-can solve, and a valid ``SolverConfig`` from the space it exposes: both
+can solve (up to six variables, or a random 3-SAT problem over up to 16
+binaries in a second draw), and a valid ``SolverConfig`` from the space
+it exposes: both
 modes, any value-strategy order ending with a total strategy (with a
 ``user_hint`` when strategy 11 is in it), both restart policies, a
 cleanup after every 1 to 10 learned rows, the random seed, an optional
@@ -14,8 +16,12 @@ oracle's status and objective.  A run that stops at its drawn conflict
 budget or time limit must hold an incumbent that satisfies every row
 and is no better than the oracle's optimum.  The tier-1 run is
 derandomised with a fixed example count, so it makes the same draws
-every time.
+every time, and counts the learned rows filed in the literal tiers and
+those a cleanup killed, so that it covers both.
 """
+
+import random
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -61,6 +67,26 @@ def problems(draw):
 
 
 @st.composite
+def clause_problems(draw):
+    """Random 3-SAT over 10 to 16 binaries at 4.3 clauses per variable,
+    near its threshold, with an objective half of the time: harder than
+    the problems above, so both modes learn clauses over binaries, which
+    may file in the literal tiers, and cleanups kill some.  The clauses
+    come from a drawn seed, as drawing each literal costs more than the
+    solve."""
+    n = draw(st.integers(10, 16))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = []
+    for _ in range(round(4.3 * n)):
+        signs = [rng.choice([-1, 1]) for _ in range(3)]  # 1: the literal "v is false"
+        rows.append(normalize(list(zip(rng.sample(range(n), 3), signs)), signs.count(1) - 1))
+    objective = None
+    if draw(st.booleans()):
+        objective = Objective(draw(st.dictionaries(st.integers(0, n - 1), COEFFS)))
+    return Problem(n, [0] * n, [1] * n, rows, objective)
+
+
+@st.composite
 def configs(draw, num_vars):
     order = draw(st.lists(st.integers(1, 11), max_size=3)) + [draw(st.integers(1, 4))]
     hint = None
@@ -84,17 +110,24 @@ def configs(draw, num_vars):
 
 
 @st.composite
-def cases(draw):
-    p = draw(problems())
+def cases(draw, kind):
+    p = draw(kind)
     return p, draw(configs(p.num_vars))
 
 
-def check_against_the_oracle(p, config):
+def check_against_the_oracle(p, config, seen):
+    """Checks one run; counts in ``seen`` the learned rows it filed in a
+    literal tier and those of them a cleanup killed."""
     ref = oracle_solve(p)
     budgeted = config.max_conflicts is not None or config.time_limit is not None
     if config.max_conflicts is None:
         config.max_conflicts = SAFETY_CAP
-    out = Solver(p, config).solve()
+    s = Solver(p, config)
+    out = s.solve()
+    pr = s.propagator
+    learned = [cid for cid in range(len(p.constraints), len(pr.lits)) if pr.lits[cid]]
+    seen["learned literal rows"] += len(learned)
+    seen["killed"] += sum(not pr.alive[cid] for cid in learned)  # only a cleanup kills them
     if out.solution is not None:
         assert p.check_solution(out.solution.values)
         if p.objective is not None:
@@ -106,11 +139,18 @@ def check_against_the_oracle(p, config):
     assert (out.status, out.objective_value) == (ref.status, ref.objective_value)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(cases())
-def test_drawn_configs_match_the_oracle(case):
-    check_against_the_oracle(*case)
+def test_drawn_configs_match_the_oracle():
+    seen = Counter()
+    for kind, examples in ((problems(), 400), (clause_problems(), 150)):
+        @settings(max_examples=examples, derandomize=True, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(cases(kind))
+        def check(case):
+            check_against_the_oracle(*case, seen)
+
+        check()
+    # the draws reach learned rows in the literal tiers and their deaths
+    assert seen["learned literal rows"] > 0 and seen["killed"] > 0, seen
 
 
 # Shrunk failures of the draw above, as plain regression tests.

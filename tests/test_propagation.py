@@ -409,9 +409,9 @@ class TestFilters:
                 else:
                     del registered[cid]
 
-        def checked_add_row(c):
-            cid = add_row(c)
-            if t.num_decisions:
+        def checked_add_row(c, asserts=None):
+            cid = add_row(c, asserts)
+            if t.num_decisions and pr.lits[cid] is None:
                 registered[cid] = len(t)
             return cid
 
@@ -477,8 +477,10 @@ class TestClauseTiers:
         return {cid for occs in pr.occs for cid, _ in occs}
 
     def test_classification(self):
-        # only the constructor files clause and binary rows; every row
-        # filed through add_row is general, clause-shaped or not
+        # the constructor files every clause-shaped input row in a literal
+        # tier; a later row joins one only as a clause that asserts the
+        # bound pushed next with it, watching that literal and the false
+        # literal of greatest height, and any other later row is general
         cover3 = normalize([(0, -1), (1, -1), (2, -1)], -1)  # x0+x1+x2 >= 1
         rows = [cover3,
                 normalize([(0, -1), (1, -1)], -1),  # x0+x1 >= 1
@@ -496,6 +498,39 @@ class TestClauseTiers:
         assert pr.lits[learned] is pr.lits[strengthening] is None
         assert self.occurring(pr) == {2, 3, 4, learned, strengthening}
         assert sum(map(len, pr.watch)) == 2 and sum(map(len, pr.bin_adj)) == 2
+        pr.push_bound(up(1, 0), DECISION)  # falsifies code 3
+        assert pr.lits[pr.add_row(cover3, lo(2, 1))] is None  # code 1 is open
+        pr.push_bound(up(0, 0), DECISION)  # falsifies code 1, above code 3
+        assert pr.lits[pr.add_row(cover3, up(2, 0))] is None  # 2*2 is not in the row
+        clause = pr.add_row(cover3, lo(2, 1))
+        assert pr.lits[clause] == [5, 1, 3]  # asserted, then the latest false literal
+        assert pr.watch[5] == [clause] and pr.watch[1] == [0, clause]
+        binary = pr.add_row(normalize([(1, -1), (2, -1)], -1), lo(2, 1))
+        assert pr.lits[binary] == [5, 3]
+        assert pr.bin_adj[5] == [(3, binary)] and pr.bin_adj[3] == [(1, 1), (5, binary)]
+        assert pr.stamp[clause] == pr.stamp[binary] == 0  # never saved
+        assert clause not in self.occurring(pr) and binary not in self.occurring(pr)
+
+    def test_killed_learned_literal_rows_leave_their_tier(self):
+        # x0+x1+x2+x3 >= 1 and x4+x5 >= 1, learned as clauses asserting
+        # 1 <= x3 and 1 <= x5, the first literal rows filed, then killed at
+        # level 0: no watch or edge names them, and decisions that falsify
+        # all their other literals propagate nothing
+        pr = self.propagator(Problem(6, [0] * 6, [1] * 6, []))
+        for var in (0, 1, 2, 4):
+            pr.push_bound(up(var, 0), DECISION)
+        clause = pr.add_row(normalize([(v, -1) for v in range(4)], -1), lo(3, 1))
+        binary = pr.add_row(normalize([(4, -1), (5, -1)], -1), lo(5, 1))
+        assert pr.lits[clause] == [7, 5, 1, 3] and pr.lits[binary] == [11, 9]
+        pr.pop_to(pr.trail.level_start(1))
+        pr.kill_rows({clause, binary})
+        assert not any(cid in (clause, binary) for cids in pr.watch for cid in cids)
+        assert not any(cid in (clause, binary) for edges in pr.bin_adj for _, cid in edges)
+        for var in (0, 1, 2, 4):
+            pr.push_bound(up(var, 0), DECISION)
+            assert pr.propagate_fixpoint() is None
+        assert pr.trail.lb[3] == pr.trail.lb[5] == 0
+        assert all(e.info.reason_constraint is None for e in pr.trail.entries)
 
     def test_no_literal_row_builds_no_literal_table(self):
         p = Problem(3, [0, 0, -1], [1, 1, 1], [normalize([(0, -1), (2, -1)], -1),
@@ -540,13 +575,15 @@ class TestClauseTiers:
         assert (s.trail.lb[1], s.trail.ub[1]) == (1, 1)
 
     def test_every_fixpoint_leaves_literal_rows_quiet_and_watched(self):
-        # after every fixpoint without a conflict, no clause or binary row
-        # is false or propagates, each clause row sits in exactly the watch
-        # lists of lits[0] and lits[1], its literals stay a permutation of
-        # the filed ones, and a false watch has a true partner, as the
-        # decisions come at fixpoints and backjumps land on level starts;
-        # also through the restarts and cleanups of a cleanup every two
-        # learned rows
+        # after every fixpoint without a conflict, no live clause or binary
+        # row is false or propagates, each live clause row sits in exactly
+        # the watch lists of lits[0] and lits[1], each live binary row is
+        # exactly the edges from each of its literals to the other, its
+        # literals stay a permutation of the filed ones, a false watch has
+        # a true partner, as the decisions come at fixpoints and backjumps
+        # land on level starts, and no dead row is watched or an edge;
+        # learned rows too, filed later, and through the restarts and
+        # cleanups of a cleanup every two learned rows
         seen = Counter()
         rng = random.Random(55)
         problems = ([pairwise_php_problem(5, 4), pairwise_php_problem(6, 5)]
@@ -561,16 +598,29 @@ class TestClauseTiers:
         assert seen["fixpoint after a backjump"] >= 300 and seen["watch move"] >= 3000, seen
         assert seen["false watch"] >= 5000, seen
         assert seen["cleanup"] >= 100, seen
+        assert seen["learned clause"] >= 150 and seen["learned binary"] >= 3, seen
+        assert seen["killed learned"] >= 80, seen
 
     @staticmethod
     def check_literal_rows_during(s, seen):
         pr, t = s.propagator, s.trail
         fixpoint, pop_to = pr.propagate_fixpoint, pr.pop_to
-        literal = [cid for cid, lits in enumerate(pr.lits) if lits is not None]
-        clauses = [cid for cid in literal if len(pr.lits[cid]) > 2]
-        filed = {cid: sorted(pr.lits[cid]) for cid in clauses}
-        last = {cid: pr.lits[cid][:2] for cid in clauses}
+        inputs = len(pr.constraints)
+        literal = []  # every literal row, in cid order
+        filed, last = {}, {}  # clause row -> its sorted literals, its last watches
         backjumped = False
+
+        def track_new_rows():
+            known = literal[-1] + 1 if literal else 0
+            for cid in range(known, len(pr.lits)):
+                lits = pr.lits[cid]
+                if lits is None:
+                    continue
+                literal.append(cid)
+                if len(lits) > 2:
+                    filed[cid], last[cid] = sorted(lits), lits[:2]
+                if cid >= inputs:
+                    seen["learned clause" if len(lits) > 2 else "learned binary"] += 1
 
         def status(lit):
             var, true_side = lit >> 1, lit & 1
@@ -588,11 +638,22 @@ class TestClauseTiers:
             conflict = fixpoint(deadline)
             if conflict is not None:
                 return conflict
-            for cid in literal:
+            track_new_rows()
+            live = [cid for cid in literal if pr.alive[cid]]
+            for cid in live:
                 c = pr.constraints[cid]
                 assert find_conflict(c, t) is None and propagate_constraint(c, t) == [], cid
             where = Counter((code, cid) for code, cids in enumerate(pr.watch) for cid in cids)
+            edges = Counter((code, other, cid) for code, adj in enumerate(pr.bin_adj)
+                            for other, cid in adj)
+            clauses = [cid for cid in live if cid in filed]
             assert sum(where.values()) == 2 * len(clauses)
+            assert sum(edges.values()) == 2 * (len(live) - len(clauses))
+            for cid in live:
+                lits = pr.lits[cid]
+                if cid in filed:
+                    continue
+                assert edges[lits[0], lits[1], cid] == edges[lits[1], lits[0], cid] == 1, cid
             for cid in clauses:
                 lits = pr.lits[cid]
                 assert sorted(lits) == filed[cid], cid
@@ -608,8 +669,10 @@ class TestClauseTiers:
             return None
 
         pr.propagate_fixpoint, pr.pop_to = checked_fixpoint, checked_pop_to
+        track_new_rows()
         s.solve()
         seen["cleanup"] += s.stats.cleanups
+        seen["killed learned"] += sum(not pr.alive[cid] for cid in literal)
 
 
 class TestFixpoint:
