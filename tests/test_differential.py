@@ -1,15 +1,15 @@
 """Differential test over drawn problems and drawn solver configurations.
 
 Hypothesis draws a small bounded problem, which the exhaustive oracle
-can solve (up to six variables, or a random 3-SAT problem over up to 16
-binaries in a second draw), and a valid ``SolverConfig`` from the space
-it exposes: both
-modes, any value-strategy order ending with a total strategy (with a
-``user_hint`` when strategy 11 is in it), both restart policies, a
-cleanup after every 1 to 10 learned rows, the random seed, an optional
-conflict budget and an optional time limit (0 or a few milliseconds).
-A cleanup runs only at a restart, so the Luby unit is drawn small half
-of the time, where restarts come often enough for cleanups to run.
+can solve (up to six variables, or in a second draw a random 3-SAT
+problem over up to 16 binaries), and a valid ``SolverConfig`` from the
+space it exposes: both modes, any value-strategy order ending with a
+total strategy (with a ``user_hint`` when strategy 11 is in it), both
+restart policies, a cleanup after every 1 to 10 learned rows, the random
+seed, an optional conflict budget and an optional time limit (0 or a few
+milliseconds).  A cleanup runs only at a restart, so the Luby unit is
+drawn small half of the time, where restarts come often enough for
+cleanups to run.
 
 A run whose config sets no budget gets a safety cap and must give the
 oracle's status and objective.  A run that stops at its drawn conflict

@@ -650,10 +650,9 @@ class TestClauseTiers:
             assert sum(where.values()) == 2 * len(clauses)
             assert sum(edges.values()) == 2 * (len(live) - len(clauses))
             for cid in live:
-                lits = pr.lits[cid]
-                if cid in filed:
-                    continue
-                assert edges[lits[0], lits[1], cid] == edges[lits[1], lits[0], cid] == 1, cid
+                if cid not in filed:  # a binary row
+                    a, b = pr.lits[cid]
+                    assert edges[a, b, cid] == edges[b, a, cid] == 1, cid
             for cid in clauses:
                 lits = pr.lits[cid]
                 assert sorted(lits) == filed[cid], cid
