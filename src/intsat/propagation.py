@@ -49,24 +49,24 @@ strengthening row): a dead row leaves the occurs lists of its variables,
 or its watch lists or implication edges.  The trail holds the initial
 box from birth, as level-0 seeds with an empty reason and no row.
 
-A literal row has no filter and is never saved or stamped.  A general
-row's filter is at least its ``exact_filter``, and a row is queued iff
-its filter is positive, which the queue alone records: a push
-queues a row whose filter it lifts from at most 0 above 0, and a visit,
-which dequeues the row, leaves it at most 0 unless it finds the row
-false.  A row's own pushes never touch its filter, as a normalised row
-holds each variable once.  Filters are undone per decision level: the
-first push to change a row in level k > 0 saves its old filter and
-stamp and stamps the row k, and ``pop_to``, which only lands on a level
-start, writes the oldest saves back, stamps too.  So a row's stamp is
-the highest level that saved it, and no level saves a row twice.  A row
-registered above the target is recomputed there instead, and saved and
-stamped again for the level that resumes.  A visit saves nothing: the
-Solver decides only at a fixpoint, so what queued the row stamped it in
-this level.  Every save a backjump writes back is <= 0, and a row found
-false was lifted or registered in the top level, which the backjump
-undoes: the queue keeps its rows still positive and gains the positive
-rows the backjump recomputes.
+A literal row has no filter and is never saved.  A general row's filter
+is at least its ``exact_filter``, and a row is queued iff its filter is
+positive, which the queue alone records: a push queues a row whose
+filter it lifts from at most 0 above 0, and a visit, which dequeues the
+row, leaves it at most 0 unless it finds the row false.  A row's own
+pushes never touch its filter, as a normalised row holds each variable
+once.  Filters are undone per decision level, with one dict per level:
+``saves[k]`` maps each row that level k changed to its filter at the
+level's start, and each row filed in level k to None.  ``pop_to``, which
+only lands on a level start, walks the undone levels newest first, each
+newest first, so the oldest filter is written last; a row filed above
+the target is recomputed there instead, and filed in the landing level.
+``saves[0]`` is never written back.  A visit saves nothing: the Solver
+decides only at a fixpoint, so what queued the row saved it in this
+level.  For the same reason every queued row was lifted or filed above
+the target, every filter a backjump writes back is <= 0, and the rows
+left queued after a backjump are the recomputed ones with a positive
+filter.
 """
 
 from __future__ import annotations
@@ -192,11 +192,10 @@ class Propagator:
         # bound of a var, at occs[2*var + 1], or falls with its upper, at occs[2*var]
         self.occs = [[] for _ in range(2 * n)]
         self.filters = []
-        # saves holds (cid, old filter, or None: recompute, the row's previous
-        # stamp), and level k's begin at save_marks[k - 1], so the level is
-        # len(save_marks); stamp[cid] is the highest level whose saves hold the
-        # row, 0 if none, and each level's saves hold a row at most once
-        self.saves, self.save_marks, self.stamp = [], [], []
+        # one dict per decision level: saves[k] maps each general row changed
+        # in level k to its filter at the level's start, or to None for a row
+        # filed in level k, recomputed on unwind; saves[0] is never written back
+        self.saves = [{}]
         self.queue = deque()
         # by literal code: the clause cids watching it, its implication edges
         # [(other code, cid)] and the bound it pushes; built with the first literal row
@@ -205,7 +204,7 @@ class Propagator:
         self.clause_cursor = 0
         self.last_value = [None] * n  # phase saving: last defined value
         self.post_push = None  # optional hook, called after every push
-        # 21 attributes, of at most 29 (a test counts them): with more, CPython
+        # 19 attributes, of at most 29 (a test counts them): with more, CPython
         # 3.11 leaves its shared-key layout and every attribute access slows down
         for c in problem.constraints:  # in input order, so cids follow it
             self._file(c, self._as_clause(c))
@@ -263,14 +262,11 @@ class Propagator:
         self.alive.append(True)
         self.reasons.append(ReasonInfo(None, cid, c))  # reason set derived on demand
         self.filters.append(0)
-        self.stamp.append(0)
         if lits is None:
             for var, coeff in c.monomials:
                 self.occs[2 * var + (coeff > 0)].append((cid, abs(coeff)))
             self.filters[cid] = exact_filter(c, self.trail)
-            if self.save_marks:  # registered above level 0: recompute on unwind
-                self.stamp[cid] = len(self.save_marks)
-                self.saves.append((cid, None, 0))
+            self.saves[-1][cid] = None  # recomputed if its level is undone
             if self.filters[cid] > 0:
                 self.queue.append(cid)
             return cid
@@ -336,14 +332,12 @@ class Propagator:
             occs = self.occs[2 * var]
         height = trail.push(b, info)
         if info is DECISION:
-            self.save_marks.append(len(self.saves))
-        filters, stamp = self.filters, self.stamp
-        level = len(self.save_marks)
+            self.saves.append({})
+        filters, saved = self.filters, self.saves[-1]
         for cid, weight in occs:
             old = filters[cid]
-            if stamp[cid] < level:
-                self.saves.append((cid, old, stamp[cid]))
-                stamp[cid] = level
+            if cid not in saved:
+                saved[cid] = old
             new = old + weight * delta
             filters[cid] = new
             if new > 0 >= old:  # queued iff positive
@@ -378,21 +372,19 @@ class Propagator:
             self.pop_one()
         self.binary_cursor = min(self.binary_cursor, height)
         self.clause_cursor = min(self.clause_cursor, height)
-        undone = self.saves[self.save_marks[level]:]
-        del self.saves[self.save_marks[level]:], self.save_marks[level:]
-        filters, stamp = self.filters, self.stamp
+        undone = self.saves[level + 1:]
+        del self.saves[level + 1:]
+        filters, landing = self.filters, self.saves[level]
         recomputed = []
-        for cid, old, prev in reversed(undone):  # the oldest value is written last
-            stamp[cid] = prev
-            if old is None:  # registered above: exact here, saved for the level
-                if not self.alive[cid]:
-                    continue  # a dead row is never visited again
-                old = exact_filter(self.constraints[cid], trail)
-                recomputed.append(cid)
-                if level:
-                    stamp[cid] = level
-                    self.saves.append((cid, None, 0))
-            filters[cid] = old
+        for saved in reversed(undone):  # newest first: the oldest value is written last
+            for cid, old in reversed(saved.items()):
+                if old is None:  # filed above: exact here, filed in the landing level
+                    if not self.alive[cid]:
+                        continue  # a dead row is never visited again
+                    old = exact_filter(self.constraints[cid], trail)
+                    recomputed.append(cid)
+                    landing[cid] = None
+                filters[cid] = old
         # a restored save is <= 0, as the level started at a fixpoint: only
         # recomputed rows join the queue, in the order they were saved
         rows = dict.fromkeys([*self.queue, *reversed(recomputed)])

@@ -324,13 +324,13 @@ class TestFilters:
         # filter is positive, never twice; the row a visit reads is off the
         # queue until the visit ends, and a row that a visit found false
         # stays off it until the backjump.
-        # A row's stamp is the highest level, up to the current one, whose
-        # segment of saves holds it (0 if none), no segment holds a row
-        # twice, and a visit above level 0 reads only a row stamped in the
-        # current level, as it saves nothing itself.
+        # There is one dict of saves per level, 0 included, no dict names a
+        # literal row, and a visit above level 0 reads only a row saved in
+        # the current level, as it saves nothing itself.  A backjump files
+        # in the landing level only live rows it recomputed, and leaves
+        # queued only rows it recomputed.
         # With a cleanup every two learned rows, rows die at cleanups and
-        # strengthenings, no dead row may stay in an occurs list, and a
-        # backjump saves no dead row again for recompute
+        # strengthenings, and no dead row may stay in an occurs list
         seen = Counter()
         rng = random.Random(42)
         problems = ([random_problem(rng, objective=True) for _ in range(24)]
@@ -345,7 +345,7 @@ class TestFilters:
                     self.check_invariants_during(s, seen)
         assert seen["backjump"] >= 200 and seen["unwound"] >= 20, seen
         assert seen["cleanup"] >= 20 and seen["strengthening"] >= 20, seen
-        assert seen["stamped"] >= 100_000, seen
+        assert seen["saved"] >= 1_000_000 and seen["requeued"] >= 100, seen
 
     @staticmethod
     def check_invariants_during(s, seen):
@@ -365,18 +365,9 @@ class TestFilters:
                     assert pr.filters[cid] >= exact_filter(c, t), cid
                     if pr.filters[cid] > 0 and cid not in off_queue:
                         assert cid in queued, cid
-            level = len(pr.save_marks)
-            assert level == t.num_decisions
-            ends = [0, *pr.save_marks, len(pr.saves)]
-            assert ends[1] == 0  # level 0 saves nothing
-            highest = [0] * len(pr.stamp)
-            for k in range(1, level + 1):
-                rows = [cid for cid, _, _ in pr.saves[ends[k]:ends[k + 1]]]
-                assert len(rows) == len(set(rows)), k  # a row is saved once per level
-                for cid in rows:
-                    highest[cid] = k
-            assert pr.stamp == highest
-            seen["stamped"] += sum(k > 0 for k in pr.stamp)
+            assert len(pr.saves) == t.num_decisions + 1
+            assert all(pr.lits[cid] is None for saved in pr.saves for cid in saved)
+            seen["saved"] += sum(map(len, pr.saves[1:]))
 
         def checked_push(b, info, tier=None):
             height = push(b, info, tier)
@@ -384,7 +375,7 @@ class TestFilters:
             return height
 
         def checked_visit(cid):
-            assert pr.stamp[cid] == len(pr.save_marks), cid
+            assert not t.num_decisions or cid in pr.saves[-1], cid
             off_queue.add(cid)
             conflict = visit(cid)
             if conflict is None:
@@ -395,12 +386,15 @@ class TestFilters:
 
         def checked_pop_to(height):
             unwound = [cid for cid, at in registered.items() if at > height]
-            level = bisect_left(t.decision_heights, height)
-            kept = pr.save_marks[level] if level < len(pr.save_marks) else len(pr.saves)
+            landing = pr.saves[bisect_left(t.decision_heights, height)]
+            before = set(landing)
             pop_to(height)
             off_queue.clear()
             check()
-            assert all(pr.alive[cid] for cid, old, _ in pr.saves[kept:] if old is None)
+            recomputed = set(landing) - before
+            assert all(landing[cid] is None and pr.alive[cid] for cid in recomputed)
+            assert set(pr.queue) <= recomputed
+            seen["requeued"] += len(pr.queue)
             seen["backjump"] += 1
             seen["unwound"] += bool(unwound)
             for cid in unwound:  # saved again for the resumed level, if above 0 and alive
@@ -508,7 +502,7 @@ class TestClauseTiers:
         binary = pr.add_row(normalize([(1, -1), (2, -1)], -1), lo(2, 1))
         assert pr.lits[binary] == [5, 3]
         assert pr.bin_adj[5] == [(3, binary)] and pr.bin_adj[3] == [(1, 1), (5, binary)]
-        assert pr.stamp[clause] == pr.stamp[binary] == 0  # never saved
+        assert not any(cid in saved for saved in pr.saves for cid in (clause, binary))
         assert clause not in self.occurring(pr) and binary not in self.occurring(pr)
 
     def test_killed_learned_literal_rows_leave_their_tier(self):
