@@ -41,10 +41,11 @@ bound once, when it is pushed, so a later row (learned, or strengthening
 the objective) enters through ``add_row`` in a literal tier only if it
 asserts the bound pushed next with it as its reason: every literal but
 that bound's is false.  It watches that literal and the false one of
-greatest height, as in MiniSat, and a learned resolution clause always
-qualifies.  Every other later row is general.  The literal-code tables
-are built with the first literal row, whoever files it.  Later rows
-alone die, through ``kill_rows`` (learned rows at a cleanup, a replaced
+greatest height, as in MiniSat, and a learned resolution clause of two
+or more literals always qualifies; a resolution unit is not filed at
+all.  Every other later row is general.  The literal-code tables are
+built with the first literal row, whoever files it.  Later rows alone
+die, through ``kill_rows`` (learned rows at a cleanup, a replaced
 strengthening row): a dead row leaves the occurs lists of its variables,
 or its watch lists or implication edges.  The trail holds the initial
 box from birth, as level-0 seeds with an empty reason and no row.

@@ -302,10 +302,14 @@ class Solver:
         if result.early:
             self.stats.early_backjumps += 1
 
-    def _learn(self, c, asserts=None) -> int:
+    def _learn(self, c, asserts=None) -> Optional[int]:
         """File a learned row, count it, and give it activity 0; ``asserts``
-        is the bound pushed next with it as reason, if any."""
+        is the bound pushed next with it as reason, if any.  A resolution
+        unit lands at level 0 and is only counted: its bound is pushed with
+        no row (None), as MiniSat enqueues a learned unit."""
         self.stats.learned += 1
+        if self.config.mode == RESOLUTION and len(c.monomials) == 1:
+            return None
         cid = self.propagator.add_row(c, asserts)
         self.learned_activity[cid] = 0
         return cid

@@ -403,9 +403,10 @@ def test_every_early_backjump_in_cut_mode_solves_pushes_a_root_fact():
 class FilingSolver(Solver):
     """Counts the rows it learns that the store already holds, and checks
     that each bound an analysis pushes names the row it learned, or else
-    the filed row the analysis named."""
+    the filed row the analysis named; a resolution unit files no row and
+    is pushed at level 0 with its reason set and no reason row."""
 
-    learned_rows = refiled = named = 0
+    learned_rows = refiled = named = units = 0
 
     def _learn(self, c, asserts=None):
         self.learned_rows += 1
@@ -415,7 +416,15 @@ class FilingSolver(Solver):
     def _apply_analysis(self, result):
         filed = len(self.propagator.constraints)
         super()._apply_analysis(result)
-        reason = self.trail.entries[-1].info.reason_constraint
+        info = self.trail.entries[-1].info
+        reason = info.reason_constraint
+        if self.config.mode == "resolution" and [len(c.monomials)
+                                                 for c in result.learned] == [1]:
+            assert reason is None and info.reason_set == result.reason_set
+            assert len(self.propagator.constraints) == filed
+            assert self.trail.num_decisions == 0
+            self.units += 1
+            return
         assert reason == (filed if result.learned else result.attach_cid)
         self.named += not result.learned and reason is not None
         if self.config.mode == "cut":
@@ -428,14 +437,16 @@ def test_analysis_files_only_rows_it_derived(mode, min_learned, min_named):
     # the snapshot corpus and the coverage draw under their conflict caps: a
     # conflicting row that no cut replaced, such as the strengthening row, is
     # not filed a second time but named as the reason row
-    learned = named = 0
+    learned = named = units = 0
     for _, p, cap in corpus() + coverage_draw():
         s = FilingSolver(p, SolverConfig(mode=mode, max_conflicts=cap))
         s.solve()
         assert s.refiled == 0, s.refiled
         learned += s.learned_rows
         named += s.named
+        units += s.units
     assert learned >= min_learned and named >= min_named, (learned, named)
+    assert mode == "cut" or units >= 200, units  # resolution units file no row
 
 
 class AnalysisCountingSolver(Solver):
