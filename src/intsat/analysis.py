@@ -10,11 +10,12 @@ shape allows; the hybrid (cut) engine additionally carries a conflicting
 constraint, updated by eliminating cuts against reason constraints, and
 learns it only once a cut derived it.  A learned row is the reason row of
 its bound, as in MiniSat, but for a resolution unit: it lands at level 0,
-and the Solver pushes its bound with no row.  After the first rewrite step and after each
-new cut, ``early_backjump_scan`` checks whether that constraint propagates
-over the level-0 box ``trail.root``.  A hit whose bound removes at least
-half of its variable's level-0 values stops the walk early: it backjumps
-to level 0 and pushes the root fact; the walk goes on past a weaker one.
+and the Solver pushes its bound with no row.  After the first rewrite
+step and after each new cut, ``early_backjump_scan`` checks whether that
+constraint propagates over the level-0 box ``trail.root``.  A hit whose
+bound removes at least half of its variable's level-0 values stops the
+walk early: it backjumps to level 0 and pushes the root fact; the walk
+goes on past a weaker one.
 ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry points,
 for the search and for hooks that wrap them by name.
 """

@@ -59,15 +59,15 @@ pushes never touch its filter, as a normalised row holds each variable
 once.  Filters are undone per decision level, with one dict per level:
 ``saves[k]`` maps each row that level k changed to its filter at the
 level's start, and each row filed in level k to None.  ``pop_to``, which
-only lands on a level start, walks the undone levels newest first, each
+only lands on a level start, walks the undone levels and their saves
 newest first, so the oldest filter is written last; a row filed above
-the target is recomputed there instead, and filed in the landing level.
-``saves[0]`` is never written back.  A visit saves nothing: the Solver
-decides only at a fixpoint, so what queued the row saved it in this
-level.  For the same reason every queued row was lifted or filed above
-the target, every filter a backjump writes back is <= 0, and the rows
-left queued after a backjump are the recomputed ones with a positive
-filter.
+the target is recomputed there instead, and mapped to None in the
+landing level.  ``saves[0]`` is never written back.  A visit saves
+nothing: the Solver decides only at a fixpoint, so what queued the row
+saved it in this level.  For the same reason every queued row was lifted
+or filed above the target, every filter a backjump writes back is <= 0,
+and the rows left queued after a backjump are the recomputed ones with a
+positive filter.
 """
 
 from __future__ import annotations
@@ -379,7 +379,7 @@ class Propagator:
         recomputed = []
         for saved in reversed(undone):  # newest first: the oldest value is written last
             for cid, old in reversed(saved.items()):
-                if old is None:  # filed above: exact here, filed in the landing level
+                if old is None:  # filed above: exact here, None in the landing level
                     if not self.alive[cid]:
                         continue  # a dead row is never visited again
                     old = exact_filter(self.constraints[cid], trail)
