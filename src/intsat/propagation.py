@@ -47,12 +47,13 @@ all.  Every other later row is general.  The literal-code tables are
 built with the first literal row, whoever files it.  Later rows alone
 die, through ``kill_rows`` (learned rows at a cleanup, a replaced
 strengthening row): a dead row leaves the occurs lists of its variables,
-or its watch lists or implication edges.  The trail holds the initial
-box from birth, as level-0 seeds with an empty reason and no row.
+or its watch lists or implication edges, and the queue and the saves, so
+every queued or saved row is live.  The trail holds the initial box from
+birth, as level-0 seeds with an empty reason and no row.
 
-A literal row has no filter and is never saved.  A general row's filter
-is at least its ``exact_filter``, and a row is queued iff its filter is
-positive, which the queue alone records: a push queues a row whose
+A literal row has no filter and is never saved.  A live general row's
+filter is at least its ``exact_filter``, and it is queued iff its filter
+is positive, which the queue alone records: a push queues a row whose
 filter it lifts from at most 0 above 0, and a visit, which dequeues the
 row, leaves it at most 0 unless it finds the row false.  A row's own
 pushes never touch its filter, as a normalised row holds each variable
@@ -187,7 +188,6 @@ class Propagator:
         n = problem.num_vars
         self.constraints = []  # every row by cid: reasons and cuts read dead ones too
         self.lits = []  # literal codes of a clause or binary row, None for a general row
-        self.alive = []
         self.reasons = []  # the ReasonInfo of every bound the row propagates
         # (cid, |coeff|) of the general rows whose minimum rises with the lower
         # bound of a var, at occs[2*var + 1], or falls with its upper, at occs[2*var]
@@ -205,7 +205,7 @@ class Propagator:
         self.clause_cursor = 0
         self.last_value = [None] * n  # phase saving: last defined value
         self.post_push = None  # optional hook, called after every push
-        # 19 attributes, of at most 29 (a test counts them): with more, CPython
+        # 18 attributes, of at most 29 (a test counts them): with more, CPython
         # 3.11 leaves its shared-key layout and every attribute access slows down
         for c in problem.constraints:  # in input order, so cids follow it
             self._file(c, self._as_clause(c))
@@ -260,7 +260,6 @@ class Propagator:
         cid = len(self.constraints)
         self.constraints.append(c)
         self.lits.append(lits)
-        self.alive.append(True)
         self.reasons.append(ReasonInfo(None, cid, c))  # reason set derived on demand
         self.filters.append(0)
         if lits is None:
@@ -295,13 +294,11 @@ class Propagator:
         return self._file(c, lits)
 
     def kill_rows(self, dead: set):
-        """Mark the rows dead and take them out of the occurs lists, watch
-        lists and implication edges that name them; they stay filed for
-        reasons and cuts."""
+        """Take the rows out of the occurs lists, watch lists, implication
+        edges, queue and saves that name them, so propagation never reads
+        them again; they stay filed for reasons and cuts."""
         sides, watched, edged = set(), set(), set()
         for cid in dead:
-            assert self.alive[cid]
-            self.alive[cid] = False
             lits = self.lits[cid]
             if lits is None:
                 sides.update(2 * var + (coeff > 0)
@@ -319,6 +316,12 @@ class Propagator:
         for code in edged:
             edges = self.bin_adj[code]
             edges[:] = [edge for edge in edges if edge[1] not in dead]
+        queued = [cid for cid in self.queue if cid not in dead]
+        self.queue.clear()
+        self.queue.extend(queued)
+        for saved in self.saves:
+            for cid in dead & saved.keys():
+                del saved[cid]
 
     # -- push / pop ----------------------------------------------------------
 
@@ -380,8 +383,6 @@ class Propagator:
         for saved in reversed(undone):  # newest first: the oldest value is written last
             for cid, old in reversed(saved.items()):
                 if old is None:  # filed above: exact here, None in the landing level
-                    if not self.alive[cid]:
-                        continue  # a dead row is never visited again
                     old = exact_filter(self.constraints[cid], trail)
                     recomputed.append(cid)
                     landing[cid] = None
@@ -490,7 +491,7 @@ class Propagator:
         read by a tier or not.
         """
         entries = self.trail.entries
-        queue, alive = self.queue, self.alive
+        queue = self.queue
         literal = bool(self.lit_bounds)  # a clause or binary row is filed
         next_check = self.binary_cursor + PUSHES_PER_DEADLINE_CHECK
         while True:
@@ -511,10 +512,7 @@ class Propagator:
                     return conflict
                 continue
             if queue:
-                cid = queue.popleft()
-                if not alive[cid]:
-                    continue
-                conflict = self._visit_general(cid)
+                conflict = self._visit_general(queue.popleft())
                 if conflict is not None:
                     return conflict
                 continue

@@ -139,14 +139,9 @@ class Trail:
         this variable above the cutoff.  Tests check `root` against it; the
         early-backjump scan reads `root` and never walks the chains.
         """
-        p = self.pl[var]
-        while p >= cutoff:
-            p = self.entries[p].pos
-        lb = self.entries[p].bound.value
-        p = self.pu[var]
-        while p >= cutoff:
-            p = self.entries[p].pos
-        return lb, self.entries[p].bound.value
+        entries = self.entries
+        return (entries[self.height_of_strongest_below(var, True, cutoff)].bound.value,
+                entries[self.height_of_strongest_below(var, False, cutoff)].bound.value)
 
     def height_of_strongest_below(self, var: int, lower: bool, cutoff: int) -> int:
         """Height of var's strongest bound of a kind below `cutoff`; not used by the scan."""

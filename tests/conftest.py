@@ -104,6 +104,23 @@ def random_problem(rng, max_vars=5, dom_lo=-4, dom_hi=4, max_cons=8,
     return Problem(n, lbs, ubs, constraints, obj)
 
 
+def live_rows(solver):
+    """The cids of the solver's live rows: every input row, every learned
+    row still in ``learned_activity`` and the strengthening row."""
+    rows = set(range(len(solver.problem.constraints))) | solver.learned_activity.keys()
+    if solver.strengthening_cid is not None:
+        rows.add(solver.strengthening_cid)
+    return rows
+
+
+def indexed_rows(propagator):
+    """The cids an occurs list, watch list or implication edge names."""
+    rows = {cid for occs in propagator.occs for cid, _ in occs}
+    rows.update(cid for watchers in propagator.watch for cid in watchers)
+    rows.update(cid for edges in propagator.bin_adj for _, cid in edges)
+    return rows
+
+
 class MeasureProbe:
     """Asserts the lexicographic strict decrease of the termination
     measure at every push; restarts reset the baseline."""

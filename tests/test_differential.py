@@ -127,7 +127,8 @@ def check_against_the_oracle(p, config, seen):
     pr = s.propagator
     learned = [cid for cid in range(len(p.constraints), len(pr.lits)) if pr.lits[cid]]
     seen["learned literal rows"] += len(learned)
-    seen["killed"] += sum(not pr.alive[cid] for cid in learned)  # only a cleanup kills them
+    # only a cleanup kills them, and it drops them from learned_activity
+    seen["killed"] += sum(cid not in s.learned_activity for cid in learned)
     if out.solution is not None:
         assert p.check_solution(out.solution.values)
         if p.objective is not None:

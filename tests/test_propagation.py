@@ -10,8 +10,9 @@ from intsat.propagation import (BINARY, CLAUSE, GENERAL, exact_filter, falsifyin
                                 find_conflict, propagate_constraint, slack_and_widest)
 from intsat.search import Solver, SolverConfig, SolverStats
 from intsat.trail import DECISION, ReasonInfo, Trail
-from conftest import (C, cover_packing_problem, lo, pairwise_php_problem,
-                      planted_3sat_problem, up, random_problem, small_integer_problem)
+from conftest import (C, cover_packing_problem, indexed_rows, live_rows, lo,
+                      pairwise_php_problem, planted_3sat_problem, up, random_problem,
+                      small_integer_problem)
 from lemma_suites import ALL_SUITES, pushed_with_reasons
 from test_search_snapshot import integer_rows_problem
 
@@ -330,7 +331,9 @@ class TestFilters:
         # in the landing level only live rows it recomputed, and leaves
         # queued only rows it recomputed.
         # With a cleanup every two learned rows, rows die at cleanups and
-        # strengthenings, and no dead row may stay in an occurs list
+        # strengthenings, and then no occurs list, watch list, edge, queue
+        # entry or save names a row its owner no longer keeps (live_rows);
+        # the kills purge saves of rows filed above level 0 and of filters
         seen = Counter()
         rng = random.Random(42)
         problems = ([random_problem(rng, objective=True) for _ in range(24)]
@@ -346,12 +349,13 @@ class TestFilters:
         assert seen["backjump"] >= 200 and seen["unwound"] >= 20, seen
         assert seen["cleanup"] >= 20 and seen["strengthening"] >= 20, seen
         assert seen["saved"] >= 1_000_000 and seen["requeued"] >= 100, seen
+        assert seen["purged filed"] >= 100 and seen["purged filter"] >= 60, seen
 
     @staticmethod
     def check_invariants_during(s, seen):
         pr, t = s.propagator, s.trail
-        push, visit, pop_to, add_row = (
-            pr.push_bound, pr._visit_general, pr.pop_to, pr.add_row)
+        push, visit, pop_to, add_row, kill_rows = (
+            pr.push_bound, pr._visit_general, pr.pop_to, pr.add_row, pr.kill_rows)
         cleanup, strengthen = s._cleanup, s._install_strengthening
         off_queue = set()
         registered = {}  # row registered above level 0 -> trail length then
@@ -359,9 +363,10 @@ class TestFilters:
         def check():
             queued = set(pr.queue)
             assert len(queued) == len(pr.queue)  # no row is queued twice
-            assert all(pr.filters[cid] > 0 for cid in queued if pr.alive[cid])
+            assert all(pr.filters[cid] > 0 for cid in queued)
+            live = live_rows(s)
             for cid, c in enumerate(pr.constraints):
-                if pr.alive[cid] and pr.lits[cid] is None:  # a live general row
+                if cid in live and pr.lits[cid] is None:  # a live general row
                     assert pr.filters[cid] >= exact_filter(c, t), cid
                     if pr.filters[cid] > 0 and cid not in off_queue:
                         assert cid in queued, cid
@@ -392,13 +397,14 @@ class TestFilters:
             off_queue.clear()
             check()
             recomputed = set(landing) - before
-            assert all(landing[cid] is None and pr.alive[cid] for cid in recomputed)
+            live = live_rows(s)
+            assert all(landing[cid] is None and cid in live for cid in recomputed)
             assert set(pr.queue) <= recomputed
             seen["requeued"] += len(pr.queue)
             seen["backjump"] += 1
             seen["unwound"] += bool(unwound)
-            for cid in unwound:  # saved again for the resumed level, if above 0 and alive
-                if t.num_decisions and pr.alive[cid]:
+            for cid in unwound:  # saved again for the resumed level, if above 0 and live
+                if t.num_decisions and cid in live:
                     registered[cid] = height
                 else:
                     del registered[cid]
@@ -409,10 +415,18 @@ class TestFilters:
                 registered[cid] = len(t)
             return cid
 
+        def checked_kill_rows(dead):
+            for saved in pr.saves:
+                for cid in dead & saved.keys():
+                    seen["purged filed" if saved[cid] is None else "purged filter"] += 1
+            kill_rows(dead)
+
         def check_deaths(event):
             check()
-            occurring = {cid for occs in pr.occs for cid, _ in occs}
-            assert all(pr.alive[cid] for cid in occurring), event
+            named = indexed_rows(pr) | set(pr.queue)
+            named.update(cid for saved in pr.saves for cid in saved)
+            dead = named - live_rows(s)
+            assert not dead, (event, dead)
             seen[event] += 1
 
         def checked_cleanup():
@@ -426,6 +440,7 @@ class TestFilters:
 
         pr.push_bound, pr._visit_general = checked_push, checked_visit
         pr.pop_to, pr.add_row = checked_pop_to, checked_add_row
+        pr.kill_rows = checked_kill_rows
         s._cleanup, s._install_strengthening = checked_cleanup, checked_strengthen
         s.solve()
 
@@ -450,9 +465,9 @@ class TestFilters:
                 s.propagator.push_bound(lo(var, rng.randint(lb + 1, ub)), DECISION)
                 if s.propagator.propagate_fixpoint() is not None:
                     break
-                pr = s.propagator
+                pr, live = s.propagator, live_rows(s)
                 for cid, c in enumerate(pr.constraints):
-                    if not pr.alive[cid] or pr.lits[cid] is not None:
+                    if cid not in live or pr.lits[cid] is not None:
                         continue
                     assert s.propagator.filters[cid] >= exact_filter(c, s.trail)
                     if propagate_constraint(c, s.trail):
@@ -633,7 +648,8 @@ class TestClauseTiers:
             if conflict is not None:
                 return conflict
             track_new_rows()
-            live = [cid for cid in literal if pr.alive[cid]]
+            kept = live_rows(s)
+            live = [cid for cid in literal if cid in kept]
             for cid in live:
                 c = pr.constraints[cid]
                 assert find_conflict(c, t) is None and propagate_constraint(c, t) == [], cid
@@ -665,7 +681,8 @@ class TestClauseTiers:
         track_new_rows()
         s.solve()
         seen["cleanup"] += s.stats.cleanups
-        seen["killed learned"] += sum(not pr.alive[cid] for cid in literal)
+        live = live_rows(s)
+        seen["killed learned"] += sum(cid not in live for cid in literal)
 
 
 class TestFixpoint:

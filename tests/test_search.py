@@ -9,8 +9,8 @@ from intsat.model import Objective, Problem, normalize
 from intsat.oracle import oracle_solve
 from intsat.search import (ActivityQueue, Solver, SolverConfig, luby, restart_limits,
                            BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT)
-from intsat.trail import DECISION
-from conftest import (cover_packing_problem, lo, random_problem,
+from intsat.trail import DECISION, ReasonInfo
+from conftest import (cover_packing_problem, indexed_rows, live_rows, lo, random_problem,
                       small_integer_problem, up)
 
 
@@ -218,7 +218,7 @@ class TestRestarts:
         learned_cid = s._learn(normalize([(0, 1)], 2))
         s._restart()
         assert s.trail.num_decisions == 0
-        assert s.propagator.alive[learned_cid]
+        assert learned_cid in live_rows(s) and learned_cid in indexed_rows(s.propagator)
         s._restart()  # restart at level 0 is a no-op pop-wise
         assert s.trail.num_decisions == 0
 
@@ -238,23 +238,22 @@ class TestCleanup:
         s, (c3, c2, c3b) = self.setup_store()
         s.learned_activity[c3b] = 5
         s._cleanup()  # rows learned since the last cleanup are kept, not aged
-        assert all(s.propagator.alive[c] for c in (c3, c2, c3b))
+        assert live_rows(s) == indexed_rows(s.propagator) == {c3, c2, c3b}
         assert s.learned_activity[c3b] == 5
         s._cleanup()
-        assert not s.propagator.alive[c3]      # 3 monomials, counter 0
-        assert s.propagator.alive[c2]          # only 2 monomials
-        assert s.propagator.alive[c3b]         # counter was nonzero
+        # c3 dies: 3 monomials, counter 0; c2 has only 2, c3b's counter was nonzero
+        assert live_rows(s) == indexed_rows(s.propagator) == {c2, c3b}
         assert s.learned_activity == {c2: 0, c3b: 2}  # 5 // 2
 
     def test_learned_activity_holds_the_live_learned_rows(self):
-        # input and strengthening rows never enter it, and are never killed
+        # its keys are the learned rows the Propagator still indexes; input
+        # and strengthening rows never enter it, and input rows are never killed
         s = solver_for([0, 0, 0], [3, 3, 3], [normalize([(0, 1), (1, 1), (2, 1)], 8)],
                        objective=Objective({0: 1, 1: 1, 2: 1}))
         pr = s.propagator
 
         def live_learned():
-            return [cid for cid in range(len(pr.constraints))
-                    if pr.alive[cid] and cid not in (0, s.strengthening_cid)]
+            return sorted(indexed_rows(pr) - {0, s.strengthening_cid})
 
         for terms, rhs in [([(0, 1), (1, 1), (2, 1)], 5), ([(0, 1), (1, 1)], 5)]:
             s._learn(normalize(terms, rhs))
@@ -265,8 +264,8 @@ class TestCleanup:
         s._cleanup()
         assert list(s.learned_activity) == live_learned() == [1, 2, 4]
         s._cleanup()
-        assert not pr.alive[1] and not pr.alive[4]  # long, counter 0
-        assert pr.alive[0] and pr.alive[s.strengthening_cid]
+        assert not {1, 4} & indexed_rows(pr)  # long, counter 0
+        assert {0, s.strengthening_cid} <= indexed_rows(pr)
         assert list(s.learned_activity) == live_learned() == [2]
 
     def test_initial_constraints_never_removed(self):
@@ -274,8 +273,7 @@ class TestCleanup:
                        [normalize([(0, 1), (1, 1), (2, 1)], 5)])
         s._cleanup()
         s._cleanup()  # the first one keeps every row as fresh
-        pr = s.propagator
-        assert pr.alive == [True]
+        assert live_rows(s) == indexed_rows(s.propagator) == {0}
 
     def test_trail_referenced_learned_die_in_place(self):
         # analysis never rewrites a level-0 entry, so the row that is its
@@ -287,12 +285,31 @@ class TestCleanup:
         assert s.trail.entries[height].info.reason_constraint == cid  # x0 <= 1 at level 0
         reason = s.trail.reason_heights(height)
         s._cleanup()
-        assert s.propagator.alive[cid]  # the first one keeps every row as fresh
+        assert cid in live_rows(s)  # the first one keeps every row as fresh
         s._cleanup()
-        assert not s.propagator.alive[cid]
-        occurring = {c for occs in s.propagator.occs for c, _ in occs}
-        assert cid not in occurring
+        assert cid not in live_rows(s)
+        assert cid not in indexed_rows(s.propagator)
         assert s.trail.reason_heights(height) == reason
+
+    def test_a_killed_row_leaves_the_queue(self):
+        # a level-0 push after the last fixpoint, as a root fact that a
+        # restart pops nothing above, queues an old inactive learned row;
+        # the cleanup that kills it takes it out of the queue, so the next
+        # fixpoint never visits it
+        s = solver_for([0, 0, 0], [3, 3, 3], cleanup_learned_threshold=1)
+        pr = s.propagator
+        cid = s._learn(normalize([(0, 1), (1, 1), (2, 1)], 4))
+        assert pr.propagate_fixpoint() is None and not pr.queue
+        s._cleanup()  # the first one keeps every row as fresh
+        pr.push_bound(lo(0, 2), ReasonInfo.propagated((), None))
+        assert list(pr.queue) == [cid]
+        s._cleanup()
+        assert cid not in live_rows(s)
+        assert not pr.queue
+        visit, visited = pr._visit_general, []
+        pr._visit_general = lambda c: visited.append(c) or visit(c)
+        assert pr.propagate_fixpoint() is None
+        assert visited == []
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rebuild_rewatches_literals_false_at_level_zero(self, seed):

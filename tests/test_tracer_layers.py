@@ -4,7 +4,10 @@ The benchmark reports a self time and a call count per span, and reads
 0 for a span whose wrapped function the solver no longer calls.  Two
 small solves under ``bench/tracer.py``'s ``hooks`` must enter every span
 it installs, so a refactor that moves work out of a wrapped function
-fails here instead of silently zeroing a per-layer figure.
+fails here instead of silently zeroing a per-layer figure.  Both solves
+also take the tracer's ``Probe`` as instrumentation, so a refactor that
+drops the ``on_cs`` or ``post_push`` hook fails here instead of zeroing
+``analysis.rewrite_steps`` or ``trail.max_height``.
 """
 
 import random
@@ -14,7 +17,7 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH_DIR))
 
-from tracer import Tracer, hooks  # noqa: E402
+from tracer import Probe, Tracer, hooks  # noqa: E402
 
 from intsat.search import Solver, SolverConfig  # noqa: E402
 from conftest import planted_3sat_problem  # noqa: E402
@@ -41,20 +44,24 @@ class RecordingTracer(Tracer):
 
 def test_two_small_solves_enter_every_span_the_tracer_installs():
     tracer = RecordingTracer()
+    probe = Probe(tracer)
     with hooks(tracer):
         # cut mode: integer rows with an objective (general tier, cuts,
         # the early-backjump scan, strengthening)
         cut = Solver(integer_rows_problem(random.Random(3)),
-                     SolverConfig(mode="cut", max_conflicts=100))
+                     SolverConfig(mode="cut", max_conflicts=100), instrumentation=probe)
         assert cut.solve().status in ("optimal", "bounded")
         # resolution mode: clause and binary tiers, and a cleanup at every
         # restart
         res = Solver(planted_3sat_problem(random.Random(5), 40),
                      SolverConfig(mode="resolution", max_conflicts=200,
-                                  cleanup_learned_threshold=1, restart=("luby", 1)))
+                                  cleanup_learned_threshold=1, restart=("luby", 1)),
+                     instrumentation=probe)
         assert res.solve().status in ("feasible", "timelimit")
     assert not tracer.stack
     assert RETIRED_SPANS <= tracer.installed
     for name in sorted(tracer.installed):
         assert (tracer.calls[name] > 0) == (name not in RETIRED_SPANS), name
     assert tracer.counts["propagation.general_useful"] > 0
+    assert tracer.counts["analysis.cs_snapshots"] > tracer.counts["analysis.analyses"]
+    assert tracer.maxima["trail.max_height"] > 0
