@@ -6,16 +6,19 @@ reason set until exactly one bound of the set remains at its decision
 level.  It is one walk down the trail with a counter of the set's
 heights at that level, as in MiniSat (Een & Sorensson, SAT 2003).  The
 resolution engine then learns the negated set as a constraint when its
-shape allows; the hybrid (cut) engine additionally carries a conflicting
-constraint, updated by eliminating cuts against reason constraints, and
-learns it only once a cut derived it.  A learned row is the reason row of
-its bound, as in MiniSat, but for a resolution unit: it lands at level 0,
-and the Solver pushes its bound with no row.  After the first rewrite
-step and after each new cut, ``early_backjump_scan`` checks whether that
-constraint propagates over the level-0 box ``trail.root``.  A hit whose
-bound removes at least half of its variable's level-0 values stops the
-walk early: it backjumps to level 0 and pushes the root fact; the walk
-goes on past a weaker one.
+shape allows, and supplies a clause over binary variables with its
+literal codes, built from the set in MiniSat's watch order, which the
+Solver files as they are.  The hybrid (cut) engine additionally carries
+a conflicting constraint, updated by eliminating cuts against reason
+constraints, and learns it only once a cut derived it.  A learned row
+is the reason row of its bound, as in MiniSat, but for a resolution
+unit: it lands at level 0, and the Solver pushes its bound with no row.
+After the first rewrite step and after each new cut,
+``early_backjump_scan`` checks whether that constraint propagates over
+the level-0 box ``trail.root``.  A hit whose bound removes at least
+half of its variable's level-0 values stops the walk early: it
+backjumps to level 0 and pushes the root fact; the walk goes on past a
+weaker one.
 ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry points,
 for the search and for hooks that wrap them by name.
 """
@@ -26,7 +29,7 @@ from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 from .model import COEFF_CAP, Bound, Constraint, cut, normalize
-from .propagation import Conflict, propagated_bounds, slack_and_widest
+from .propagation import Conflict, clause_row, propagated_bounds, slack_and_widest
 from .trail import DECISION, Trail
 
 STRONG_HIT_SHARE = 0.5  # of the level-0 values a kept root fact removes
@@ -42,6 +45,7 @@ class AnalysisResult(NamedTuple):
     reason_set: tuple  # heights, all < pop_to
     attach_cid: Optional[int]  # a filed row: the bound's reason row if nothing is learned
     learned: tuple  # the row derived, if any: Solver._learn files it as the reason row
+    lits: Optional[list]  # a learned clause's literal codes in watch order, if over binaries
     early: bool
     bumped_vars: frozenset
     touched_cids: tuple  # conflicting/reason constraints seen (activity counters)
@@ -143,14 +147,16 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         rest_top = reason_set[-1] if reason_set else -1  # the runner-up
         pop_to = trail.decision_heights[bisect_right(trail.decision_heights, rest_top)]
         bound = trail.entries[h].bound.negated()
+    lits = None
     if cut_mode:
         learned = (cc,) if cc_cid is None else ()
     else:
         # level-0 bounds hold in every later state, so their negations
         # can be left out of the learned clause
         level0_end = trail.level_start(1)
-        lits = [trail.entries[h].bound.negated() for h in sorted(cs) if h >= level0_end]
-        clause = clause_to_constraint(lits, problem)
+        heights = [x for x in reason_set if x >= level0_end]
+        heights.append(h)
+        clause, lits = learned_clause(heights, trail, problem)
         learned = (clause,) if clause is not None else ()
     return AnalysisResult(
         pop_to=pop_to,
@@ -158,6 +164,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         reason_set=reason_set,
         attach_cid=cc_cid,
         learned=learned,
+        lits=lits,
         early=hit is not None,
         bumped_vars=frozenset(bumped),
         touched_cids=tuple(touched),
@@ -189,6 +196,26 @@ def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[EarlyBackjump]
     return EarlyBackjump(b, tuple(reason))
 
 
+def learned_clause(heights, trail: Trail, problem):
+    """The resolution clause negating the bounds at ``heights`` (above
+    level 0, increasing, the 1UIP last), and its literal codes if every
+    variable is binary: ``2*var + (not is_lower)`` for each bound, in
+    MiniSat's watch order.  That is the asserted literal, the runner-up's,
+    then the rest in row order.  A binary variable has one bound above
+    level 0, so the row needs no ``normalize``; any other clause is
+    converted by ``clause_to_constraint`` and has no codes."""
+    entries = trail.entries
+    lb0, ub0 = problem.initial_lb, problem.initial_ub
+    codes = []
+    for x in heights:
+        var, is_lower, _ = entries[x].bound
+        if lb0[var] != 0 or ub0[var] != 1:
+            bounds = [entries[y].bound.negated() for y in heights]
+            return clause_to_constraint(bounds, problem), None
+        codes.append(2 * var + (not is_lower))
+    return clause_row(codes), [codes[-1], *codes[-2:-1], *sorted(codes[:-2])]
+
+
 def clause_to_constraint(lits, problem) -> Optional[Constraint]:
     """Constraint equivalent (over the box) to a disjunction of bounds.
 
@@ -213,10 +240,9 @@ def clause_to_constraint(lits, problem) -> Optional[Constraint]:
             general.append(l)
     if len(general) > 1:
         return None
-    n_false = len(binary_false)
     if not general:
-        terms = [(v, -1) for v in binary_true] + [(v, 1) for v in binary_false]
-        return normalize(terms, n_false - 1)
+        return clause_row([2 * v + 1 for v in binary_true] + [2 * v for v in binary_false])
+    n_false = len(binary_false)
     var, is_lower, k = general[0]
     lb0 = problem.initial_lb[var]
     ub0 = problem.initial_ub[var]

@@ -38,15 +38,17 @@ a binary row with two literals and a clause row with more; any other
 row, a one-literal clause too, is general.  The constructor files the
 problem's rows in input order by this rule.  The literal tiers read each
 bound once, when it is pushed, so a later row (learned, or strengthening
-the objective) enters through ``add_row`` in a literal tier only if it
-asserts the bound pushed next with it as its reason: every literal but
-that bound's is false.  It watches that literal and the false one of
-greatest height, as in MiniSat, and a learned resolution clause of two
-or more literals always qualifies; a resolution unit is not filed at
-all.  Every other later row is general.  The literal-code tables are
-built with the first literal row, whoever files it.  Later rows alone
-die, through ``kill_rows`` (learned rows at a cleanup, a replaced
-strengthening row): a dead row leaves the occurs lists of its variables,
+the objective) joins one only if it asserts the bound pushed next with
+it as its reason: every literal but that bound's is false.  Its filer
+passes ``add_row`` its codes in MiniSat's watch order, that literal and
+then the false one of greatest height: the resolution analysis builds
+them for every clause of two or more literals over binary variables it
+learns, and ``watch_order`` derives them for a learned cut row that is
+such a clause.  A resolution unit is not filed at all; every other later
+row is general.  The literal-code tables are built with the first
+literal row, whoever files it.  Later rows alone die, through
+``kill_rows`` (learned rows at a cleanup, a replaced strengthening
+row): a dead row leaves the occurs lists of its variables,
 or its watch lists or implication edges, and the queue and the saves, so
 every queued or saved row is live.  The trail holds the initial box from
 birth, as level-0 seeds with an empty reason and no row.
@@ -76,9 +78,10 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import deque
+from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .model import Bound, Constraint
+from .model import Bound, Constraint, Monomial
 from .trail import DECISION, ReasonInfo, Trail
 
 
@@ -160,6 +163,18 @@ def propagated_bounds(c: Constraint, bounds, slack: int) -> list:
     return out
 
 
+def clause_row(codes) -> Constraint:
+    """The row of a clause over distinct binary variables, given its
+    literal codes: -v for ``1 <= v`` (code ``2*v + 1``) and +v for
+    ``v <= 0`` (code ``2*v``), with rhs the number of +v terms minus 1.
+    Sorted by variable and with gcd 1, the row is already normalised."""
+    ordered = sorted(codes)  # by variable, as they are distinct
+    terms = [(code >> 1, -1 if code & 1 else 1) for code in ordered]
+    rhs = len(ordered) - sum(code & 1 for code in ordered) - 1
+    # tuple.__new__ makes a Monomial from a pair with no Python frame, as in normalize
+    return Constraint(tuple(map(tuple.__new__, repeat(Monomial), terms)), rhs)
+
+
 def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = None) -> list:
     """All fresh bounds the constraint propagates under the current trail,
     in row order; the caller must have ruled out a conflict first, and
@@ -173,9 +188,10 @@ def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = Non
 class Propagator:
     """The row store and its three tiers; the single push/pop path.
 
-    The constructor files the problem's rows.  Later rows enter through
-    add_row, in a literal tier only if they assert the bound pushed next
-    with them, and leave through kill_rows.  Every trail change goes through
+    Every row enters through add_row: the constructor files the
+    problem's rows, and a later row joins a literal tier only with codes
+    in watch order, asserting the bound pushed next with it.  Later rows
+    leave through kill_rows.  Every trail change goes through
     push_bound / pop_to, so filters, cursors and saved phases stay
     consistent.
     """
@@ -208,7 +224,7 @@ class Propagator:
         # 18 attributes, of at most 29 (a test counts them): with more, CPython
         # 3.11 leaves its shared-key layout and every attribute access slows down
         for c in problem.constraints:  # in input order, so cids follow it
-            self._file(c, self._as_clause(c))
+            self.add_row(c, self._as_clause(c))
 
     # -- the row store ----------------------------------------------------------
 
@@ -230,11 +246,15 @@ class Propagator:
             return None
         return lits
 
-    def _asserting(self, lits, b: Bound):
-        """The literal codes ordered for watching, as in MiniSat, if every
-        literal but b's is false: b's first, then the false literal of
-        greatest height; else None.  b is a fresh bound, pushed next with
-        the row as reason, so on a variable of the row it is a literal."""
+    def watch_order(self, c: Constraint, b: Bound):
+        """The row's literal codes ordered for watching, as in MiniSat, if
+        it is a clause over binary variables whose every literal but b's is
+        false: b's first, then the false literal of greatest height; else
+        None.  b is a fresh bound, pushed next with the row as reason, so on
+        a variable of the row it is a literal."""
+        lits = self._as_clause(c)
+        if lits is None:
+            return None
         first = 2 * b.var + b.is_lower
         trail = self.trail
         lb, ub, pl, pu = trail.lb, trail.ub, trail.pl, trail.pu
@@ -254,9 +274,10 @@ class Propagator:
         second = max(false)[1]
         return [first, second, *(lit for lit in lits if lit != first and lit != second)]
 
-    def _file(self, c: Constraint, lits) -> int:
-        """File a new row in the tier ``lits`` names, sized and indexed; a
-        general row is checked against the current trail.  Returns its cid."""
+    def add_row(self, c: Constraint, lits=None) -> int:
+        """File a row, sized and indexed, and return its cid: general,
+        checked against the current trail, if ``lits`` is None, else in a
+        literal tier with those codes, watching ``lits[0]`` and ``lits[1]``."""
         cid = len(self.constraints)
         self.constraints.append(c)
         self.lits.append(lits)
@@ -282,16 +303,6 @@ class Propagator:
             self.watch[lits[0]].append(cid)
             self.watch[lits[1]].append(cid)
         return cid
-
-    def add_row(self, c: Constraint, asserts: Optional[Bound] = None) -> int:
-        """File a row after construction; returns its cid.  A clause over
-        binary variables that asserts ``asserts``, the bound pushed next
-        with it as reason, joins a literal tier, watching the asserted
-        literal and its latest false one; any other row is general."""
-        lits = None if asserts is None else self._as_clause(c)
-        if lits is not None:
-            lits = self._asserting(lits, asserts)
-        return self._file(c, lits)
 
     def kill_rows(self, dead: set):
         """Take the rows out of the occurs lists, watch lists, implication

@@ -296,21 +296,27 @@ class Solver:
         self.propagator.pop_to(result.pop_to)
         rc_cid = result.attach_cid
         for c in result.learned:
-            rc_cid = self._learn(c, result.bound)
+            rc_cid = self._learn(c, result.bound, result.lits)
         self.propagator.push_bound(
             result.bound, ReasonInfo.propagated(result.reason_set, rc_cid))
         if result.early:
             self.stats.early_backjumps += 1
 
-    def _learn(self, c, asserts=None) -> Optional[int]:
+    def _learn(self, c, asserts=None, lits=None) -> Optional[int]:
         """File a learned row, count it, and give it activity 0; ``asserts``
-        is the bound pushed next with it as reason, if any.  A resolution
-        unit lands at level 0 and is only counted: its bound is pushed with
-        no row (None), as MiniSat enqueues a learned unit."""
+        is the bound pushed next with it as reason, if any.  The resolution
+        analysis supplies ``lits``, a clause's literal codes in watch order;
+        for a cut row ``Propagator.watch_order`` derives them.  With none
+        the row is general.  A resolution unit lands at level 0 and is only
+        counted: its bound is pushed with no row (None), as MiniSat
+        enqueues a learned unit."""
         self.stats.learned += 1
-        if self.config.mode == RESOLUTION and len(c.monomials) == 1:
-            return None
-        cid = self.propagator.add_row(c, asserts)
+        if self.config.mode == RESOLUTION:
+            if len(c.monomials) == 1:
+                return None
+        elif asserts is not None:
+            lits = self.propagator.watch_order(c, asserts)
+        cid = self.propagator.add_row(c, lits)
         self.learned_activity[cid] = 0
         return cid
 

@@ -408,10 +408,10 @@ class FilingSolver(Solver):
 
     learned_rows = refiled = named = units = 0
 
-    def _learn(self, c, asserts=None):
+    def _learn(self, c, asserts=None, lits=None):
         self.learned_rows += 1
         self.refiled += any(c is row for row in self.propagator.constraints)
-        return super()._learn(c, asserts)
+        return super()._learn(c, asserts, lits)
 
     def _apply_analysis(self, result):
         filed = len(self.propagator.constraints)
@@ -447,6 +447,74 @@ def test_analysis_files_only_rows_it_derived(mode, min_learned, min_named):
         units += s.units
     assert learned >= min_learned and named >= min_named, (learned, named)
     assert mode == "cut" or units >= 200, units  # resolution units file no row
+
+
+class WatchOrderSolver(Solver):
+    """Checks each learned resolution clause of two or more literals, just
+    after the backjump: its row is ``clause_to_constraint`` of the negated
+    bounds, and it is filed with the codes ``Propagator.watch_order``
+    derives from the trail, in MiniSat's order, or with none."""
+
+    checked = 0
+
+    def _apply_analysis(self, result):
+        self.result = result
+        super()._apply_analysis(result)
+
+    def _learn(self, c, asserts=None, lits=None):
+        cid = super()._learn(c, asserts, lits)
+        if len(c.monomials) > 1:
+            t = self.trail
+            above = [x for x in self.result.reason_set if x >= t.level_start(1)]
+            bounds = [asserts, *(t.entries[x].bound.negated() for x in above)]
+            assert c == clause_to_constraint(bounds, self.problem)
+            want = self.propagator.watch_order(c, asserts)
+            assert self.propagator.lits[cid] == want, (lits, want, bounds)
+            self.checked += want is not None
+        return cid
+
+
+def test_learned_resolution_clauses_come_in_watch_order():
+    # a clause filed in another order watches other literals, which moves
+    # the search; every clause here is over binaries but for a few on the
+    # integer rows of the corpus, which carry no codes
+    rng = random.Random(7201)
+    problems = [(p, cap) for _, p, cap in corpus()]
+    problems += [(planted_3sat_problem(rng, n), 400) for n in (150, 175, 200, 225, 250)]
+    checked = 0
+    for p, cap in problems:
+        s = WatchOrderSolver(p, SolverConfig(mode="resolution", max_conflicts=cap))
+        s.solve()
+        checked += s.checked
+    assert checked >= 1200, checked
+
+
+def test_mixed_resolution_clause_is_filed_general():
+    # binaries x0, z1, z2 and y in [0, 3]: deciding 1 <= x0, then y <= 1,
+    # forces z1 and z2 and falsifies x0 + z1 + z2 <= 2, and resolution
+    # learns x0 <= 0 or 2 <= y, that is 2*x0 - y <= 0, on a binary and an
+    # integer: a clause with no literal codes, filed in the general tier
+    rows = [normalize([(0, 1), (1, 1), (2, 1)], 2),
+            normalize([(1, -2), (3, -1)], -2),  # y <= 1 forces z1
+            normalize([(2, -2), (3, -1)], -2)]  # and z2
+    p = Problem(4, [0, 0, 0, 0], [1, 1, 1, 3], rows,
+                Objective({0: -2, 1: 1, 2: 1, 3: 1}))
+    s = Solver(p, SolverConfig(mode="resolution"))
+    pr = s.propagator
+    assert pr.propagate_fixpoint() is None
+    pr.push_bound(lo(0, 1), DECISION)
+    assert pr.propagate_fixpoint() is None
+    pr.push_bound(up(3, 1), DECISION)
+    result = s._analyze(pr.propagate_fixpoint())
+    assert result.learned == (C([(0, 2), (3, -1)], 0),) and result.lits is None
+    filed = len(pr.constraints)
+    s._apply_analysis(result)
+    assert pr.lits[filed] is None and any(cid == filed for cid, _ in pr.occs[2 * 3])
+    top = s.trail.entries[-1]
+    assert top.bound == lo(3, 2) and top.info.reason_constraint == filed
+    assert s.learned_activity == {filed: 0}
+    out, want = s.solve(), oracle_solve(p)
+    assert (out.status, out.objective_value) == (want.status, want.objective_value)
 
 
 class AnalysisCountingSolver(Solver):

@@ -409,8 +409,8 @@ class TestFilters:
                 else:
                     del registered[cid]
 
-        def checked_add_row(c, asserts=None):
-            cid = add_row(c, asserts)
+        def checked_add_row(c, lits=None):
+            cid = add_row(c, lits)
             if t.num_decisions and pr.lits[cid] is None:
                 registered[cid] = len(t)
             return cid
@@ -487,9 +487,10 @@ class TestClauseTiers:
 
     def test_classification(self):
         # the constructor files every clause-shaped input row in a literal
-        # tier; a later row joins one only as a clause that asserts the
-        # bound pushed next with it, watching that literal and the false
-        # literal of greatest height, and any other later row is general
+        # tier; a later row joins one only with the codes its filer passes,
+        # which watch_order gives for a clause that asserts the bound pushed
+        # next with it: that literal, then the false literal of greatest
+        # height; a row filed with no codes is general
         cover3 = normalize([(0, -1), (1, -1), (2, -1)], -1)  # x0+x1+x2 >= 1
         rows = [cover3,
                 normalize([(0, -1), (1, -1)], -1),  # x0+x1 >= 1
@@ -508,13 +509,15 @@ class TestClauseTiers:
         assert self.occurring(pr) == {2, 3, 4, learned, strengthening}
         assert sum(map(len, pr.watch)) == 2 and sum(map(len, pr.bin_adj)) == 2
         pr.push_bound(up(1, 0), DECISION)  # falsifies code 3
-        assert pr.lits[pr.add_row(cover3, lo(2, 1))] is None  # code 1 is open
+        assert pr.watch_order(cover3, lo(2, 1)) is None  # code 1 is open
         pr.push_bound(up(0, 0), DECISION)  # falsifies code 1, above code 3
-        assert pr.lits[pr.add_row(cover3, up(2, 0))] is None  # 2*2 is not in the row
-        clause = pr.add_row(cover3, lo(2, 1))
+        assert pr.watch_order(cover3, up(2, 0)) is None  # 2*2 is not in the row
+        assert pr.watch_order(rows[3], lo(0, 1)) is None  # not a clause
+        clause = pr.add_row(cover3, pr.watch_order(cover3, lo(2, 1)))
         assert pr.lits[clause] == [5, 1, 3]  # asserted, then the latest false literal
         assert pr.watch[5] == [clause] and pr.watch[1] == [0, clause]
-        binary = pr.add_row(normalize([(1, -1), (2, -1)], -1), lo(2, 1))
+        pair = normalize([(1, -1), (2, -1)], -1)
+        binary = pr.add_row(pair, pr.watch_order(pair, lo(2, 1)))
         assert pr.lits[binary] == [5, 3]
         assert pr.bin_adj[5] == [(3, binary)] and pr.bin_adj[3] == [(1, 1), (5, binary)]
         assert not any(cid in saved for saved in pr.saves for cid in (clause, binary))
@@ -528,8 +531,9 @@ class TestClauseTiers:
         pr = self.propagator(Problem(6, [0] * 6, [1] * 6, []))
         for var in (0, 1, 2, 4):
             pr.push_bound(up(var, 0), DECISION)
-        clause = pr.add_row(normalize([(v, -1) for v in range(4)], -1), lo(3, 1))
-        binary = pr.add_row(normalize([(4, -1), (5, -1)], -1), lo(5, 1))
+        rows = normalize([(v, -1) for v in range(4)], -1), normalize([(4, -1), (5, -1)], -1)
+        clause, binary = (pr.add_row(c, pr.watch_order(c, b))
+                          for c, b in zip(rows, (lo(3, 1), lo(5, 1))))
         assert pr.lits[clause] == [7, 5, 1, 3] and pr.lits[binary] == [11, 9]
         pr.pop_to(pr.trail.level_start(1))
         pr.kill_rows({clause, binary})
