@@ -210,8 +210,8 @@ class Problem:
     var_names: Optional[list] = None
 
     def __post_init__(self):
-        assert len(self.initial_lb) == self.num_vars
-        assert len(self.initial_ub) == self.num_vars
+        if len(self.initial_lb) != self.num_vars or len(self.initial_ub) != self.num_vars:
+            raise ValueError(f"initial_lb and initial_ub need {self.num_vars} entries each")
         for lb, ub in zip(self.initial_lb, self.initial_ub):
             if lb > ub:
                 raise ValueError(f"empty initial domain [{lb}, {ub}]")

@@ -36,22 +36,16 @@ The ``Propagator`` is the row store: it keeps every row by cid, dead
 ones too, beside its per-row state.  A clause over binary variables is
 a binary row with two literals and a clause row with more; any other
 row, a one-literal clause too, is general.  The constructor files the
-problem's rows in input order by this rule.  The literal tiers read each
-bound once, when it is pushed, so a later row (learned, or strengthening
-the objective) joins one only if it asserts the bound pushed next with
-it as its reason: every literal but that bound's is false.  Its filer
-passes ``add_row`` its codes in MiniSat's watch order, that literal and
-then the false one of greatest height: the resolution analysis builds
-them for every clause of two or more literals over binary variables it
-learns, and ``watch_order`` derives them for a learned cut row that is
-such a clause.  A resolution unit is not filed at all; every other later
-row is general.  The literal-code tables are built with the first
-literal row, whoever files it.  Later rows alone die, through
-``kill_rows`` (learned rows at a cleanup, a replaced strengthening
-row): a dead row leaves the occurs lists of its variables,
-or its watch lists or implication edges, and the queue and the saves, so
-every queued or saved row is live.  The trail holds the initial box from
-birth, as level-0 seeds with an empty reason and no row.
+problem's rows in input order by this rule.  A later row (learned, or
+strengthening the objective) joins a literal tier only with the codes
+``analysis.learned_clause`` supplies; every other later row is general.
+The literal-code tables are built with the first literal row, whoever
+files it.  Later rows alone die, through ``kill_rows`` (learned rows at
+a cleanup, a replaced strengthening row): a dead row leaves the occurs
+lists of its variables, or its watch lists or implication edges, and the
+queue and the saves, so every queued or saved row is live.  The trail
+holds the initial box from birth, as level-0 seeds with an empty reason
+and no row.
 
 A literal row has no filter and is never saved.  A live general row's
 filter is at least its ``exact_filter``, and it is queued iff its filter
@@ -188,12 +182,11 @@ def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = Non
 class Propagator:
     """The row store and its three tiers; the single push/pop path.
 
-    Every row enters through add_row: the constructor files the
-    problem's rows, and a later row joins a literal tier only with codes
-    in watch order, asserting the bound pushed next with it.  Later rows
-    leave through kill_rows.  Every trail change goes through
-    push_bound / pop_to, so filters, cursors and saved phases stay
-    consistent.
+    Every row enters through add_row: the constructor classifies the
+    problem's rows, and a later row joins a literal tier only with the
+    codes ``analysis.learned_clause`` supplies.  Later rows leave through
+    kill_rows.  Every trail change goes through push_bound / pop_to, so
+    filters, cursors and saved phases stay consistent.
     """
 
     def __init__(self, problem, trail: Trail, stats, trace=None):
@@ -245,34 +238,6 @@ class Propagator:
         if c.rhs != positives - 1 or len(lits) < 2:
             return None
         return lits
-
-    def watch_order(self, c: Constraint, b: Bound):
-        """The row's literal codes ordered for watching, as in MiniSat, if
-        it is a clause over binary variables whose every literal but b's is
-        false: b's first, then the false literal of greatest height; else
-        None.  b is a fresh bound, pushed next with the row as reason, so on
-        a variable of the row it is a literal."""
-        lits = self._as_clause(c)
-        if lits is None:
-            return None
-        first = 2 * b.var + b.is_lower
-        trail = self.trail
-        lb, ub, pl, pu = trail.lb, trail.ub, trail.pl, trail.pu
-        false = []  # (height, code)
-        for lit in lits:
-            if lit == first:
-                continue
-            v = lit >> 1
-            if lit & 1 and not ub[v]:
-                false.append((pu[v], lit))
-            elif not lit & 1 and lb[v]:
-                false.append((pl[v], lit))
-            else:
-                return None
-        if len(false) != len(lits) - 1:  # b's literal is not in the row
-            return None
-        second = max(false)[1]
-        return [first, second, *(lit for lit in lits if lit != first and lit != second)]
 
     def add_row(self, c: Constraint, lits=None) -> int:
         """File a row, sized and indexed, and return its cid: general,
@@ -372,7 +337,8 @@ class Propagator:
         return height
 
     def pop_one(self):
-        """Pop the top entry; ``pop_to`` restores filters, queue and cursors."""
+        """Pop the top entry; ``pop_to`` restores filters, queue and cursors.
+        The benchmark's tracer (``bench/tracer.py``) wraps it by name."""
         self.trail.pop()
 
     def pop_to(self, height: int):

@@ -296,26 +296,21 @@ class Solver:
         self.propagator.pop_to(result.pop_to)
         rc_cid = result.attach_cid
         for c in result.learned:
-            rc_cid = self._learn(c, result.bound, result.lits)
+            rc_cid = self._learn(c, result.lits)
         self.propagator.push_bound(
             result.bound, ReasonInfo.propagated(result.reason_set, rc_cid))
         if result.early:
             self.stats.early_backjumps += 1
 
-    def _learn(self, c, asserts=None, lits=None) -> Optional[int]:
-        """File a learned row, count it, and give it activity 0; ``asserts``
-        is the bound pushed next with it as reason, if any.  The resolution
-        analysis supplies ``lits``, a clause's literal codes in watch order;
-        for a cut row ``Propagator.watch_order`` derives them.  With none
-        the row is general.  A resolution unit lands at level 0 and is only
-        counted: its bound is pushed with no row (None), as MiniSat
-        enqueues a learned unit."""
+    def _learn(self, c, lits=None) -> Optional[int]:
+        """File a learned row, count it, and give it activity 0.  It joins
+        a literal tier only with ``lits``, the codes in watch order that
+        ``analysis.learned_clause`` supplies; with none it is general.  A
+        resolution unit lands at level 0 and is only counted: its bound is
+        pushed with no row (None), as MiniSat enqueues a learned unit."""
         self.stats.learned += 1
-        if self.config.mode == RESOLUTION:
-            if len(c.monomials) == 1:
-                return None
-        elif asserts is not None:
-            lits = self.propagator.watch_order(c, asserts)
+        if self.config.mode == RESOLUTION and len(c.monomials) == 1:
+            return None
         cid = self.propagator.add_row(c, lits)
         self.learned_activity[cid] = 0
         return cid
@@ -339,7 +334,8 @@ class Solver:
         killed row may be the reason of a level-0 entry, which analysis
         never rewrites.  Only a scheduled restart cleans up, and ``validate``
         admits only intervals that grow without bound, while between two
-        restarts each push lowers the finite ``termination_measure``: so
+        restarts each push lowers a finite measure, the domain sizes summed
+        below each decision in turn, compared lexicographically: so
         deletion cannot loop, and keeping the fresh rows is policy."""
         assert self.trail.num_decisions == 0
         pr, activity = self.propagator, self.learned_activity

@@ -137,14 +137,16 @@ class Trail:
 
         Walks the pos chains, so the cost is the number of entries of
         this variable above the cutoff.  Tests check `root` against it; the
-        early-backjump scan reads `root` and never walks the chains.
+        early-backjump scan reads `root` and never walks the chains.  The
+        benchmark's tracer (``bench/tracer.py``) wraps it by name.
         """
         entries = self.entries
         return (entries[self.height_of_strongest_below(var, True, cutoff)].bound.value,
                 entries[self.height_of_strongest_below(var, False, cutoff)].bound.value)
 
     def height_of_strongest_below(self, var: int, lower: bool, cutoff: int) -> int:
-        """Height of var's strongest bound of a kind below `cutoff`; not used by the scan."""
+        """Height of var's strongest bound of a kind below `cutoff`; not used
+        by the scan, but the benchmark's tracer wraps it by name."""
         p = self.pl[var] if lower else self.pu[var]
         while p >= cutoff:
             p = self.entries[p].pos
@@ -187,35 +189,3 @@ class Trail:
                 f"constraint={cid if cid is not None else 'none'}"
             )
         return lines
-
-
-def termination_measure(trail: Trail) -> tuple:
-    """Well-founded measure: aggregated domain sizes per decision-level prefix.
-
-    Component i is the total domain size of the trail prefix strictly
-    below the (i+1)-th decision (the whole trail when fewer decisions
-    exist).  The tuple has one component per possible decision plus one,
-    and decreases lexicographically at every fresh push and every
-    backjump.  The initial box is read from the seeds.
-    """
-    seeds = trail.entries[:2 * trail.num_vars]
-    lb = [e.bound.value for e in seeds[0::2]]
-    ub = [e.bound.value for e in seeds[1::2]]
-    max_decisions = sum(u - l for l, u in zip(lb, ub))
-    values = []
-    next_cut = 0  # index into decision_heights
-    total = sum(u - l + 1 for l, u in zip(lb, ub))
-    for h, entry in enumerate(trail.entries):
-        while next_cut < len(trail.decision_heights) and trail.decision_heights[next_cut] == h:
-            values.append(total)
-            next_cut += 1
-        b = entry.bound
-        if b.is_lower:
-            total -= b.value - lb[b.var]
-            lb[b.var] = b.value
-        else:
-            total -= ub[b.var] - b.value
-            ub[b.var] = b.value
-    while len(values) <= max_decisions:
-        values.append(total)
-    return tuple(values)

@@ -10,7 +10,6 @@ import pytest
 from intsat.analysis import AnalysisInfeasible
 from intsat.model import Bound, Constraint, Monomial, Objective, Problem
 from intsat.search import Solver, SolverConfig
-from intsat.trail import termination_measure
 
 
 def C(terms, rhs):
@@ -119,6 +118,66 @@ def indexed_rows(propagator):
     rows.update(cid for watchers in propagator.watch for cid in watchers)
     rows.update(cid for edges in propagator.bin_adj for _, cid in edges)
     return rows
+
+
+def watch_order(propagator, c, b):
+    """The reference watch order of a row pushed with the fresh bound b:
+    if the row is a clause over binary variables whose every literal but
+    b's is false, its literal codes as MiniSat watches them, b's first,
+    then the false literal of greatest height, then the rest in row
+    order; else None."""
+    lits = propagator._as_clause(c)
+    if lits is None:
+        return None
+    first = 2 * b.var + b.is_lower
+    trail = propagator.trail
+    false = []  # (height, code)
+    for lit in lits:
+        if lit == first:
+            continue
+        v = lit >> 1
+        if lit & 1 and not trail.ub[v]:
+            false.append((trail.pu[v], lit))
+        elif not lit & 1 and trail.lb[v]:
+            false.append((trail.pl[v], lit))
+        else:
+            return None
+    if len(false) != len(lits) - 1:  # b's literal is not in the row
+        return None
+    second = max(false)[1]
+    return [first, second, *(lit for lit in lits if lit != first and lit != second)]
+
+
+def termination_measure(trail):
+    """Well-founded measure: aggregated domain sizes per decision-level prefix.
+
+    Component i is the total domain size of the trail prefix strictly
+    below the (i+1)-th decision (the whole trail when fewer decisions
+    exist).  The tuple has one component per possible decision plus one,
+    and decreases lexicographically at every fresh push and every
+    backjump.  The initial box is read from the seeds.
+    """
+    seeds = trail.entries[:2 * trail.num_vars]
+    lb = [e.bound.value for e in seeds[0::2]]
+    ub = [e.bound.value for e in seeds[1::2]]
+    max_decisions = sum(u - l for l, u in zip(lb, ub))
+    values = []
+    next_cut = 0  # index into decision_heights
+    total = sum(u - l + 1 for l, u in zip(lb, ub))
+    for h, entry in enumerate(trail.entries):
+        while next_cut < len(trail.decision_heights) and trail.decision_heights[next_cut] == h:
+            values.append(total)
+            next_cut += 1
+        b = entry.bound
+        if b.is_lower:
+            total -= b.value - lb[b.var]
+            lb[b.var] = b.value
+        else:
+            total -= ub[b.var] - b.value
+            ub[b.var] = b.value
+    while len(values) <= max_decisions:
+        values.append(total)
+    return tuple(values)
 
 
 class MeasureProbe:

@@ -11,10 +11,12 @@ from intsat.oracle import oracle_solve
 from intsat.propagation import Conflict
 from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
+from test_search import config_space_problems
 from test_search_snapshot import corpus, integer_rows_problem
 from conftest import (C, RecordingSolver, ValidityProbe, box_points,
                       feasible_points, lo, pairwise_php_problem, php_problem,
-                      planted_3sat_problem, refutation_violated, small_integer_problem, up)
+                      planted_3sat_problem, refutation_violated, small_integer_problem, up,
+                      watch_order)
 
 
 def core_solver(**cfg):
@@ -408,10 +410,10 @@ class FilingSolver(Solver):
 
     learned_rows = refiled = named = units = 0
 
-    def _learn(self, c, asserts=None, lits=None):
+    def _learn(self, c, lits=None):
         self.learned_rows += 1
         self.refiled += any(c is row for row in self.propagator.constraints)
-        return super()._learn(c, asserts, lits)
+        return super()._learn(c, lits)
 
     def _apply_analysis(self, result):
         filed = len(self.propagator.constraints)
@@ -452,7 +454,7 @@ def test_analysis_files_only_rows_it_derived(mode, min_learned, min_named):
 class WatchOrderSolver(Solver):
     """Checks each learned resolution clause of two or more literals, just
     after the backjump: its row is ``clause_to_constraint`` of the negated
-    bounds, and it is filed with the codes ``Propagator.watch_order``
+    bounds, and it is filed with the codes the reference ``watch_order``
     derives from the trail, in MiniSat's order, or with none."""
 
     checked = 0
@@ -461,14 +463,14 @@ class WatchOrderSolver(Solver):
         self.result = result
         super()._apply_analysis(result)
 
-    def _learn(self, c, asserts=None, lits=None):
-        cid = super()._learn(c, asserts, lits)
+    def _learn(self, c, lits=None):
+        cid = super()._learn(c, lits)
         if len(c.monomials) > 1:
-            t = self.trail
+            t, asserts = self.trail, self.result.bound
             above = [x for x in self.result.reason_set if x >= t.level_start(1)]
             bounds = [asserts, *(t.entries[x].bound.negated() for x in above)]
             assert c == clause_to_constraint(bounds, self.problem)
-            want = self.propagator.watch_order(c, asserts)
+            want = watch_order(self.propagator, c, asserts)
             assert self.propagator.lits[cid] == want, (lits, want, bounds)
             self.checked += want is not None
         return cid
@@ -487,6 +489,46 @@ def test_learned_resolution_clauses_come_in_watch_order():
         s.solve()
         checked += s.checked
     assert checked >= 1200, checked
+
+
+class CutClauseSolver(Solver):
+    """Checks each learned cut row that is a clause over binaries asserting
+    the bound pushed with it: it is filed general, in the occurs lists of
+    its variables, and is that bound's reason row."""
+
+    checked = 0
+
+    def _apply_analysis(self, result):
+        self.result, self.clause_cid = result, None
+        super()._apply_analysis(result)
+        if self.clause_cid is not None:
+            top = self.trail.entries[-1]
+            assert top.bound == result.bound and top.info.reason_constraint == self.clause_cid
+            self.checked += 1
+
+    def _learn(self, c, lits=None):
+        cid = super()._learn(c, lits)
+        pr = self.propagator
+        if watch_order(pr, c, self.result.bound) is not None:
+            assert pr.lits[cid] is None
+            assert all((cid, 1) in pr.occs[2 * var + (coeff > 0)] for var, coeff in c.monomials)
+            self.clause_cid = cid
+        return cid
+
+
+def test_learned_cut_clauses_are_filed_general():
+    # config-space draws on which cut mode learns a binary clause (instance
+    # 2), a clause row (65) and one of each (203), each asserting the bound
+    # pushed with it: the general tier propagates it, and the answer holds
+    problems = config_space_problems()
+    checked = 0
+    for i in (2, 65, 203):
+        s = CutClauseSolver(problems[i], SolverConfig(mode="cut", strategy_order=(10, 4),
+                                                      random_seed=i % 3, max_conflicts=300))
+        out, want = s.solve(), oracle_solve(problems[i])
+        assert (out.status, out.objective_value) == (want.status, want.objective_value)
+        checked += s.checked
+    assert checked >= 4, checked
 
 
 def test_mixed_resolution_clause_is_filed_general():

@@ -231,6 +231,14 @@ class TestProblem:
         with pytest.raises(ValueError):
             Problem(1, [2], [1])
 
+    def test_rejects_bounds_of_the_wrong_length(self):
+        # an error, not an assert, so that python -O rejects them too: the
+        # first broke the first Solver, the second solved as feasible
+        with pytest.raises(ValueError):
+            Problem(3, [0, 0], [1, 1, 1])
+        with pytest.raises(ValueError):
+            Problem(2, [0, 0, 0], [1, 1, 5])
+
     def test_binary_detection(self):
         p = Problem(2, [0, 0], [1, 2])
         assert p.is_binary(0) and not p.is_binary(1)

@@ -12,7 +12,7 @@ from intsat.search import Solver, SolverConfig, SolverStats
 from intsat.trail import DECISION, ReasonInfo, Trail
 from conftest import (C, cover_packing_problem, indexed_rows, live_rows, lo,
                       pairwise_php_problem, planted_3sat_problem, up, random_problem,
-                      small_integer_problem)
+                      small_integer_problem, watch_order)
 from lemma_suites import ALL_SUITES, pushed_with_reasons
 from test_search_snapshot import integer_rows_problem
 
@@ -488,9 +488,10 @@ class TestClauseTiers:
     def test_classification(self):
         # the constructor files every clause-shaped input row in a literal
         # tier; a later row joins one only with the codes its filer passes,
-        # which watch_order gives for a clause that asserts the bound pushed
-        # next with it: that literal, then the false literal of greatest
-        # height; a row filed with no codes is general
+        # here those the reference watch_order gives for a clause that
+        # asserts the bound pushed next with it: that literal, then the
+        # false literal of greatest height; a row filed with no codes is
+        # general
         cover3 = normalize([(0, -1), (1, -1), (2, -1)], -1)  # x0+x1+x2 >= 1
         rows = [cover3,
                 normalize([(0, -1), (1, -1)], -1),  # x0+x1 >= 1
@@ -509,15 +510,17 @@ class TestClauseTiers:
         assert self.occurring(pr) == {2, 3, 4, learned, strengthening}
         assert sum(map(len, pr.watch)) == 2 and sum(map(len, pr.bin_adj)) == 2
         pr.push_bound(up(1, 0), DECISION)  # falsifies code 3
-        assert pr.watch_order(cover3, lo(2, 1)) is None  # code 1 is open
+        assert watch_order(pr, cover3, lo(2, 1)) is None  # code 1 is open
         pr.push_bound(up(0, 0), DECISION)  # falsifies code 1, above code 3
-        assert pr.watch_order(cover3, up(2, 0)) is None  # 2*2 is not in the row
-        assert pr.watch_order(rows[3], lo(0, 1)) is None  # not a clause
-        clause = pr.add_row(cover3, pr.watch_order(cover3, lo(2, 1)))
-        assert pr.lits[clause] == [5, 1, 3]  # asserted, then the latest false literal
+        assert watch_order(pr, cover3, up(2, 0)) is None  # 2*2 is not in the row
+        assert watch_order(pr, rows[3], lo(0, 1)) is None  # not a clause
+        assert watch_order(pr, cover3, lo(2, 1)) == [5, 1, 3]  # asserted, then the latest false
+        clause = pr.add_row(cover3, [5, 1, 3])
+        assert pr.lits[clause] == [5, 1, 3]
         assert pr.watch[5] == [clause] and pr.watch[1] == [0, clause]
         pair = normalize([(1, -1), (2, -1)], -1)
-        binary = pr.add_row(pair, pr.watch_order(pair, lo(2, 1)))
+        assert watch_order(pr, pair, lo(2, 1)) == [5, 3]
+        binary = pr.add_row(pair, [5, 3])
         assert pr.lits[binary] == [5, 3]
         assert pr.bin_adj[5] == [(3, binary)] and pr.bin_adj[3] == [(1, 1), (5, binary)]
         assert not any(cid in saved for saved in pr.saves for cid in (clause, binary))
@@ -532,8 +535,7 @@ class TestClauseTiers:
         for var in (0, 1, 2, 4):
             pr.push_bound(up(var, 0), DECISION)
         rows = normalize([(v, -1) for v in range(4)], -1), normalize([(4, -1), (5, -1)], -1)
-        clause, binary = (pr.add_row(c, pr.watch_order(c, b))
-                          for c, b in zip(rows, (lo(3, 1), lo(5, 1))))
+        clause, binary = (pr.add_row(c, lits) for c, lits in zip(rows, ([7, 5, 1, 3], [11, 9])))
         assert pr.lits[clause] == [7, 5, 1, 3] and pr.lits[binary] == [11, 9]
         pr.pop_to(pr.trail.level_start(1))
         pr.kill_rows({clause, binary})

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from intsat.model import Bound
-from intsat.trail import DECISION, ReasonInfo, Trail, termination_measure
-from conftest import lo, up
+from intsat.trail import DECISION, ReasonInfo, Trail
+from conftest import lo, termination_measure, up
 
 
 def fresh_trail(lbs=(0, 0, 0), ubs=(9, 9, 9)):
