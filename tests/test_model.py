@@ -232,8 +232,7 @@ class TestProblem:
             Problem(1, [2], [1])
 
     def test_rejects_bounds_of_the_wrong_length(self):
-        # an error, not an assert, so that python -O rejects them too: the
-        # first broke the first Solver, the second solved as feasible
+        # an error, not an assert, so that python -O rejects them too
         with pytest.raises(ValueError):
             Problem(3, [0, 0], [1, 1, 1])
         with pytest.raises(ValueError):
