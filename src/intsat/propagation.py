@@ -56,10 +56,12 @@ pushes never touch its filter, as a normalised row holds each variable
 once.  Filters are undone per decision level, with one dict per level:
 ``saves[k]`` maps each row that level k changed to its filter at the
 level's start, and each row filed in level k to None.  ``pop_to``, which
-only lands on a level start, walks the undone levels and their saves
-newest first, so the oldest filter is written last; a row filed above
-the target is recomputed there instead, and mapped to None in the
-landing level.  ``saves[0]`` is never written back.  A visit saves
+only lands on a level start, undoes one level per ``pop_one`` call,
+newest first: ``pop_one`` pops the level's trail entries in one loop and
+writes back its saves newest first, so the oldest filter is written
+last.  A row filed above the target is recomputed there instead, once
+every level is undone, and mapped to None in the landing level.
+``saves[0]`` is never written back.  A visit saves
 nothing: the Solver decides only at a fixpoint, so what queued the row
 saved it in this level.  For the same reason every queued row was lifted
 or filed above the target, every filter a backjump writes back is <= 0,
@@ -303,27 +305,30 @@ class Propagator:
 
     def push_bound(self, b: Bound, info: ReasonInfo, tier=None) -> int:
         trail = self.trail
-        var = b.var
-        if b.is_lower:
-            delta = b.value - trail.lb[var]
+        var, is_lower, value = b
+        if is_lower:
+            delta = value - trail.lb[var]
+            fixed = value == trail.ub[var]
             occs = self.occs[2 * var + 1]
         else:
-            delta = trail.ub[var] - b.value
+            delta = trail.ub[var] - value
+            fixed = value == trail.lb[var]
             occs = self.occs[2 * var]
         height = trail.push(b, info)
         if info is DECISION:
             self.saves.append({})
-        filters, saved = self.filters, self.saves[-1]
-        for cid, weight in occs:
-            old = filters[cid]
-            if cid not in saved:
-                saved[cid] = old
-            new = old + weight * delta
-            filters[cid] = new
-            if new > 0 >= old:  # queued iff positive
-                self.queue.append(cid)
-        if trail.lb[var] == trail.ub[var]:
-            self.last_value[var] = trail.lb[var]
+        if occs:  # a general row sits on the pushed side
+            filters, saved = self.filters, self.saves[-1]
+            for cid, weight in occs:
+                old = filters[cid]
+                if cid not in saved:
+                    saved[cid] = old
+                new = old + weight * delta
+                filters[cid] = new
+                if new > 0 >= old:  # queued iff positive
+                    self.queue.append(cid)
+        if fixed:
+            self.last_value[var] = value
         if tier is not None:
             self.stats.propagations[tier] += 1
         if self.trace is not None and info is not DECISION:
@@ -336,36 +341,45 @@ class Propagator:
             self.post_push(height)
         return height
 
-    def pop_one(self):
-        """Pop the top entry; ``pop_to`` restores filters, queue and cursors.
-        The benchmark's tracer (``bench/tracer.py``) wraps it by name."""
-        self.trail.pop()
+    def pop_one(self) -> list:
+        """Undo the top decision level: pop its trail entries, write back
+        its filter saves newest first, and return the rows filed in it,
+        newest first, for ``pop_to`` to recompute.  The benchmark's tracer
+        (``bench/tracer.py``) wraps it by name."""
+        trail = self.trail
+        trail.pop_to(trail.decision_heights[-1])
+        filters, filed = self.filters, []
+        for cid, old in reversed(self.saves.pop().items()):
+            if old is None:
+                filed.append(cid)
+            else:
+                filters[cid] = old
+        return filed
 
     def pop_to(self, height: int):
-        """Backjump to a level start or the trail's length: saves are exact there."""
+        """Backjump to a level start or the trail's length: saves are exact
+        there.  Undoes one level per ``pop_one`` call, newest first, so the
+        oldest save is written last; then recomputes the rows filed above
+        the target, maps them to None in the landing level and rebuilds the
+        queue."""
         trail = self.trail
         if height == len(trail.entries):
             return
         level = bisect_left(trail.decision_heights, height)
         if trail.decision_heights[level:level + 1] != [height]:
             raise ValueError(f"height {height} is not the start of a decision level")
-        for _ in range(len(trail.entries) - height):
-            self.pop_one()
+        recomputed = [cid for _ in range(len(self.saves) - 1 - level)
+                      for cid in self.pop_one()]  # newest first
         self.binary_cursor = min(self.binary_cursor, height)
         self.clause_cursor = min(self.clause_cursor, height)
-        undone = self.saves[level + 1:]
-        del self.saves[level + 1:]
+        if not (recomputed or self.queue):  # nothing to recompute or requeue
+            return
         filters, landing = self.filters, self.saves[level]
-        recomputed = []
-        for saved in reversed(undone):  # newest first: the oldest value is written last
-            for cid, old in reversed(saved.items()):
-                if old is None:  # filed above: exact here, None in the landing level
-                    old = exact_filter(self.constraints[cid], trail)
-                    recomputed.append(cid)
-                    landing[cid] = None
-                filters[cid] = old
+        for cid in recomputed:  # filed above: exact here, None in the landing level
+            landing[cid] = None
+            filters[cid] = exact_filter(self.constraints[cid], trail)
         # a restored save is <= 0, as the level started at a fixpoint: only
-        # recomputed rows join the queue, in the order they were saved
+        # recomputed rows join the queue, in the order they were filed
         rows = dict.fromkeys([*self.queue, *reversed(recomputed)])
         self.queue.clear()
         self.queue.extend(cid for cid in rows if filters[cid] > 0)
@@ -381,10 +395,11 @@ class Propagator:
         return Conflict(cid, falsifying_heights(c, self.trail))
 
     def _process_binary_entry(self, height: int) -> Optional[Conflict]:
-        var, is_lower, value = self.trail.entries[height].bound
+        trail = self.trail
+        var, is_lower, value = trail.entries[height].bound
         if is_lower != (value > 0):
             return None  # falsifies no literal
-        lb, ub = self.trail.lb, self.trail.ub
+        lb, ub = trail.lb, trail.ub
         for other, cid in self.bin_adj[2 * var + (not is_lower)]:
             v = other >> 1
             if other & 1:
@@ -400,7 +415,8 @@ class Propagator:
         return None
 
     def _process_clause_entry(self, height: int) -> Optional[Conflict]:
-        var, is_lower, value = self.trail.entries[height].bound
+        trail = self.trail
+        var, is_lower, value = trail.entries[height].bound
         if is_lower != (value > 0):
             return None
         false_lit = 2 * var + (not is_lower)
@@ -408,11 +424,12 @@ class Propagator:
         watchers = watch[false_lit]
         if not watchers:
             return None
-        lb, ub = self.trail.lb, self.trail.ub
+        lb, ub = trail.lb, trail.ub
         all_lits = self.lits
         keep = []
         conflict = None
-        for i, cid in enumerate(watchers):
+        rest = iter(watchers)
+        for cid in rest:
             lits = all_lits[cid]
             other = lits[0]
             if other == false_lit:  # the false watch goes to lits[1]
@@ -432,7 +449,7 @@ class Propagator:
                 keep.append(cid)
                 if not ub[v] if other & 1 else lb[v]:  # the other watch is false
                     conflict = self._clause_conflict(cid)
-                    keep.extend(watchers[i + 1:])
+                    keep.extend(rest)  # the watchers not yet read
                     break
                 self.push_bound(self.lit_bounds[other], self.reasons[cid], CLAUSE)
         watch[false_lit] = keep
@@ -470,28 +487,36 @@ class Propagator:
         entries = self.trail.entries
         queue = self.queue
         literal = bool(self.lit_bounds)  # a clause or binary row is filed
-        next_check = self.binary_cursor + PUSHES_PER_DEADLINE_CHECK
-        while True:
-            if deadline is not None and len(entries) >= next_check:
-                next_check += PUSHES_PER_DEADLINE_CHECK
-                if time.monotonic() >= deadline:
-                    raise OutOfTime
-            if literal and self.binary_cursor < len(entries):
-                conflict = self._process_binary_entry(self.binary_cursor)
-                self.binary_cursor += 1
-                if conflict is not None:
-                    return conflict
-                continue
-            if literal and self.clause_cursor < len(entries):
-                conflict = self._process_clause_entry(self.clause_cursor)
-                self.clause_cursor += 1
-                if conflict is not None:
-                    return conflict
-                continue
-            if queue:
-                conflict = self._visit_general(queue.popleft())
-                if conflict is not None:
-                    return conflict
-                continue
-            self.binary_cursor = self.clause_cursor = len(entries)
-            return None
+        binary, clause = self.binary_cursor, self.clause_cursor
+        process_binary, process_clause, visit = (
+            self._process_binary_entry, self._process_clause_entry, self._visit_general)
+        next_check = binary + PUSHES_PER_DEADLINE_CHECK
+        try:
+            while True:
+                if deadline is not None and len(entries) >= next_check:
+                    next_check += PUSHES_PER_DEADLINE_CHECK
+                    if time.monotonic() >= deadline:
+                        raise OutOfTime
+                if literal:
+                    top = len(entries)
+                    if binary < top:
+                        conflict = process_binary(binary)
+                        binary += 1
+                        if conflict is not None:
+                            return conflict
+                        continue
+                    if clause < top:
+                        conflict = process_clause(clause)
+                        clause += 1
+                        if conflict is not None:
+                            return conflict
+                        continue
+                if queue:
+                    conflict = visit(queue.popleft())
+                    if conflict is not None:
+                        return conflict
+                    continue
+                binary = clause = len(entries)
+                return None
+        finally:  # an OutOfTime raise stores them too
+            self.binary_cursor, self.clause_cursor = binary, clause

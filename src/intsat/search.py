@@ -154,11 +154,12 @@ class ActivityQueue:
         self.rescale_cap = rescale_cap
 
     def bump_conflict_vars(self, variables):
-        """Bump each variable once, then grow the increment geometrically."""
+        """Bump each variable once, then grow the increment geometrically.
+        Only bumped scores grow, so only they can pass the rescale cap."""
         for v in variables:
             self.scores[v] += self.increment
         self.increment *= self.bump_factor
-        if self.scores and max(self.scores) > self.rescale_cap:
+        if variables and max(self.scores[v] for v in variables) > self.rescale_cap:
             self._rescale()
 
     def _rescale(self):
@@ -168,7 +169,7 @@ class ActivityQueue:
 
     def pick(self, trail: Trail) -> Optional[int]:
         """The undefined variable of highest score, the lowest on a tie, or
-        None if all are defined; one sweep, as every bump reads all scores."""
+        None if all are defined; one sweep over the scores."""
         lb, ub = trail.lb, trail.ub
         best, top = None, -inf
         for var, score in enumerate(self.scores):
@@ -359,15 +360,18 @@ class Solver:
     def _run_core(self, budget: Budget) -> str:
         """Search until a total assignment, infeasibility, or budget: the
         returned tag is one of 'sat', 'unsat', 'limit'."""
+        deadline = budget.deadline
         while True:
             try:
-                conflict = self.propagator.propagate_fixpoint(budget.deadline)
+                conflict = self.propagator.propagate_fixpoint(deadline)
             except OutOfTime:
                 return "limit"
             if conflict is None:
                 b = self.decide()
                 if b is None:
                     return "sat"
+                if deadline is not None and time.monotonic() >= deadline:
+                    return "limit"  # a descent with no conflict meets no other check
                 self.stats.decisions += 1
                 self.propagator.push_bound(b, DECISION)
                 continue

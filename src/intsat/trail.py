@@ -1,7 +1,9 @@
 """The assignment stack: bounds with reason metadata, plus flat value
 lists `lb[]` / `ub[]` so that reading a current bound is one list index.
-The trail is born holding the initial box as level-0 seeds, so `pop`
-restores a bound from the entry's `pos` link alone.
+The trail is born holding the initial box as level-0 seeds, so `pop_to`
+restores a bound from the entry's `pos` link alone.  It undoes every
+entry above a height in one loop, as MiniSat's ``cancelUntil`` does, and
+the ``Propagator`` calls it once per undone decision level.
 
 Reason sets are trail heights, stable while the bound is on the stack;
 a reason bound is always popped after every bound it justified.  A bound
@@ -11,7 +13,7 @@ on demand; seeds, decisions and analysis bounds keep an explicit set.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
 from .model import Bound, Constraint
@@ -49,10 +51,11 @@ class Trail:
     each variable in turn, which are never popped.  `lb[v]` / `ub[v]` hold
     the current bounds of `v`, and `pl[v]` / `pu[v]` the height of the
     entry that set them.  The `pos` field of each entry chains to the
-    previous entry of the same (variable, kind), so popping restores both
-    in O(1).  `root` holds copies of those four lists taken just before the
-    first decision is pushed: level 0 cannot change while a decision is on
-    the trail, so they stay exact until every decision is popped.
+    previous entry of the same (variable, kind), so popping an entry
+    restores both in O(1).  `root` holds copies of those four lists taken
+    just before the first decision is pushed: level 0 cannot change while
+    a decision is on the trail, so they stay exact until every decision
+    is popped.
     """
 
     def __init__(self, num_vars, initial_lb, initial_ub):
@@ -99,23 +102,27 @@ class Trail:
             pos = self.pu[var]
             self.pu[var] = height
             self.ub[var] = value
-        self.entries.append(TrailEntry(b, pos, info))
+        # tuple.__new__ makes the entry with no Python frame, as normalize does
+        self.entries.append(tuple.__new__(TrailEntry, (b, pos, info)))
         return height
 
-    def pop(self) -> TrailEntry:
-        entry = self.entries.pop()
-        var = entry.bound.var
-        pos = entry.pos
-        assert pos >= 0, "popping a level-0 seed"
-        if entry.bound.is_lower:
-            self.pl[var] = pos
-            self.lb[var] = self.entries[pos].bound.value
-        else:
-            self.pu[var] = pos
-            self.ub[var] = self.entries[pos].bound.value
-        if entry.info is DECISION:
-            self.decision_heights.pop()
-        return entry
+    def pop_to(self, height: int):
+        """Pop every entry at or above ``height``, a height at or above the
+        end of the seeds, newest first: each (variable, kind) ends at the
+        `pos` link of its oldest popped entry."""
+        entries = self.entries
+        assert height >= 2 * self.num_vars, "popping a level-0 seed"
+        lb, ub, pl, pu = self.lb, self.ub, self.pl, self.pu
+        for (var, is_lower, _), pos, _ in reversed(entries[height:]):
+            if is_lower:
+                pl[var] = pos
+                lb[var] = entries[pos][0][2]
+            else:
+                pu[var] = pos
+                ub[var] = entries[pos][0][2]
+        del entries[height:]
+        decisions = self.decision_heights
+        del decisions[bisect_left(decisions, height):]
 
     def decision_level_of(self, height: int) -> int:
         """Level 0 lies below the first decision; level i starts at the i-th."""

@@ -98,8 +98,7 @@ def lemma2_entailment_case(rng):
     height = len(t)
     props = [(b, [t.entries[h].bound for h in reason])
              for b, reason in pushed_with_reasons(c, t)]
-    while len(t) > height:  # the grid below spans the bounds before the pushes
-        t.pop()
+    t.pop_to(height)  # the grid below spans the bounds before the pushes
     for bound, rs in props:
         # {C} + reason bounds entail the propagated bound
         for pt in _constraint_grid(c, t, margin=5):

@@ -20,6 +20,7 @@ every time, and counts the learned rows filed in the literal tiers and
 those a cleanup killed, so that it covers both.
 """
 
+import os
 import random
 from collections import Counter
 
@@ -141,8 +142,14 @@ def check_against_the_oracle(p, config, seen):
 
 
 def test_drawn_configs_match_the_oracle():
+    """400 drawn problems and 150 drawn 3-SAT problems, each with a drawn
+    config.  For a longer run, set ``INTSAT_DIFFERENTIAL_SCALE`` to a
+    positive integer, which multiplies both counts; the draws stay
+    derandomised, so a scaled run repeats too."""
+    scale = int(os.environ.get("INTSAT_DIFFERENTIAL_SCALE", "1"))
+    assert scale >= 1, "INTSAT_DIFFERENTIAL_SCALE must be a positive integer"
     seen = Counter()
-    for kind, examples in ((problems(), 400), (clause_problems(), 150)):
+    for kind, examples in ((problems(), 400 * scale), (clause_problems(), 150 * scale)):
         @settings(max_examples=examples, derandomize=True, deadline=None, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
         @given(cases(kind))

@@ -474,6 +474,79 @@ class TestFilters:
                         assert s.propagator.filters[cid] > 0
         assert checked >= 10
 
+    def test_backjumps_match_a_replayed_trail(self):
+        # decisions at fixpoints, bounds pushed with no row after them and
+        # general rows filed mid-level, then backjumps to random level
+        # starts: after each one the trail equals a fresh trail replaying
+        # the surviving entries, every general filter is at least exact and
+        # queued iff positive, and pop_one ran once per undone level
+        rng = random.Random(2702)
+        seen = Counter()
+        for _ in range(120):
+            p = random_problem(rng, max_vars=10, dom_lo=-8, dom_hi=8, objective=False,
+                               max_points=10 ** 12)
+            s = Solver(p)
+            pr, t, n = s.propagator, s.trail, p.num_vars
+            entered, pop_one = [], pr.pop_one
+
+            def counted_pop_one():
+                entered.append(t.num_decisions)
+                return pop_one()
+
+            def push_somewhere(info):
+                undefined = [v for v in range(n) if t.lb[v] != t.ub[v]]
+                if undefined:
+                    var = rng.choice(undefined)
+                    lb, ub = t.lb[var], t.ub[var]
+                    pr.push_bound(lo(var, rng.randint(lb + 1, ub)) if rng.random() < 0.5
+                                  else up(var, rng.randint(lb, ub - 1)), info)
+                return bool(undefined)
+
+            pr.pop_one = counted_pop_one
+            for _ in range(40):
+                conflict = pr.propagate_fixpoint()
+                if conflict is not None or (t.num_decisions and rng.random() < 0.3):
+                    if not t.num_decisions:
+                        break
+                    level, top = rng.randint(1, t.num_decisions), t.num_decisions
+                    seen["filed above"] += sum(old is None for saved in pr.saves[level:]
+                                               for old in saved.values())
+                    entered.clear()
+                    pr.pop_to(t.level_start(level))
+                    assert entered == list(range(top, level - 1, -1))
+                    self.check_backjump(p, pr)
+                    seen["backjump"] += 1
+                    seen["levels"] += top - level + 1
+                    seen["multi-level"] += top > level
+                    continue
+                if not push_somewhere(DECISION):
+                    break
+                for _ in range(rng.randint(0, 2)):
+                    push_somewhere(ReasonInfo.propagated((), None))
+                if rng.random() < 0.3:
+                    terms = [(v, rng.choice([-3, -1, 1, 2]))
+                             for v in rng.sample(range(n), 1 + n // 2)]
+                    pr.add_row(normalize(terms, rng.randint(-4, 6)))
+        assert seen["backjump"] >= 300 and seen["multi-level"] >= 80, seen
+        assert seen["filed above"] >= 150, seen
+
+    @staticmethod
+    def check_backjump(p, pr):
+        t, n = pr.trail, p.num_vars
+        replay = Trail(n, p.initial_lb, p.initial_ub)
+        for entry in t.entries[2 * n:]:
+            replay.push(entry.bound, entry.info)
+        assert replay.entries == t.entries
+        assert (replay.lb, replay.ub, replay.pl, replay.pu) == (t.lb, t.ub, t.pl, t.pu)
+        assert replay.decision_heights == t.decision_heights
+        assert len(pr.saves) == t.num_decisions + 1
+        queued = set(pr.queue)
+        assert len(queued) == len(pr.queue)
+        for cid, c in enumerate(pr.constraints):
+            if pr.lits[cid] is None:
+                assert pr.filters[cid] >= exact_filter(c, t), cid
+                assert (pr.filters[cid] > 0) == (cid in queued), cid
+
 
 class TestClauseTiers:
     @staticmethod

@@ -129,6 +129,32 @@ class TestActivity:
         t = solver_for([0, 0, 0], [1, 1, 1]).trail
         assert q.pick(t) == 1
 
+    def test_rescale_fires_at_the_same_conflicts_as_a_sweep_of_all_scores(self):
+        # bump_conflict_vars compares only the bumped scores with the cap;
+        # the form that takes max(scores) at every conflict must rescale at
+        # the same conflicts and leave the same scores
+        class SweepingQueue(ActivityQueue):
+            def bump_conflict_vars(self, variables):
+                for v in variables:
+                    self.scores[v] += self.increment
+                self.increment *= self.bump_factor
+                if self.scores and max(self.scores) > self.rescale_cap:
+                    self._rescale()
+
+        rng = random.Random(5)
+        queues = [cls(40, 1.3, 1e6, random.Random(1)) for cls in (ActivityQueue, SweepingQueue)]
+        rescaled = [[], []]
+        for conflict in range(3000):
+            variables = set(rng.sample(range(40), rng.randint(1, 8)))
+            for q, seen in zip(queues, rescaled):
+                increment = q.increment
+                q.bump_conflict_vars(variables)
+                if q.increment != increment * q.bump_factor:
+                    seen.append(conflict)
+        assert rescaled[0] == rescaled[1] and len(rescaled[0]) >= 20, rescaled
+        assert queues[0].scores == queues[1].scores
+        assert queues[0].increment == queues[1].increment
+
     @pytest.mark.parametrize("rescale_cap", [1e100, 4.0])
     @pytest.mark.parametrize("mode", ["cut", "resolution"])
     def test_pick_is_the_argmax_over_undefined_variables(self, mode, rescale_cap,
@@ -364,7 +390,7 @@ class TestSolveFeasibility:
         assert out.status == TIMELIMIT and out.solution is None
 
     def test_zero_time_limit_is_a_budget(self):
-        # stops at the first conflict; with no budget PHP(6,5) is refuted
+        # stops at the first decision; with no budget PHP(6,5) is refuted
         from conftest import php_problem
         out = Solver(php_problem(6, 5), SolverConfig(time_limit=0)).solve()
         assert out.status == TIMELIMIT
@@ -403,6 +429,15 @@ class TestSolveFeasibility:
         rows = [normalize([(0, 1), (1, -1)], -1), normalize([(0, -1), (1, 1)], -1)]
         t0 = time.monotonic()
         out = solver_for([0, 0], [10 ** 6, 10 ** 6], rows, time_limit=0.2).solve()
+        assert out.status == TIMELIMIT
+        assert time.monotonic() - t0 < 2.0
+
+    def test_time_limit_holds_in_a_descent_with_no_conflict(self):
+        # 8,000 binaries and no rows: no decision meets a conflict, and pick
+        # sweeps every score, so the whole descent takes seconds; checked
+        # only after conflicts, the limit let it run on and answer feasible
+        t0 = time.monotonic()
+        out = solver_for([0] * 8000, [1] * 8000, time_limit=0.05).solve()
         assert out.status == TIMELIMIT
         assert time.monotonic() - t0 < 2.0
 

@@ -26,9 +26,9 @@ class TestSeeds:
     def test_popping_a_seed_asserts(self):
         t = fresh_trail()
         t.push(lo(0, 3), DECISION)
-        t.pop()
+        t.pop_to(len(t) - 1)
         with pytest.raises(AssertionError):
-            t.pop()
+            t.pop_to(len(t) - 1)
 
     def test_an_empty_reason_that_is_not_decision_opens_no_level(self):
         t = fresh_trail()
@@ -62,7 +62,7 @@ class TestPushPop:
         t = fresh_trail()
         t.push(lo(0, 3), DECISION)
         assert (t.lb[0], t.ub[0]) == (3, 9)
-        t.pop()
+        t.pop_to(6)
         assert (t.lb[0], t.ub[0]) == (0, 9)
         assert t.num_decisions == 0
 
@@ -70,7 +70,7 @@ class TestPushPop:
         t = fresh_trail()
         t.push(up(0, 5), ReasonInfo.propagated((), None))
         t.push(up(0, 2), ReasonInfo.propagated((), None))
-        t.pop()
+        t.pop_to(7)
         assert t.ub[0] == 5
 
     def test_pushing_non_fresh_asserts(self):
@@ -145,7 +145,7 @@ class TestBoundsVectorInvariant:
             live = []
             for _ in range(120):
                 if live and rng.random() < 0.4:
-                    t.pop()
+                    t.pop_to(len(t) - 1)
                     live.pop()
                     continue
                 var = rng.randrange(n)
@@ -175,7 +175,7 @@ class TestBoundsVectorInvariant:
             t = Trail(n, [-4] * n, [4] * n)
             for _ in range(80):
                 if len(t) > 2 * n and rng.random() < 0.4:
-                    t.pop()
+                    t.pop_to(rng.randrange(2 * n, len(t)))  # one entry or several
                 else:
                     var = rng.randrange(n)
                     lb, ub = t.lb[var], t.ub[var]
@@ -187,6 +187,8 @@ class TestBoundsVectorInvariant:
                         t.push(up(var, rng.randint(lb, ub - 1)), DECISION)
                 for var in range(n):
                     assert (t.lb[var], t.ub[var]) == t.bounds_at_height(var, len(t))
+                assert t.decision_heights == [h for h, e in enumerate(t.entries)
+                                              if e.info is DECISION]
 
     def test_pos_chain_enumerates_history(self):
         t = fresh_trail()
@@ -211,7 +213,7 @@ class TestRootBox:
             t = Trail(n, [-6] * n, [6] * n)
             for _ in range(100):
                 if len(t) > 2 * n and rng.random() < 0.35:
-                    t.pop()
+                    t.pop_to(len(t) - 1)
                 else:
                     var = rng.randrange(n)
                     lb, ub = t.lb[var], t.ub[var]
