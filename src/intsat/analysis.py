@@ -68,7 +68,9 @@ def analyze_hybrid(conflict: Conflict, trail: Trail, constraints: list,
 
 
 def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
-    """``constraints`` is the Propagator's row list, read by cid."""
+    """``constraints`` is the Propagator's row list, read by cid.  The
+    search's one verdict of infeasibility is the AnalysisInfeasible this
+    raises, among others when no height of cs lies above level 0."""
     cs = set(conflict.cs)
     cc = constraints[conflict.cid] if cut_mode else None
     cc_cid = conflict.cid if cut_mode else None  # None once a cut replaced cc
@@ -83,6 +85,8 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
     # level, as freshly learned rows can conflict there.  While two heights
     # of cs lie in L, the top one is not L's decision, so one stays in L:
     # L never changes, and the next height of cs below h is max(cs).
+    if not cs:  # a row false under any bounds
+        raise AnalysisInfeasible
     h = max(cs)
     level = trail.decision_level_of(h)
     if level == 0:

@@ -3,8 +3,10 @@ as they are found, and optionally cross-check the result against the
 exhaustive oracle.
 
 Exit codes: 0 answered, 1 budget exhausted without a definitive answer,
-2 input error or an I/O error in the solve (the trace file, printing an
-incumbent), 3 oracle disagreement under --verify.
+2 input error, an I/O error in the solve (the trace file, printing an
+incumbent) or --verify without numpy, 3 oracle disagreement under --verify.
+The solver needs no numpy; --verify does, through the ``verify`` extra
+(``pip install intsat[verify]``).
 """
 
 from __future__ import annotations
@@ -38,19 +40,14 @@ def _parse_restart(text: str) -> tuple:
 
 
 def build_config(args) -> SolverConfig:
-    config = SolverConfig(mode=args.mode)
-    if args.time_limit is not None:
-        config.time_limit = args.time_limit
+    settings = {"time_limit": args.time_limit, "max_conflicts": args.max_conflicts}
     if args.restart is not None:
-        config.restart = _parse_restart(args.restart)
+        settings["restart"] = _parse_restart(args.restart)
     if args.strategies is not None:
-        config.strategy_order = tuple(int(s) for s in args.strategies.split(","))
+        settings["strategy_order"] = tuple(int(s) for s in args.strategies.split(","))
     if args.seed is not None:
-        config.random_seed = args.seed
-    if args.max_conflicts is not None:
-        config.max_conflicts = args.max_conflicts
-    config.validate()
-    return config
+        settings["random_seed"] = args.seed
+    return SolverConfig(mode=args.mode, **settings)
 
 
 def _statuses_disagree(outcome, reference) -> bool:
@@ -150,6 +147,9 @@ def main(argv=None) -> int:
             reference = oracle_solve(problem)
         except SearchSpaceTooLarge as exc:
             print(f"error: --verify impossible: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except ImportError:  # the oracle's one import
+            print("error: --verify needs numpy", file=sys.stderr)
             return EXIT_INPUT
         if _statuses_disagree(outcome, reference):
             print("verify: DISAGREEMENT with the exhaustive oracle", file=sys.stderr)

@@ -481,8 +481,8 @@ class Propagator:
         the fixpoint.
 
         Given a deadline, a time.monotonic() value, raises OutOfTime once it
-        has passed, checked every PUSHES_PER_DEADLINE_CHECK trail entries,
-        read by a tier or not.
+        has passed, checked on entry and then every PUSHES_PER_DEADLINE_CHECK
+        trail entries, read by a tier or not: the search's one deadline check.
         """
         entries = self.trail.entries
         queue = self.queue
@@ -490,7 +490,7 @@ class Propagator:
         binary, clause = self.binary_cursor, self.clause_cursor
         process_binary, process_clause, visit = (
             self._process_binary_entry, self._process_clause_entry, self._visit_general)
-        next_check = binary + PUSHES_PER_DEADLINE_CHECK
+        next_check = binary
         try:
             while True:
                 if deadline is not None and len(entries) >= next_check:

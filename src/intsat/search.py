@@ -59,8 +59,9 @@ STRATEGY_STYLE = {1: HALVE, 2: FIX, 3: HALVE, 4: FIX, 5: HALVE, 6: FIX,
                   7: HALVE, 8: FIX, 9: SHRINK, 10: SHRINK, 11: SHRINK}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """Checked once, when built: an invalid config raises ValueError."""
     mode: str = CUT
     strategy_order: tuple = (7, 5, 1)
     restart: tuple = ("inout", 100, 1000, 1.1)  # or ("luby", unit)
@@ -70,7 +71,7 @@ class SolverConfig:
     random_seed: int = 0
     user_hint: Optional[dict] = None  # value strategy 11
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in (RESOLUTION, CUT):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (isinstance(self.strategy_order, tuple) and self.strategy_order):
@@ -178,21 +179,6 @@ class ActivityQueue:
         return best
 
 
-class Budget:
-    """Cooperative cancellation: wall time and conflict ceiling."""
-
-    def __init__(self, time_limit, max_conflicts):
-        self.deadline = None if time_limit is None else time.monotonic() + time_limit
-        self.max_conflicts = max_conflicts
-
-    def exhausted(self, stats: SolverStats) -> bool:
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            return True
-        if self.max_conflicts is not None and stats.conflicts >= self.max_conflicts:
-            return True
-        return False
-
-
 class Solver:
     """One search instance over one problem.  Not thread-shared."""
 
@@ -200,7 +186,6 @@ class Solver:
                  trace=None, instrumentation=None):
         self.problem = problem
         self.config = config or SolverConfig()
-        self.config.validate()
         self.trace = trace  # an open text file, or None
         self.instr = instrumentation
         self.stats = SolverStats()
@@ -333,11 +318,11 @@ class Solver:
         it is in ``learned_activity``; the rows learned since the last
         cleanup are kept and not aged, the others' activity is halved.  A
         killed row may be the reason of a level-0 entry, which analysis
-        never rewrites.  Only a scheduled restart cleans up, and ``validate``
-        admits only intervals that grow without bound, while between two
-        restarts each push lowers a finite measure, the domain sizes summed
-        below each decision in turn, compared lexicographically: so
-        deletion cannot loop, and keeping the fresh rows is policy."""
+        never rewrites.  Only a scheduled restart cleans up, and
+        ``SolverConfig`` admits only intervals that grow without bound, while
+        between two restarts each push lowers a finite measure, the domain
+        sizes summed below each decision in turn, compared lexicographically:
+        so deletion cannot loop, and keeping the fresh rows is policy."""
         assert self.trail.num_decisions == 0
         pr, activity = self.propagator, self.learned_activity
         dead = set()
@@ -357,10 +342,13 @@ class Solver:
 
     # -- core loop ------------------------------------------------------------------
 
-    def _run_core(self, budget: Budget) -> str:
+    def _run_core(self, deadline) -> str:
         """Search until a total assignment, infeasibility, or budget: the
-        returned tag is one of 'sat', 'unsat', 'limit'."""
-        deadline = budget.deadline
+        returned tag is one of 'sat', 'unsat', 'limit'.  Each stop has one
+        owner: the fixpoint, which every iteration starts with, checks the
+        deadline, the analysis decides infeasibility, and the conflict cap
+        is read after each analysed conflict."""
+        max_conflicts = self.config.max_conflicts
         while True:
             try:
                 conflict = self.propagator.propagate_fixpoint(deadline)
@@ -370,16 +358,10 @@ class Solver:
                 b = self.decide()
                 if b is None:
                     return "sat"
-                if deadline is not None and time.monotonic() >= deadline:
-                    return "limit"  # a descent with no conflict meets no other check
                 self.stats.decisions += 1
                 self.propagator.push_bound(b, DECISION)
                 continue
             self.stats.conflicts += 1
-            if not conflict.cs:
-                return "unsat"  # a constraint false regardless of any bounds
-            if self.trail.num_decisions == 0:
-                return "unsat"
             try:
                 result = self._analyze(conflict)
             except analysis.AnalysisInfeasible:
@@ -389,7 +371,7 @@ class Solver:
                 if cid in self.learned_activity:
                     self.learned_activity[cid] += 1
             self._apply_analysis(result)
-            if budget.exhausted(self.stats):
+            if max_conflicts is not None and self.stats.conflicts >= max_conflicts:
                 return "limit"
             if self.stats.conflicts >= self.next_restart:
                 self._restart()
@@ -414,10 +396,11 @@ class Solver:
 
     def solve(self, on_incumbent: Optional[Callable] = None) -> SolveOutcome:
         start = time.monotonic()
-        budget = Budget(self.config.time_limit, self.config.max_conflicts)
+        time_limit, max_conflicts = self.config.time_limit, self.config.max_conflicts
+        deadline = None if time_limit is None else start + time_limit
         best = best_value = None
         while True:
-            tag = self._run_core(budget)
+            tag = self._run_core(deadline)
             if tag != "sat":  # "unsat" proves the incumbent optimal, if there is one
                 if best is None:
                     return SolveOutcome(INFEASIBLE if tag == "unsat" else TIMELIMIT)
@@ -432,7 +415,7 @@ class Solver:
             self.last_solution = sol
             if on_incumbent is not None:
                 on_incumbent(time.monotonic() - start, value, self.stats.conflicts)
-            if budget.exhausted(self.stats):
+            if max_conflicts is not None and self.stats.conflicts >= max_conflicts:
                 return SolveOutcome(BOUNDED, best, best_value)
             if not self._install_strengthening(value):
                 return SolveOutcome(OPTIMAL, best, best_value)

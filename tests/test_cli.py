@@ -131,6 +131,15 @@ class TestExitCodes:
         assert "error: --verify impossible" in captured.err
         assert "DISAGREEMENT" not in captured.err
 
+    def test_verify_without_numpy_is_two(self, tmp_path, capsys, monkeypatch):
+        # numpy is the verify extra's, not a dependency of the solver
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+        path = write(tmp_path, "opt.ilp", OPT)
+        assert cli.main([path, "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --verify needs numpy" in captured.err
+        assert "OPTIMAL 1" in captured.out  # the answer is printed before the check
+
 
 class TestOutput:
     def test_incumbent_lines_then_answer(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ every time, and counts the learned rows filed in the literal tiers and
 those a cleanup killed, so that it covers both.
 """
 
+import dataclasses
 import os
 import random
 from collections import Counter
@@ -122,7 +123,7 @@ def check_against_the_oracle(p, config, seen):
     ref = oracle_solve(p)
     budgeted = config.max_conflicts is not None or config.time_limit is not None
     if config.max_conflicts is None:
-        config.max_conflicts = SAFETY_CAP
+        config = dataclasses.replace(config, max_conflicts=SAFETY_CAP)
     s = Solver(p, config)
     out = s.solve()
     pr = s.propagator

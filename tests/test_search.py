@@ -10,8 +10,8 @@ from intsat.oracle import oracle_solve
 from intsat.search import (ActivityQueue, Solver, SolverConfig, luby, restart_limits,
                            BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT)
 from intsat.trail import DECISION, ReasonInfo
-from conftest import (cover_packing_problem, indexed_rows, live_rows, lo, random_problem,
-                      small_integer_problem, up)
+from conftest import (RecordingSolver, ValidityProbe, cover_packing_problem, indexed_rows,
+                      live_rows, lo, php_problem, random_problem, small_integer_problem, up)
 
 
 def solver_for(lbs, ubs, constraints=(), objective=None, **cfg):
@@ -93,15 +93,15 @@ class TestDecide:
 
     def test_config_requires_total_fallback(self):
         with pytest.raises(ValueError):
-            SolverConfig(strategy_order=(7, 5)).validate()
+            SolverConfig(strategy_order=(7, 5))
         with pytest.raises(ValueError):
-            SolverConfig(strategy_order=()).validate()
+            SolverConfig(strategy_order=())
         with pytest.raises(ValueError):
-            SolverConfig(strategy_order=(12, 1)).validate()
+            SolverConfig(strategy_order=(12, 1))
 
     def test_unknown_mode_is_rejected(self):
         with pytest.raises(ValueError):
-            SolverConfig(mode="x").validate()
+            SolverConfig(mode="x")
 
 
 class TestActivity:
@@ -230,12 +230,12 @@ class TestRestarts:
         # conflict, and a search that learns no row then never ends; an
         # infinite factor makes the second limit int(inf)
         with pytest.raises(ValueError):
-            SolverConfig(restart=restart).validate()
+            SolverConfig(restart=restart)
 
     @pytest.mark.parametrize("restart", [("luby", 1), ("inout", 1, 1, 1.1),
                                          ("inout", 100, 1000, 1.1)])
     def test_restart_that_grows_is_accepted(self, restart):
-        SolverConfig(restart=restart).validate()
+        SolverConfig(restart=restart)
 
     def test_restart_pops_to_level_zero_and_keeps_learned(self):
         s = solver_for([0, 0], [3, 3], [normalize([(0, 1), (1, 1)], 4)])
@@ -382,30 +382,48 @@ class TestSolveFeasibility:
         out = solver_for([0], [1], [normalize([(0, 1), (0, -1)], -2)]).solve()
         assert out.status == INFEASIBLE
 
+    @pytest.mark.parametrize("mode", ["resolution", "cut"])
+    @pytest.mark.parametrize("lbs, ubs, rows", [
+        ([0], [1], [normalize([], -1)]),  # 0 <= -1: false under any bounds
+        ([], [], [normalize([], -1)]),  # the same row over no variable
+        # x <= y - 1 and y <= x - 1: level-0 propagation walks both bounds
+        # down until a row fails
+        ([0, 0], [3, 3], [normalize([(0, 1), (1, -1)], -1),
+                          normalize([(0, -1), (1, 1)], -1)]),
+    ], ids=["empty-row", "no-variable", "propagated"])
+    def test_level_0_conflict_is_refuted_by_the_analysis(self, mode, lbs, ubs, rows):
+        probe = ValidityProbe()
+        p = Problem(len(lbs), lbs, ubs, rows)
+        out = RecordingSolver(p, SolverConfig(mode=mode), instrumentation=probe).solve()
+        assert out.status == INFEASIBLE
+        assert probe.analyses == [] and len(probe.refutations) == 1
+
     def test_time_limit_returns_unknown(self):
-        from conftest import php_problem
         p = php_problem(6, 5)
         s = Solver(p, SolverConfig(mode="resolution", max_conflicts=3))
         out = s.solve()
         assert out.status == TIMELIMIT and out.solution is None
 
     def test_zero_time_limit_is_a_budget(self):
-        # stops at the first decision; with no budget PHP(6,5) is refuted
-        from conftest import php_problem
+        # the first fixpoint checks the deadline on entry, so the run stops
+        # before any propagation: with no budget PHP(6,5) is refuted, and
+        # x + y >= 7 over [0, 3]^2 fails at level 0
         out = Solver(php_problem(6, 5), SolverConfig(time_limit=0)).solve()
         assert out.status == TIMELIMIT
+        row = normalize([(0, -1), (1, -1)], -7)
+        assert solver_for([0, 0], [3, 3], [row], time_limit=0).solve().status == TIMELIMIT
 
     def test_nan_time_limit_is_rejected(self):
         # a deadline of now + nan never passes, so the run would ignore it
         with pytest.raises(ValueError):
-            SolverConfig(time_limit=float("nan")).validate()
+            SolverConfig(time_limit=float("nan"))
 
     @pytest.mark.parametrize("threshold", [None, "10", float("nan"), 2.5, 0, -1])
     def test_cleanup_threshold_must_be_an_integer_of_at_least_one(self, threshold):
         # otherwise None or "10" raise TypeError at the first restart,
         # and nan turns cleanup off
         with pytest.raises(ValueError):
-            SolverConfig(cleanup_learned_threshold=threshold).validate()
+            SolverConfig(cleanup_learned_threshold=threshold)
 
     @pytest.mark.parametrize("settings", [
         {"max_conflicts": "10"}, {"time_limit": "1"},
@@ -416,12 +434,12 @@ class TestSolveFeasibility:
         {"strategy_order": 5}, {"random_seed": [1]}])
     def test_budgets_and_hint_of_the_wrong_type_are_rejected(self, settings):
         # otherwise the budgets, restarts and strategy order raise TypeError
-        # inside validate, and a list seed in the Solver's constructor; a
-        # list hint raises AttributeError and a string value TypeError at
-        # the first decision, and a fractional value pushes a fractional
-        # bound, which under python -O answers a wrong optimum
+        # inside the config's own checks, and a list seed in the Solver's
+        # constructor; a list hint raises AttributeError and a string value
+        # TypeError at the first decision, and a fractional value pushes a
+        # fractional bound, which under python -O answers a wrong optimum
         with pytest.raises(ValueError):
-            SolverConfig(**settings).validate()
+            SolverConfig(**settings)
 
     def test_time_limit_holds_inside_propagation(self):
         # x < y and y < x: root propagation walks the upper bounds down
@@ -434,10 +452,20 @@ class TestSolveFeasibility:
 
     def test_time_limit_holds_in_a_descent_with_no_conflict(self):
         # 8,000 binaries and no rows: no decision meets a conflict, and pick
-        # sweeps every score, so the whole descent takes seconds; checked
-        # only after conflicts, the limit let it run on and answer feasible
+        # sweeps every score, so the whole descent takes seconds; each
+        # decision's fixpoint pushes one entry, so only its check on entry
+        # sees the deadline
         t0 = time.monotonic()
         out = solver_for([0] * 8000, [1] * 8000, time_limit=0.05).solve()
+        assert out.status == TIMELIMIT
+        assert time.monotonic() - t0 < 2.0
+
+    def test_time_limit_holds_in_a_run_of_short_conflicts(self):
+        # PHP(8,7) takes seconds of conflicts to refute, and each fixpoint
+        # pushes far fewer entries than PUSHES_PER_DEADLINE_CHECK, so only
+        # the fixpoint's check on entry sees the deadline
+        t0 = time.monotonic()
+        out = Solver(php_problem(8, 7), SolverConfig(mode="resolution", time_limit=0.05)).solve()
         assert out.status == TIMELIMIT
         assert time.monotonic() - t0 < 2.0
 
