@@ -15,10 +15,11 @@ is the reason row of its bound, as in MiniSat, but for a resolution
 unit: it lands at level 0, and the Solver pushes its bound with no row.
 After the first rewrite step and after each new cut,
 ``early_backjump_scan`` checks whether that constraint propagates over
-the level-0 box ``trail.root``.  A hit whose bound removes at least
-half of its variable's level-0 values stops the walk early: it
-backjumps to level 0 and pushes the root fact; the walk goes on past a
-weaker one.
+the level-0 box ``trail.root``.  A hit that fixes a non-binary variable
+stops the walk early: it backjumps to level 0 and pushes the root fact,
+as MiniSat goes to level 0 only for a learned unit; the walk goes on
+past any other hit.  A problem whose variables are all binary has no
+such hit, so there the cut engine makes no scan.
 ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry points,
 for the search and for hooks that wrap them by name.
 """
@@ -31,8 +32,6 @@ from typing import NamedTuple, Optional
 from .model import COEFF_CAP, Bound, Constraint, cut, normalize
 from .propagation import Conflict, clause_row, propagated_bounds, slack_and_widest
 from .trail import DECISION, Trail
-
-STRONG_HIT_SHARE = 0.5  # of the level-0 values a kept root fact removes
 
 
 class AnalysisInfeasible(Exception):
@@ -49,7 +48,8 @@ class AnalysisResult(NamedTuple):
     early: bool
     bumped_vars: frozenset
     touched_cids: tuple  # conflicting/reason constraints seen (activity counters)
-    weak_hits: int  # level-0 hits dropped as too weak to pay for the backjump
+    weak_hits: int  # level-0 hits dropped: they fix no non-binary variable
+    scans: int  # early_backjump_scan calls
 
 
 class EarlyBackjump(NamedTuple):
@@ -76,9 +76,10 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
     cc_cid = conflict.cid if cut_mode else None  # None once a cut replaced cc
     bumped = {trail.entries[h].bound.var for h in cs}
     touched = [conflict.cid]
-    pending_scan = cut_mode  # scan once per distinct conflicting constraint
+    scan = cut_mode and not problem.all_binary  # no 0-1 hit is kept: skip the scan
+    pending_scan = scan  # scan once per distinct conflicting constraint
     hit = None
-    weak_hits = 0
+    weak_hits = scans = 0
     if probe is not None:
         probe(frozenset(cs))
     # L, the level of max(cs), is fixed once; it may lie below the top
@@ -130,14 +131,15 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
                           f"{new_cc.format(problem.var_names)}", file=trace)
                 cc = new_cc
                 cc_cid = None
-                pending_scan = True
+                pending_scan = scan
         if pending_scan and cc.monomials:
             pending_scan = False
+            scans += 1
             hit = early_backjump_scan(cc, trail)
-            if hit is not None:  # keep it only if it pays for popping every decision
+            if hit is not None:  # keep it only if it fixes a non-binary variable
                 var, is_lower, value = hit.bound
-                lb, ub = trail.root.lb[var], trail.root.ub[var]
-                if (value - lb if is_lower else ub - value) < STRONG_HIT_SHARE * (ub - lb + 1):
+                if (value != (trail.root.ub if is_lower else trail.root.lb)[var]
+                        or problem.is_binary(var)):
                     hit = None
                     weak_hits += 1
     if hit is not None:
@@ -173,6 +175,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         bumped_vars=frozenset(bumped),
         touched_cids=tuple(touched),
         weak_hits=weak_hits,
+        scans=scans,
     )
 
 
@@ -184,7 +187,8 @@ def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[EarlyBackjump]
     variables, and the heights that set them, are read from the box
     ``trail.root``; a negative slack there means the problem is
     infeasible.  The hit's bound is the first one ``propagated_bounds``
-    gives.  Every hit is returned: ``_analyze`` decides which to keep.
+    gives.  Every hit is returned: ``_analyze`` keeps one that fixes a
+    non-binary variable, and never calls this on a 0-1 problem.
     """
     if not cc.monomials or not trail.decision_heights:
         return None

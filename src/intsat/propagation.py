@@ -149,13 +149,14 @@ def propagated_bounds(c: Constraint, bounds, slack: int) -> list:
     |a|*(ub-lb) > slack.
     """
     lb, ub = bounds.lb, bounds.ub
+    new = tuple.__new__  # makes a Bound with no Python frame, as normalize does a Monomial
     out = []
     for var, coeff in c.monomials:
         if coeff > 0:
             if coeff * (ub[var] - lb[var]) > slack:
-                out.append(Bound(var, False, lb[var] + slack // coeff))
+                out.append(new(Bound, (var, False, lb[var] + slack // coeff)))
         elif coeff * (lb[var] - ub[var]) > slack:
-            out.append(Bound(var, True, ub[var] - slack // -coeff))
+            out.append(new(Bound, (var, True, ub[var] - slack // -coeff)))
     return out
 
 

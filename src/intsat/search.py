@@ -116,7 +116,8 @@ class SolverStats:
     cleanups: int = 0
     learned: int = 0
     early_backjumps: int = 0
-    weak_hits: int = 0  # level-0 hits the analysis dropped as too weak
+    weak_hits: int = 0  # level-0 hits the analysis dropped: they fix no non-binary variable
+    scans: int = 0  # early-backjump scans the analysis made
     propagations: dict = field(default_factory=lambda: {BINARY: 0, CLAUSE: 0, GENERAL: 0})
 
     def as_dict(self):
@@ -275,6 +276,7 @@ class Solver:
         result = analyze(conflict, self.trail, self.propagator.constraints, self.problem,
                          trace=self.trace, probe=probe)
         self.stats.weak_hits += result.weak_hits
+        self.stats.scans += result.scans
         return result
 
     def _apply_analysis(self, result) -> None:

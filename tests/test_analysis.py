@@ -13,7 +13,7 @@ from intsat.search import Solver, SolverConfig
 from intsat.trail import DECISION, ReasonInfo, Trail
 from test_search import config_space_problems
 from test_search_snapshot import corpus, integer_rows_problem
-from conftest import (C, RecordingSolver, ValidityProbe, box_points,
+from conftest import (C, RecordingSolver, ValidityProbe, box_points, cover_packing_problem,
                       feasible_points, lo, pairwise_php_problem, php_problem,
                       planted_3sat_problem, refutation_violated, small_integer_problem, up,
                       watch_order)
@@ -116,16 +116,18 @@ class TestResolutionAnalysis:
         assert s.stats.learned > 0
 
 
-def level_zero_hit_conflict(k, w_ub, x_lb):
-    """x + y + z - w <= k and y + z >= 0 over [-20, 20]; decisions w <= w_ub
-    then x_lb <= x reach a conflict whose first cut, on z, is x - w <= k:
-    over the level-0 box it propagates x <= k + 20."""
+def level_zero_hit_conflict(k, first, x_lb, x_box=(-20, 20)):
+    """x + y + z - w <= k and y + z >= 0, with x in ``x_box`` and y, z, w
+    in [-20, 20]; the decisions ``first`` then x_lb <= x reach a conflict
+    whose first cut, on z, is x - w <= k: over the level-0 box it
+    propagates x <= k + 20."""
     cs = [normalize([(0, 1), (1, 1), (2, 1), (3, -1)], k),
           normalize([(1, -1), (2, -1)], 0)]
-    s = Solver(Problem(4, [-20] * 4, [20] * 4, cs, None, ["x", "y", "z", "w"]),
+    s = Solver(Problem(4, [x_box[0]] + [-20] * 3, [x_box[1]] + [20] * 3, cs, None,
+                       ["x", "y", "z", "w"]),
                SolverConfig(mode="cut"))
     assert s.propagator.propagate_fixpoint() is None
-    s.propagator.push_bound(up(3, w_ub), DECISION)
+    s.propagator.push_bound(first, DECISION)
     assert s.propagator.propagate_fixpoint() is None
     s.propagator.push_bound(lo(0, x_lb), DECISION)
     conflict = s.propagator.propagate_fixpoint()
@@ -154,11 +156,13 @@ class TestHybridAnalysis:
         assert res.reason_set == ()
         assert res.pop_to == s.trail.decision_heights[0]  # all the way to level 0
 
-    @pytest.mark.parametrize("k, w_ub, x_lb", [(-1, -19, 1),    # x <= 19: 1 of 41 values
-                                               (-20, 1, 0)])    # x <= 0: 20 of 41
-    def test_weak_level_zero_hit_is_dropped(self, k, w_ub, x_lb):
-        s, conflict = level_zero_hit_conflict(k, w_ub, x_lb)
+    @pytest.mark.parametrize("k, first, x_lb", [(-1, up(3, -19), 1),  # x <= 19: 1 of 41 values
+                                                (-20, up(3, 1), 0),   # x <= 0: 20 of 41
+                                                (-21, up(3, 1), 0)])  # x <= -1: 21 of 41
+    def test_level_zero_hit_that_fixes_nothing_is_dropped(self, k, first, x_lb):
+        s, conflict = level_zero_hit_conflict(k, first, x_lb)
         res = s._analyze(conflict)
+        assert early_backjump_scan(res.learned[0], s.trail).bound == up(0, k + 20)
         assert not res.early
         assert res.weak_hits == s.stats.weak_hits == 1
         assert res.learned == (C([(0, 1), (3, -1)], k),)
@@ -167,14 +171,25 @@ class TestHybridAnalysis:
         assert res.pop_to == s.trail.decision_heights[1]
         assert s.trail.decision_heights[0] in res.reason_set
 
-    def test_strong_level_zero_hit_is_kept(self):
-        s, conflict = level_zero_hit_conflict(-21, 1, 0)  # x <= -1: 21 of 41 values
+    def test_level_zero_fix_of_an_integer_is_kept(self):
+        s, conflict = level_zero_hit_conflict(-40, up(1, 0), 0)  # x <= -20 fixes x: 40 of 41
         res = s._analyze(conflict)
         assert res.early
         assert res.weak_hits == s.stats.weak_hits == 0
-        assert res.bound == up(0, -1)
-        assert res.pop_to == s.trail.decision_heights[0]
+        assert res.learned == (C([(0, 1), (3, -1)], -40),)
+        assert res.bound == up(0, -20)
+        assert res.pop_to == s.trail.decision_heights[0]  # both decisions popped
         assert [s.trail.entries[h].bound for h in res.reason_set] == [up(3, 20)]
+
+    def test_level_zero_fix_of_a_binary_is_dropped(self):
+        # x in [0, 1] beside the integers y, z and w: the hit x <= 0 fixes a binary
+        s, conflict = level_zero_hit_conflict(-20, up(1, 0), 1, x_box=(0, 1))
+        res = s._analyze(conflict)
+        assert early_backjump_scan(res.learned[0], s.trail).bound == up(0, 0)
+        assert not res.early
+        assert res.weak_hits == s.stats.weak_hits == 1
+        assert res.bound == up(0, 0)
+        assert res.pop_to == s.trail.decision_heights[1]
 
     def test_over_cap_cut_leaves_cc_unchanged(self):
         # the second rewrite needs multipliers that blow the coefficient
@@ -363,12 +378,14 @@ def set_packing_problem(rng, n=24, rows=24):
 
 def coverage_draw():
     """More (name, problem, conflict cap) triples for the coverage floors
-    below.  The snapshot corpus alone reaches few early backjumps, as most
-    level-0 hits on its integer rows are too weak to keep; every hit on a
-    binary is kept."""
+    below.  The snapshot corpus alone reaches few early backjumps, as only
+    a level-0 hit that fixes a non-binary variable is kept; small integer
+    domains give most of them."""
     rng = random.Random(7101)
     out = [(f"set-packing-{i}", set_packing_problem(rng), 100) for i in range(40)]
     out += [(f"integer-rows-{i}", integer_rows_problem(rng), 100) for i in range(120)]
+    out += [(f"small-integer-{i}", small_integer_problem(rng, n=6, dom=5), 100)
+            for i in range(800)]
     return out
 
 
@@ -400,6 +417,33 @@ def test_every_early_backjump_in_cut_mode_solves_pushes_a_root_fact():
         s.solve()
         seen += s.early_seen
     assert seen >= 250, seen
+
+
+def test_cut_mode_scans_only_problems_with_a_non_binary_variable(monkeypatch):
+    # the scan wrapped through the module, as bench/tracer.py wraps it: no
+    # hit on a 0-1 problem fixes a non-binary variable, so none is scanned
+    calls = []
+    scan = analysis.early_backjump_scan
+
+    def counted(cc, trail):
+        calls.append(cc)
+        return scan(cc, trail)
+
+    monkeypatch.setattr(analysis, "early_backjump_scan", counted)
+    rng = random.Random(7601)
+    draws = {True: [pairwise_php_problem(5, 4)] + [cover_packing_problem(rng) for _ in range(30)],
+             False: [integer_rows_problem(rng) for _ in range(5)]}
+    for all_binary, problems in draws.items():
+        calls.clear()
+        conflicts = scans = 0
+        for p in problems:
+            assert p.all_binary == all_binary
+            s = Solver(p, SolverConfig(mode="cut", max_conflicts=100))
+            s.solve()
+            conflicts += s.stats.conflicts
+            scans += s.stats.scans
+        assert conflicts >= 50, conflicts
+        assert scans == len(calls) and (scans == 0) == all_binary, (all_binary, scans)
 
 
 class FilingSolver(Solver):
@@ -518,11 +562,11 @@ class CutClauseSolver(Solver):
 
 def test_learned_cut_clauses_are_filed_general():
     # config-space draws on which cut mode learns a binary clause (instance
-    # 2), a clause row (65) and one of each (203), each asserting the bound
+    # 2) or a clause row (56, 65, 124 and 203), each asserting the bound
     # pushed with it: the general tier propagates it, and the answer holds
     problems = config_space_problems()
     checked = 0
-    for i in (2, 65, 203):
+    for i in (2, 56, 65, 124, 203):
         s = CutClauseSolver(problems[i], SolverConfig(mode="cut", strategy_order=(10, 4),
                                                       random_seed=i % 3, max_conflicts=300))
         out, want = s.solve(), oracle_solve(problems[i])

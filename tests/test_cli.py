@@ -158,6 +158,7 @@ class TestOutput:
         stats = [l for l in out if l.startswith("c ")]
         assert any(re.fullmatch(r"c conflicts=\d+", l) for l in stats)
         assert any(re.fullmatch(r"c weak_hits=\d+", l) for l in stats)
+        assert any(re.fullmatch(r"c scans=\d+", l) for l in stats)
 
     def test_verify_agreement_reports_ok(self, tmp_path, capsys):
         path = write(tmp_path, "opt.ilp", OPT)

@@ -97,7 +97,7 @@ def test_search_matches_the_snapshot_without_asserts():
     assert_matches_the_snapshot(got)
 
 
-TOTALS = ("conflicts", "decisions", "learned",
+TOTALS = ("conflicts", "decisions", "learned", "early_backjumps", "weak_hits", "scans",
           "propagations_binary", "propagations_clause", "propagations_general")
 
 
@@ -124,10 +124,11 @@ def report_changes(want, got):
 
 def test_regeneration_reports_what_moved():
     rec = dict(status="optimal", objective=3, conflicts=9, decisions=20, learned=7,
+               early_backjumps=2, weak_hits=3, scans=11,
                propagations_binary=5, propagations_clause=4, propagations_general=30)
     want = {"a/cut": rec, "b/cut": rec, "a/resolution": rec}
-    got = {"a/cut": dict(rec, conflicts=8, propagations_general=25),
-           "b/cut": dict(rec, objective=2, learned=6),
+    got = {"a/cut": dict(rec, conflicts=8, propagations_general=25, weak_hits=0, scans=4),
+           "b/cut": dict(rec, objective=2, learned=6, early_backjumps=1),
            "a/resolution": dict(rec, propagations_clause=9),
            "c/resolution": rec}  # a record the snapshot did not hold
     assert report_changes(want, got) == [
@@ -136,6 +137,9 @@ def test_regeneration_reports_what_moved():
         "  conflicts: 18 -> 17",
         "  decisions: 40 -> 40",
         "  learned: 14 -> 13",
+        "  early_backjumps: 4 -> 3",
+        "  weak_hits: 6 -> 3",
+        "  scans: 22 -> 15",
         "  propagations_binary: 10 -> 10",
         "  propagations_clause: 8 -> 8",
         "  propagations_general: 60 -> 55",
@@ -144,6 +148,9 @@ def test_regeneration_reports_what_moved():
         "  conflicts: 9 -> 18",
         "  decisions: 20 -> 40",
         "  learned: 7 -> 14",
+        "  early_backjumps: 2 -> 4",
+        "  weak_hits: 3 -> 6",
+        "  scans: 11 -> 22",
         "  propagations_binary: 5 -> 10",
         "  propagations_clause: 4 -> 13",
         "  propagations_general: 30 -> 60"]
