@@ -14,12 +14,10 @@ constraints, and learns it only once a cut derived it.  A learned row
 is the reason row of its bound, as in MiniSat, but for a resolution
 unit: it lands at level 0, and the Solver pushes its bound with no row.
 After the first rewrite step and after each new cut,
-``early_backjump_scan`` checks whether that constraint propagates over
-the level-0 box ``trail.root``.  A hit that fixes a non-binary variable
-stops the walk early: it backjumps to level 0 and pushes the root fact,
-as MiniSat goes to level 0 only for a learned unit; the walk goes on
-past any other hit.  A problem whose variables are all binary has no
-such hit, so there the cut engine makes no scan.
+``early_backjump_scan`` checks whether that constraint is a unit row that
+tightens its variable's level-0 box.  A hit stops the walk early: it
+backjumps to level 0 and pushes the row's bound there with an empty
+reason set, as MiniSat goes to level 0 only for a learned unit.
 ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry points,
 for the search and for hooks that wrap them by name.
 """
@@ -30,7 +28,7 @@ from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 from .model import COEFF_CAP, Bound, Constraint, cut, normalize
-from .propagation import Conflict, clause_row, propagated_bounds, slack_and_widest
+from .propagation import Conflict, clause_row
 from .trail import DECISION, Trail
 
 
@@ -48,13 +46,7 @@ class AnalysisResult(NamedTuple):
     early: bool
     bumped_vars: frozenset
     touched_cids: tuple  # conflicting/reason constraints seen (activity counters)
-    weak_hits: int  # level-0 hits dropped: they fix no non-binary variable
     scans: int  # early_backjump_scan calls
-
-
-class EarlyBackjump(NamedTuple):
-    bound: Bound  # pushed after popping to the start of level 1
-    reason_set: tuple
 
 
 def analyze_resolution(conflict: Conflict, trail: Trail, constraints: list,
@@ -76,10 +68,9 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
     cc_cid = conflict.cid if cut_mode else None  # None once a cut replaced cc
     bumped = {trail.entries[h].bound.var for h in cs}
     touched = [conflict.cid]
-    scan = cut_mode and not problem.all_binary  # no 0-1 hit is kept: skip the scan
-    pending_scan = scan  # scan once per distinct conflicting constraint
+    pending_scan = cut_mode  # scan once per distinct conflicting constraint
     hit = None
-    weak_hits = scans = 0
+    scans = 0
     if probe is not None:
         probe(frozenset(cs))
     # L, the level of max(cs), is fixed once; it may lie below the top
@@ -131,20 +122,14 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
                           f"{new_cc.format(problem.var_names)}", file=trace)
                 cc = new_cc
                 cc_cid = None
-                pending_scan = scan
-        if pending_scan and cc.monomials:
+                pending_scan = True
+        if pending_scan:
             pending_scan = False
             scans += 1
             hit = early_backjump_scan(cc, trail)
-            if hit is not None:  # keep it only if it fixes a non-binary variable
-                var, is_lower, value = hit.bound
-                if (value != (trail.root.ub if is_lower else trail.root.lb)[var]
-                        or problem.is_binary(var)):
-                    hit = None
-                    weak_hits += 1
-    if hit is not None:
+    if hit is not None:  # the unit row's own propagation at level 0
         pop_to = trail.level_start(1)
-        bound, reason_set = hit
+        bound, reason_set = hit, ()
         if trace is not None:
             print(f"early-backjump k={len(trail) - pop_to} push "
                   f"{bound.format(problem.var_names)}", file=trace)
@@ -174,34 +159,32 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
         early=hit is not None,
         bumped_vars=frozenset(bumped),
         touched_cids=tuple(touched),
-        weak_hits=weak_hits,
         scans=scans,
     )
 
 
-def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[EarlyBackjump]:
-    """The bound cc propagates over the level-0 bounds, if any.
+def early_backjump_scan(cc: Constraint, trail: Trail) -> Optional[Bound]:
+    """The bound cc propagates at level 0, if cc is a unit row: one
+    variable, whose level-0 box the bound tightens.
 
-    Only root facts are learned early, as MiniSat's top-level units: the
-    hit's backjump pops every decision.  The level-0 bounds of cc's
-    variables, and the heights that set them, are read from the box
-    ``trail.root``; a negative slack there means the problem is
-    infeasible.  The hit's bound is the first one ``propagated_bounds``
-    gives.  Every hit is returned: ``_analyze`` keeps one that fixes a
-    non-binary variable, and never calls this on a 0-1 problem.
+    Only such a row is learned early, as MiniSat's top-level units: the
+    hit's backjump pops every decision, and its bound needs no reason
+    bound.  A unit row false over that box means the problem is
+    infeasible.  Any longer row gives no hit.
     """
-    if not cc.monomials or not trail.decision_heights:
+    if len(cc.monomials) != 1 or not trail.decision_heights:
         return None
-    root = trail.root
-    slack, widest = slack_and_widest(cc, root)
-    if slack < 0:
+    (var, coeff), = cc.monomials
+    lb, ub = trail.bounds_at_height(var, trail.decision_heights[0])
+    if coeff > 0:  # var <= floor(rhs / coeff)
+        value = cc.rhs // coeff
+        if value < lb:
+            raise AnalysisInfeasible
+        return Bound(var, False, value) if value < ub else None
+    value = -(cc.rhs // -coeff)  # ceil(rhs / coeff) <= var
+    if value > ub:
         raise AnalysisInfeasible
-    if widest <= slack:
-        return None
-    b = propagated_bounds(cc, root, slack)[0]
-    reason = sorted((root.pl if coeff > 0 else root.pu)[var]
-                    for var, coeff in cc.monomials if var != b.var)  # each var once
-    return EarlyBackjump(b, tuple(reason))
+    return Bound(var, True, value) if value > lb else None
 
 
 def learned_clause(heights, trail: Trail, problem):

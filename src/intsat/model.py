@@ -212,12 +212,9 @@ class Problem:
     def __post_init__(self):
         if len(self.initial_lb) != self.num_vars or len(self.initial_ub) != self.num_vars:
             raise ValueError(f"initial_lb and initial_ub need {self.num_vars} entries each")
-        self.all_binary = True  # every domain is [0, 1]; the cut analysis then never scans
         for lb, ub in zip(self.initial_lb, self.initial_ub):
             if lb > ub:
                 raise ValueError(f"empty initial domain [{lb}, {ub}]")
-            if lb != 0 or ub != 1:
-                self.all_binary = False
 
     def name_of(self, var: int) -> str:
         if self.var_names:

@@ -22,11 +22,6 @@ pass and calls ``find_conflict`` or ``propagate_constraint`` only when
 that pass says they fire; a visit that propagates reads the new widths
 once more for its filter.
 
-``propagated_bounds`` is the one rule for the bounds a row propagates.
-It and ``slack_and_widest`` read only the ``lb``/``ub`` of their bounds
-argument, so the early-backjump scan applies them, and the reason rule
-below, to the level-0 bounds.
-
 All three tiers share one extraction rule for conflict sets and reason
 sets: the height of the current strongest bound of each variable on the
 side its coefficient uses.  Conflict sets are taken at once; a bound is
@@ -138,28 +133,6 @@ def find_conflict(c: Constraint, trail: Trail, cid: int = -1) -> Optional[Confli
     return None
 
 
-def propagated_bounds(c: Constraint, bounds, slack: int) -> list:
-    """Every fresh bound the row propagates, in row order, given its
-    slack >= 0 under ``bounds`` (anything with per-variable ``lb``/``ub``,
-    like the trail).
-
-    For each variable, the bound obtained by moving every other variable
-    to its minimum and rounding: ``x <= lb + floor(slack/a)`` for a > 0,
-    ``ub - floor(slack/|a|) <= x`` for a < 0.  It is fresh iff
-    |a|*(ub-lb) > slack.
-    """
-    lb, ub = bounds.lb, bounds.ub
-    new = tuple.__new__  # makes a Bound with no Python frame, as normalize does a Monomial
-    out = []
-    for var, coeff in c.monomials:
-        if coeff > 0:
-            if coeff * (ub[var] - lb[var]) > slack:
-                out.append(new(Bound, (var, False, lb[var] + slack // coeff)))
-        elif coeff * (lb[var] - ub[var]) > slack:
-            out.append(new(Bound, (var, True, ub[var] - slack // -coeff)))
-    return out
-
-
 def clause_row(codes) -> Constraint:
     """The row of a clause over distinct binary variables, given its
     literal codes: -v for ``1 <= v`` (code ``2*v + 1``) and +v for
@@ -176,10 +149,24 @@ def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = Non
     """All fresh bounds the constraint propagates under the current trail,
     in row order; the caller must have ruled out a conflict first, and
     may pass the row's slack if it holds it.
+
+    For each variable, the bound obtained by moving every other variable
+    to its minimum and rounding: ``x <= lb + floor(slack/a)`` for a > 0,
+    ``ub - floor(slack/|a|) <= x`` for a < 0.  It is fresh iff
+    |a|*(ub-lb) > slack.
     """
     if slack is None:
         slack = slack_and_widest(c, trail)[0]
-    return propagated_bounds(c, trail, slack)
+    lb, ub = trail.lb, trail.ub
+    new = tuple.__new__  # makes a Bound with no Python frame, as normalize does a Monomial
+    out = []
+    for var, coeff in c.monomials:
+        if coeff > 0:
+            if coeff * (ub[var] - lb[var]) > slack:
+                out.append(new(Bound, (var, False, lb[var] + slack // coeff)))
+        elif coeff * (lb[var] - ub[var]) > slack:
+            out.append(new(Bound, (var, True, ub[var] - slack // -coeff)))
+    return out
 
 
 class Propagator:

@@ -116,7 +116,6 @@ class SolverStats:
     cleanups: int = 0
     learned: int = 0
     early_backjumps: int = 0
-    weak_hits: int = 0  # level-0 hits the analysis dropped: they fix no non-binary variable
     scans: int = 0  # early-backjump scans the analysis made
     propagations: dict = field(default_factory=lambda: {BINARY: 0, CLAUSE: 0, GENERAL: 0})
 
@@ -275,7 +274,6 @@ class Solver:
                    else analysis.analyze_hybrid)
         result = analyze(conflict, self.trail, self.propagator.constraints, self.problem,
                          trace=self.trace, probe=probe)
-        self.stats.weak_hits += result.weak_hits
         self.stats.scans += result.scans
         return result
 

@@ -34,10 +34,6 @@ class ReasonInfo(NamedTuple):
 DECISION = ReasonInfo((), None)
 
 
-# Level-0 bounds of every variable and the heights of the entries that set them
-RootBox = NamedTuple("RootBox", [("lb", list), ("ub", list), ("pl", list), ("pu", list)])
-
-
 class TrailEntry(NamedTuple):
     bound: Bound
     pos: int  # height of the previous bound of the same kind for this var, -1 for a seed
@@ -52,10 +48,7 @@ class Trail:
     the current bounds of `v`, and `pl[v]` / `pu[v]` the height of the
     entry that set them.  The `pos` field of each entry chains to the
     previous entry of the same (variable, kind), so popping an entry
-    restores both in O(1).  `root` holds copies of those four lists taken
-    just before the first decision is pushed: level 0 cannot change while
-    a decision is on the trail, so they stay exact until every decision
-    is popped.
+    restores both in O(1).
     """
 
     def __init__(self, num_vars, initial_lb, initial_ub):
@@ -69,7 +62,6 @@ class Trail:
         self.pl = list(range(0, 2 * num_vars, 2))
         self.pu = list(range(1, 2 * num_vars, 2))
         self.decision_heights = []  # heights of decision entries, increasing
-        self.root = None  # a RootBox, read only while a decision is on the trail
 
     def __len__(self):
         return len(self.entries)
@@ -90,8 +82,6 @@ class Trail:
         height = len(self.entries)
         assert info.reason_set is None or all(h < height for h in info.reason_set)
         if info is DECISION:
-            if not self.decision_heights:
-                self.root = RootBox(self.lb[:], self.ub[:], self.pl[:], self.pu[:])
             self.decision_heights.append(height)
         var, is_lower, value = b
         if is_lower:
@@ -143,17 +133,16 @@ class Trail:
         at or above the end of the seeds.
 
         Walks the pos chains, so the cost is the number of entries of
-        this variable above the cutoff.  Tests check `root` against it; the
-        early-backjump scan reads `root` and never walks the chains.  The
-        benchmark's tracer (``bench/tracer.py``) wraps it by name.
+        this variable above the cutoff.  The early-backjump scan reads a
+        unit row's level-0 box with it, and the benchmark's tracer
+        (``bench/tracer.py``) wraps it and the next method by name.
         """
         entries = self.entries
         return (entries[self.height_of_strongest_below(var, True, cutoff)].bound.value,
                 entries[self.height_of_strongest_below(var, False, cutoff)].bound.value)
 
     def height_of_strongest_below(self, var: int, lower: bool, cutoff: int) -> int:
-        """Height of var's strongest bound of a kind below `cutoff`; not used
-        by the scan, but the benchmark's tracer wraps it by name."""
+        """Height of var's strongest bound of a kind below `cutoff`."""
         p = self.pl[var] if lower else self.pu[var]
         while p >= cutoff:
             p = self.entries[p].pos

@@ -19,7 +19,7 @@ from conftest import (C, RecordingSolver, ValidityProbe, box_points, cover_packi
                       watch_order)
 
 
-def core_solver(**cfg):
+def core_solver(y_box=(-10, 10), **cfg):
     cs = [
         normalize([(0, -1), (1, -1), (2, -1)], -2),  # C0
         normalize([(0, 1), (1, 1)], 1),              # C1
@@ -29,7 +29,8 @@ def core_solver(**cfg):
         normalize([(1, 1)], 1),                      # C5
         normalize([(2, 1)], 3),                      # C6
     ]
-    return Solver(Problem(3, [-10] * 3, [10] * 3, cs, None, ["x", "y", "z"]),
+    return Solver(Problem(3, [-10, y_box[0], -10], [10, y_box[1], 10], cs, None,
+                          ["x", "y", "z"]),
                   SolverConfig(**cfg))
 
 
@@ -156,40 +157,35 @@ class TestHybridAnalysis:
         assert res.reason_set == ()
         assert res.pop_to == s.trail.decision_heights[0]  # all the way to level 0
 
-    @pytest.mark.parametrize("k, first, x_lb", [(-1, up(3, -19), 1),  # x <= 19: 1 of 41 values
-                                                (-20, up(3, 1), 0),   # x <= 0: 20 of 41
-                                                (-21, up(3, 1), 0)])  # x <= -1: 21 of 41
-    def test_level_zero_hit_that_fixes_nothing_is_dropped(self, k, first, x_lb):
-        s, conflict = level_zero_hit_conflict(k, first, x_lb)
+    def test_unit_row_over_a_binary_backjumps_early(self):
+        # y in [0, 1] makes the level-0 box of x and z [0, 1] too; the
+        # learned unit row 1 <= y is kept all the same, where the 1UIP
+        # bound would be x <= 0
+        s = core_solver(y_box=(0, 1), mode="cut")
+        conflict = core_conflict(s)
         res = s._analyze(conflict)
-        assert early_backjump_scan(res.learned[0], s.trail).bound == up(0, k + 20)
-        assert not res.early
-        assert res.weak_hits == s.stats.weak_hits == 1
+        assert res.early and res.scans == s.stats.scans == 1
+        assert res.learned == (C([(1, -1)], -1),)
+        assert res.bound == lo(1, 1)
+        assert res.reason_set == ()
+        assert res.pop_to == s.trail.decision_heights[0]
+
+    @pytest.mark.parametrize("k, first, x_lb, x_box", [
+        (-1, up(3, -19), 1, (-20, 20)),  # x <= 19 over the level-0 box: 1 of 41 values
+        (-20, up(3, 1), 0, (-20, 20)),   # x <= 0: 20 of 41
+        (-21, up(3, 1), 0, (-20, 20)),   # x <= -1: 21 of 41
+        (-40, up(1, 0), 0, (-20, 20)),   # x <= -20: fixes x
+        (-20, up(1, 0), 1, (0, 1))])     # x <= 0: fixes a binary x
+    def test_two_variable_cut_makes_no_early_backjump(self, k, first, x_lb, x_box):
+        s, conflict = level_zero_hit_conflict(k, first, x_lb, x_box)
+        res = s._analyze(conflict)
         assert res.learned == (C([(0, 1), (3, -1)], k),)
+        assert early_backjump_scan(res.learned[0], s.trail) is None
+        assert not res.early and res.scans == s.stats.scans
         # the 1UIP bound, the last decision negated, pushed right below it
         assert res.bound == up(0, x_lb - 1)
         assert res.pop_to == s.trail.decision_heights[1]
-        assert s.trail.decision_heights[0] in res.reason_set
-
-    def test_level_zero_fix_of_an_integer_is_kept(self):
-        s, conflict = level_zero_hit_conflict(-40, up(1, 0), 0)  # x <= -20 fixes x: 40 of 41
-        res = s._analyze(conflict)
-        assert res.early
-        assert res.weak_hits == s.stats.weak_hits == 0
-        assert res.learned == (C([(0, 1), (3, -1)], -40),)
-        assert res.bound == up(0, -20)
-        assert res.pop_to == s.trail.decision_heights[0]  # both decisions popped
-        assert [s.trail.entries[h].bound for h in res.reason_set] == [up(3, 20)]
-
-    def test_level_zero_fix_of_a_binary_is_dropped(self):
-        # x in [0, 1] beside the integers y, z and w: the hit x <= 0 fixes a binary
-        s, conflict = level_zero_hit_conflict(-20, up(1, 0), 1, x_box=(0, 1))
-        res = s._analyze(conflict)
-        assert early_backjump_scan(res.learned[0], s.trail).bound == up(0, 0)
-        assert not res.early
-        assert res.weak_hits == s.stats.weak_hits == 1
-        assert res.bound == up(0, 0)
-        assert res.pop_to == s.trail.decision_heights[1]
+        assert any(s.trail.decision_level_of(h) == 1 for h in res.reason_set)
 
     def test_over_cap_cut_leaves_cc_unchanged(self):
         # the second rewrite needs multipliers that blow the coefficient
@@ -236,10 +232,17 @@ class TestEarlyBackjumpScan:
     def test_unit_constraint_propagates_at_level_zero(self):
         s = core_solver(mode="cut")
         core_conflict(s)
-        hit = early_backjump_scan(C([(1, -1)], -1), s.trail)  # 1 <= y
-        assert hit is not None
-        assert hit.bound == lo(1, 1)
-        assert hit.reason_set == ()
+        assert early_backjump_scan(C([(1, -1)], -1), s.trail) == lo(1, 1)  # 1 <= y
+
+    def test_unit_row_reads_the_box_below_the_first_decision(self):
+        s = core_solver(mode="cut")
+        core_conflict(s)
+        # y <= 0 holds already at level 1, but not over the level-0 box y in [-2, 1]
+        assert s.trail.ub[1] == 0
+        assert early_backjump_scan(C([(1, 1)], 0), s.trail) == up(1, 0)
+        # rounding toward the box: 2x <= -1 is x <= -1, -2x <= 1 is 0 <= x
+        assert early_backjump_scan(C([(0, 2)], -1), s.trail) == up(0, -1)
+        assert early_backjump_scan(C([(0, -2)], 1), s.trail) == lo(0, 0)
 
     def test_no_hit_when_nothing_fresh(self):
         s = rounding_solver(mode="cut")
@@ -252,13 +255,13 @@ class TestEarlyBackjumpScan:
         with pytest.raises(AnalysisInfeasible):
             early_backjump_scan(C([(2, 1)], -5), s.trail)  # z <= -5 false at root
 
-    def test_reason_heights_lie_below_the_cutoff(self):
+    def test_longer_row_gives_no_hit(self):
         s = core_solver(mode="cut")
         core_conflict(s)
-        # x + y <= -2 over the level-0 box x, y in [-2, 1]: x <= 0 because -2 <= y
-        hit = early_backjump_scan(C([(0, 1), (1, 1)], -2), s.trail)
-        assert hit is not None and hit.bound == up(0, 0)
-        assert hit.reason_set and all(h < s.trail.level_start(1) for h in hit.reason_set)
+        # x + y <= -2 propagates x <= 0 over the level-0 box x, y in [-2, 1],
+        # and x + y <= -5 is false there, but neither is a unit row
+        assert early_backjump_scan(C([(0, 1), (1, 1)], -2), s.trail) is None
+        assert early_backjump_scan(C([(0, 1), (1, 1)], -5), s.trail) is None
 
 
 def reference_level(cc, t, level):
@@ -288,17 +291,19 @@ def reference_level(cc, t, level):
 
 
 def scan_outcome(cc, t):
-    """The scan in reference_level's terms: a hit pops to the first decision."""
+    """The scan in reference_level's terms: a hit pops to the first decision
+    and needs no reason bound."""
     try:
         hit = early_backjump_scan(cc, t)
     except AnalysisInfeasible:
         return "false"
-    return hit if hit is None else (t.level_start(1), hit.bound, hit.reason_set)
+    return hit if hit is None else (t.level_start(1), hit, ())
 
 
 def expected_scan(cc, t):
-    """The scan checks only the level-0 prefix; with no decision it has none."""
-    return reference_level(cc, t, 0) if t.num_decisions else None
+    """The scan checks only a unit row over the level-0 prefix; with no
+    decision it has none."""
+    return reference_level(cc, t, 0) if t.num_decisions and len(cc.monomials) == 1 else None
 
 
 def count_outcome(outcomes, got):
@@ -333,10 +338,11 @@ class TestScanAgainstReference:
     def test_matches_the_reference_on_deep_trails(self):
         # 20-60 pushes over up to 8 variables: long chains of cc's
         # variables above level 0, which the scan must walk past, levels
-        # that touch none of cc's variables, variables outside cc
+        # that touch none of cc's variables, variables outside cc; about a
+        # fifth of the rows are unit rows, the only ones that can hit
         rng = random.Random(48)
         outcomes = {"hit": 0, "none": 0, "infeasible": 0}
-        for _ in range(300):
+        for _ in range(900):
             n = rng.randint(2, 8)
             lbs = [rng.randint(-30, 0) for _ in range(n)]
             ubs = [lb + rng.randint(10, 40) for lb in lbs]
@@ -379,13 +385,15 @@ def set_packing_problem(rng, n=24, rows=24):
 def coverage_draw():
     """More (name, problem, conflict cap) triples for the coverage floors
     below.  The snapshot corpus alone reaches few early backjumps, as only
-    a level-0 hit that fixes a non-binary variable is kept; small integer
-    domains give most of them."""
+    a learned unit row backjumps early; small problems over three integers
+    give most of them."""
     rng = random.Random(7101)
     out = [(f"set-packing-{i}", set_packing_problem(rng), 100) for i in range(40)]
     out += [(f"integer-rows-{i}", integer_rows_problem(rng), 100) for i in range(120)]
     out += [(f"small-integer-{i}", small_integer_problem(rng, n=6, dom=5), 100)
             for i in range(800)]
+    out += [(f"three-integer-{i}", small_integer_problem(rng, n=3, dom=10), 100)
+            for i in range(1000)]
     return out
 
 
@@ -401,6 +409,7 @@ class EarlyBackjumpSolver(Solver):
             assert result.pop_to == self.trail.level_start(1)
             reason = (result.learned[0] if result.learned
                       else self.propagator.constraints[result.attach_cid])
+            assert len(reason.monomials) == 1
             assert (reference_level(reason, self.trail, 0)
                     == (result.pop_to, result.bound, result.reason_set))
             self.early_seen += 1
@@ -419,31 +428,35 @@ def test_every_early_backjump_in_cut_mode_solves_pushes_a_root_fact():
     assert seen >= 250, seen
 
 
-def test_cut_mode_scans_only_problems_with_a_non_binary_variable(monkeypatch):
-    # the scan wrapped through the module, as bench/tracer.py wraps it: no
-    # hit on a 0-1 problem fixes a non-binary variable, so none is scanned
-    calls = []
+def test_cut_mode_hits_come_only_from_unit_rows(monkeypatch):
+    # the scan wrapped through the module, as bench/tracer.py wraps it: it
+    # runs once per distinct conflicting row, on 0-1 and integer problems
+    # alike, and only a one-variable row gives a hit
+    calls, hits = [], []
     scan = analysis.early_backjump_scan
 
     def counted(cc, trail):
         calls.append(cc)
-        return scan(cc, trail)
+        hit = scan(cc, trail)
+        if hit is not None:
+            hits.append(cc)
+        return hit
 
     monkeypatch.setattr(analysis, "early_backjump_scan", counted)
     rng = random.Random(7601)
-    draws = {True: [pairwise_php_problem(5, 4)] + [cover_packing_problem(rng) for _ in range(30)],
-             False: [integer_rows_problem(rng) for _ in range(5)]}
-    for all_binary, problems in draws.items():
+    draws = {"0-1": [pairwise_php_problem(5, 4)] + [cover_packing_problem(rng) for _ in range(30)],
+             "integer": [integer_rows_problem(rng) for _ in range(5)]}
+    for kind, problems in draws.items():
         calls.clear()
         conflicts = scans = 0
         for p in problems:
-            assert p.all_binary == all_binary
             s = Solver(p, SolverConfig(mode="cut", max_conflicts=100))
             s.solve()
             conflicts += s.stats.conflicts
             scans += s.stats.scans
-        assert conflicts >= 50, conflicts
-        assert scans == len(calls) and (scans == 0) == all_binary, (all_binary, scans)
+        assert conflicts >= 50, (kind, conflicts)
+        assert scans == len(calls) and scans > 0, (kind, scans)
+    assert all(len(cc.monomials) == 1 for cc in hits), hits
 
 
 class FilingSolver(Solver):

@@ -157,7 +157,7 @@ class TestOutput:
         out = capsys.readouterr().out.splitlines()
         stats = [l for l in out if l.startswith("c ")]
         assert any(re.fullmatch(r"c conflicts=\d+", l) for l in stats)
-        assert any(re.fullmatch(r"c weak_hits=\d+", l) for l in stats)
+        assert any(re.fullmatch(r"c early_backjumps=\d+", l) for l in stats)
         assert any(re.fullmatch(r"c scans=\d+", l) for l in stats)
 
     def test_verify_agreement_reports_ok(self, tmp_path, capsys):
@@ -224,15 +224,20 @@ class TestTrace:
 
 
 class TestOptimisedInterpreter:
-    def test_verified_answer_without_asserts(self, tmp_path):
+    @pytest.mark.parametrize("text, args, expected", [
+        (STRENGTHEN_BINARIES, ["--strategies", "8,6,2"], ["OPTIMAL 3"]),
+        # cut mode learns the unit row 1 <= y with an early backjump, then refutes
+        (CORE, ["--mode", "cut", "--stats"], ["INFEASIBLE", "c early_backjumps=1"])],
+        ids=["strengthen-binaries", "core-cut"])
+    def test_verified_answer_without_asserts(self, tmp_path, text, args, expected):
         """No answer may rest on an assert: run the CLI under python -O."""
-        path = write(tmp_path, "strengthen.ilp", STRENGTHEN_BINARIES)
+        path = write(tmp_path, "problem.ilp", text)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-O", "-m", "intsat.cli", path,
-             "--strategies", "8,6,2", "--verify"],
+            [sys.executable, "-O", "-m", "intsat.cli", path, *args, "--verify"],
             capture_output=True, text=True, timeout=60, env=env)
         assert done.returncode == 0, done.stderr
-        assert "OPTIMAL 3" in done.stdout and "c verify=ok" in done.stdout
+        lines = done.stdout.splitlines()
+        assert all(line in lines for line in [*expected, "c verify=ok"]), done.stdout

@@ -97,7 +97,7 @@ def test_search_matches_the_snapshot_without_asserts():
     assert_matches_the_snapshot(got)
 
 
-TOTALS = ("conflicts", "decisions", "learned", "early_backjumps", "weak_hits", "scans",
+TOTALS = ("conflicts", "decisions", "learned", "early_backjumps", "scans",
           "propagations_binary", "propagations_clause", "propagations_general")
 
 
@@ -124,10 +124,10 @@ def report_changes(want, got):
 
 def test_regeneration_reports_what_moved():
     rec = dict(status="optimal", objective=3, conflicts=9, decisions=20, learned=7,
-               early_backjumps=2, weak_hits=3, scans=11,
+               early_backjumps=2, scans=11,
                propagations_binary=5, propagations_clause=4, propagations_general=30)
     want = {"a/cut": rec, "b/cut": rec, "a/resolution": rec}
-    got = {"a/cut": dict(rec, conflicts=8, propagations_general=25, weak_hits=0, scans=4),
+    got = {"a/cut": dict(rec, conflicts=8, propagations_general=25, scans=4),
            "b/cut": dict(rec, objective=2, learned=6, early_backjumps=1),
            "a/resolution": dict(rec, propagations_clause=9),
            "c/resolution": rec}  # a record the snapshot did not hold
@@ -138,7 +138,6 @@ def test_regeneration_reports_what_moved():
         "  decisions: 40 -> 40",
         "  learned: 14 -> 13",
         "  early_backjumps: 4 -> 3",
-        "  weak_hits: 6 -> 3",
         "  scans: 22 -> 15",
         "  propagations_binary: 10 -> 10",
         "  propagations_clause: 8 -> 8",
@@ -149,7 +148,6 @@ def test_regeneration_reports_what_moved():
         "  decisions: 20 -> 40",
         "  learned: 7 -> 14",
         "  early_backjumps: 2 -> 4",
-        "  weak_hits: 3 -> 6",
         "  scans: 11 -> 22",
         "  propagations_binary: 5 -> 10",
         "  propagations_clause: 4 -> 13",

@@ -1,10 +1,10 @@
 """Every layer the benchmark's tracer wraps is still reached by a solve.
 
 The benchmark reports a self time and a call count per span, and reads
-0 for a span whose wrapped function the solver no longer calls.  Two
+0 for a span whose wrapped function the solver no longer calls.  Three
 small solves under ``bench/tracer.py``'s ``hooks`` must enter every span
 it installs, so a refactor that moves work out of a wrapped function
-fails here instead of silently zeroing a per-layer figure.  Both solves
+fails here instead of silently zeroing a per-layer figure.  The solves
 also take the tracer's ``Probe`` as instrumentation, so a refactor that
 drops the ``on_cs`` or ``post_push`` hook fails here instead of zeroing
 ``analysis.rewrite_steps`` or ``trail.max_height``.
@@ -19,14 +19,11 @@ sys.path.insert(0, str(BENCH_DIR))
 
 from tracer import Probe, Tracer, hooks  # noqa: E402
 
+from intsat.io import parse  # noqa: E402
 from intsat.search import Solver, SolverConfig  # noqa: E402
 from conftest import planted_3sat_problem  # noqa: E402
+from test_cli import CORE  # noqa: E402
 from test_search_snapshot import integer_rows_problem  # noqa: E402
-
-# No solver code calls Trail.bounds_at_height or height_of_strongest_below
-# since the early-backjump scan reads the level-0 box (see the FOUND line on
-# trail.chain_walk in CHANGES.md), so that span must read 0 until it is retired.
-RETIRED_SPANS = {"trail.chain_walk"}
 
 
 class RecordingTracer(Tracer):
@@ -42,7 +39,7 @@ class RecordingTracer(Tracer):
         return super().wrap(fn, name, inspect)
 
 
-def test_two_small_solves_enter_every_span_the_tracer_installs():
+def test_small_solves_enter_every_span_the_tracer_installs():
     tracer = RecordingTracer()
     probe = Probe(tracer)
     with hooks(tracer):
@@ -51,6 +48,10 @@ def test_two_small_solves_enter_every_span_the_tracer_installs():
         cut = Solver(integer_rows_problem(random.Random(3)),
                      SolverConfig(mode="cut", max_conflicts=100), instrumentation=probe)
         assert cut.solve().status in ("optimal", "bounded")
+        # cut mode on the paper's core instance: a learned unit row is a
+        # scan hit, whose level-0 box is read by a chain walk
+        core = Solver(parse(CORE), SolverConfig(mode="cut"), instrumentation=probe)
+        assert core.solve().status == "infeasible"
         # resolution mode: clause and binary tiers, and a cleanup at every
         # restart
         res = Solver(planted_3sat_problem(random.Random(5), 40),
@@ -59,9 +60,10 @@ def test_two_small_solves_enter_every_span_the_tracer_installs():
                      instrumentation=probe)
         assert res.solve().status in ("feasible", "timelimit")
     assert not tracer.stack
-    assert RETIRED_SPANS <= tracer.installed
+    assert "trail.chain_walk" in tracer.installed
     for name in sorted(tracer.installed):
-        assert (tracer.calls[name] > 0) == (name not in RETIRED_SPANS), name
+        assert tracer.calls[name] > 0, name
+    assert tracer.counts["analysis.scan_hits"] > 0
     assert tracer.counts["propagation.general_useful"] > 0
     assert tracer.counts["analysis.cs_snapshots"] > tracer.counts["analysis.analyses"]
     assert tracer.maxima["trail.max_height"] > 0

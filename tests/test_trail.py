@@ -202,10 +202,17 @@ class TestBoundsVectorInvariant:
         assert chain == [*reversed(heights), 0]  # ending at the seed
 
 
-class TestRootBox:
-    def test_matches_the_chains_below_the_first_decision(self):
-        # pops back to level 0 and pushes there again, so the box must be
-        # taken afresh on each descent, before the decision's own bound
+def latest_below(t, var, lower, cutoff):
+    """Reference for height_of_strongest_below: a linear scan for the
+    latest entry of var's kind below the cutoff."""
+    return max(h for h in range(cutoff)
+               if t.entries[h].bound.var == var and t.entries[h].bound.is_lower == lower)
+
+
+class TestBoundsBelowACutoff:
+    def test_match_a_linear_scan_below_each_decision(self):
+        # pops back to level 0 and pushes there again, so the chains are
+        # walked past entries of every level
         rng = random.Random(17)
         checks = descents = 0
         for _ in range(40):
@@ -226,11 +233,13 @@ class TestRootBox:
                     t.push(b, DECISION if decision else ReasonInfo.propagated((), None))
                 if not t.num_decisions:
                     continue
-                cutoff, root = t.decision_heights[0], t.root
-                for var in range(n):
-                    assert (root.lb[var], root.ub[var]) == t.bounds_at_height(var, cutoff)
-                    assert root.pl[var] == t.height_of_strongest_below(var, True, cutoff)
-                    assert root.pu[var] == t.height_of_strongest_below(var, False, cutoff)
+                for cutoff in t.decision_heights:
+                    for var in range(n):
+                        pl, pu = latest_below(t, var, True, cutoff), latest_below(t, var, False, cutoff)
+                        assert t.height_of_strongest_below(var, True, cutoff) == pl
+                        assert t.height_of_strongest_below(var, False, cutoff) == pu
+                        assert t.bounds_at_height(var, cutoff) == (t.entries[pl].bound.value,
+                                                                    t.entries[pu].bound.value)
                 checks += 1
         assert checks >= 1000 and descents >= 100, (checks, descents)
 
