@@ -17,10 +17,11 @@ the code's parity, and the bound a literal pushes comes from a per-code
 table.  Every row keeps one ``ReasonInfo``, built when it is filed, for
 all the bounds it propagates in any tier.
 
-A general-row visit reads the row's bounds in one ``slack_and_widest``
-pass and calls ``find_conflict`` or ``propagate_constraint`` only when
-that pass says they fire; a visit that propagates reads the new widths
-once more for its filter.
+A general row keeps its widest term beside its filter, so a visit reads
+its slack, ``widest - filter``, without touching the row.  A negative
+slack is a conflict, which ``find_conflict`` reports; any other visit
+makes one ``propagate_constraint`` pass, which returns the fresh bounds
+and the widest term they leave, the row's next exact filter.
 
 All three tiers share one extraction rule for conflict sets and reason
 sets: the height of the current strongest bound of each variable on the
@@ -42,26 +43,28 @@ queue and the saves, so every queued or saved row is live.  The trail
 holds the initial box from birth, as level-0 seeds with an empty reason
 and no row.
 
-A literal row has no filter and is never saved.  A live general row's
-filter is at least its ``exact_filter``, and it is queued iff its filter
-is positive, which the queue alone records: a push queues a row whose
-filter it lifts from at most 0 above 0, and a visit, which dequeues the
-row, leaves it at most 0 unless it finds the row false.  A row's own
-pushes never touch its filter, as a normalised row holds each variable
-once.  Filters are undone per decision level, with one dict per level:
-``saves[k]`` maps each row that level k changed to its filter at the
-level's start, and each row filed in level k to None.  ``pop_to``, which
-only lands on a level start, undoes one level per ``pop_one`` call,
-newest first: ``pop_one`` pops the level's trail entries in one loop and
-writes back its saves newest first, so the oldest filter is written
-last.  A row filed above the target is recomputed there instead, once
-every level is undone, and mapped to None in the landing level.
-``saves[0]`` is never written back.  A visit saves
-nothing: the Solver decides only at a fixpoint, so what queued the row
-saved it in this level.  For the same reason every queued row was lifted
-or filed above the target, every filter a backjump writes back is <= 0,
-and the rows left queued after a backjump are the recomputed ones with a
-positive filter.
+A literal row has no filter and is never saved.  A live general row
+keeps a widest term at least its true one and a filter at which
+``widest - filter`` is its exact slack, so the filter is at least its
+``exact_filter``.  It is queued iff its filter is positive, which the
+queue alone records: a push lifts the filter by exactly the fall of the
+slack and queues a row it lifts from at most 0 above 0, and a visit,
+which dequeues the row, leaves it at most 0 unless it finds the row
+false.  A row's own pushes never touch its pair, as a normalised row
+holds each variable once.  Pairs are undone per decision level, with one
+dict per level: ``saves[k]`` maps each row that level k changed to its
+(filter, widest) pair at the level's start, and each row filed in level
+k to None.  ``pop_to``, which only lands on a level start, undoes one
+level per ``pop_one`` call, newest first: ``pop_one`` pops the level's
+trail entries in one loop and writes back its saves newest first, so
+the oldest pair is written last.  A row filed above the target is
+recomputed there instead, once every level is undone, and mapped to None
+in the landing level.  ``saves[0]`` is never written back.  A visit
+rewrites the pair but saves nothing: the Solver decides only at a
+fixpoint, so what queued the row saved it in this level.  For the same
+reason every queued row was lifted or filed above the target, every
+filter a backjump writes back is <= 0, and the rows left queued after a
+backjump are the recomputed ones with a positive filter.
 """
 
 from __future__ import annotations
@@ -115,7 +118,9 @@ def slack_and_widest(c: Constraint, bounds):
 
 def exact_filter(c: Constraint, trail: Trail) -> int:
     """widest - slack: positive iff the row is false or propagates a fresh
-    bound.  The general tier keeps an upper bound of it per row."""
+    bound.  The general tier keeps an upper bound of it per row, a stored
+    widest term (at least the true one) minus the exact slack, and never
+    computes it: this is the reference the tests hold the filters to."""
     slack, widest = slack_and_widest(c, trail)
     return widest - slack
 
@@ -126,9 +131,13 @@ def falsifying_heights(c: Constraint, trail: Trail) -> tuple:
     return tuple(pl[var] if coeff > 0 else pu[var] for var, coeff in c.monomials)
 
 
-def find_conflict(c: Constraint, trail: Trail, cid: int = -1) -> Optional[Conflict]:
-    """The constraint is false iff its slack is negative."""
-    if slack_and_widest(c, trail)[0] < 0:
+def find_conflict(c: Constraint, trail: Trail, cid: int = -1,
+                  slack: Optional[int] = None) -> Optional[Conflict]:
+    """The constraint is false iff its slack is negative; the caller may
+    pass the row's slack if it holds it."""
+    if slack is None:
+        slack = slack_and_widest(c, trail)[0]
+    if slack < 0:
         return Conflict(cid, falsifying_heights(c, trail))
     return None
 
@@ -145,27 +154,46 @@ def clause_row(codes) -> Constraint:
     return Constraint(tuple(map(tuple.__new__, repeat(Monomial), terms)), rhs)
 
 
-def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = None) -> list:
+class FreshBounds(list):
+    """The bounds a ``propagate_constraint`` pass found, and ``widest``, the
+    row's widest term once they are pushed."""
+
+    __slots__ = ("widest",)
+
+
+def propagate_constraint(c: Constraint, trail: Trail, slack: Optional[int] = None) -> FreshBounds:
     """All fresh bounds the constraint propagates under the current trail,
-    in row order; the caller must have ruled out a conflict first, and
-    may pass the row's slack if it holds it.
+    in row order, with the widest term they leave; the caller must have
+    ruled out a conflict first, and may pass the row's slack if it holds it.
 
     For each variable, the bound obtained by moving every other variable
     to its minimum and rounding: ``x <= lb + floor(slack/a)`` for a > 0,
     ``ub - floor(slack/|a|) <= x`` for a < 0.  It is fresh iff
-    |a|*(ub-lb) > slack.
+    |a|*(ub-lb) > slack, and leaves x the width |a|*floor(slack/|a|).
+    The bounds change no other term's width, and not the slack.
     """
     if slack is None:
         slack = slack_and_widest(c, trail)[0]
     lb, ub = trail.lb, trail.ub
     new = tuple.__new__  # makes a Bound with no Python frame, as normalize does a Monomial
-    out = []
+    out = FreshBounds()
+    widest = 0
     for var, coeff in c.monomials:
         if coeff > 0:
-            if coeff * (ub[var] - lb[var]) > slack:
-                out.append(new(Bound, (var, False, lb[var] + slack // coeff)))
-        elif coeff * (lb[var] - ub[var]) > slack:
-            out.append(new(Bound, (var, True, ub[var] - slack // -coeff)))
+            width = coeff * (ub[var] - lb[var])
+            if width > slack:
+                step = slack // coeff
+                out.append(new(Bound, (var, False, lb[var] + step)))
+                width = coeff * step
+        else:
+            width = coeff * (lb[var] - ub[var])
+            if width > slack:
+                step = slack // -coeff
+                out.append(new(Bound, (var, True, ub[var] - step)))
+                width = -coeff * step
+        if width > widest:
+            widest = width
+    out.widest = widest
     return out
 
 
@@ -192,9 +220,11 @@ class Propagator:
         # bound of a var, at occs[2*var + 1], or falls with its upper, at occs[2*var]
         self.occs = [[] for _ in range(2 * n)]
         self.filters = []
+        self.widest = []  # at least a general row's widest term; widest - filter is its slack
         # one dict per decision level: saves[k] maps each general row changed
-        # in level k to its filter at the level's start, or to None for a row
-        # filed in level k, recomputed on unwind; saves[0] is never written back
+        # in level k to its (filter, widest) at the level's start, or to None
+        # for a row filed in level k, recomputed on unwind; saves[0] is never
+        # written back
         self.saves = [{}]
         self.queue = deque()
         # by literal code: the clause cids watching it, its implication edges
@@ -204,7 +234,7 @@ class Propagator:
         self.clause_cursor = 0
         self.last_value = [None] * n  # phase saving: last defined value
         self.post_push = None  # optional hook, called after every push
-        # 18 attributes, of at most 29 (a test counts them): with more, CPython
+        # 19 attributes, of at most 29 (a test counts them): with more, CPython
         # 3.11 leaves its shared-key layout and every attribute access slows down
         for c in problem.constraints:  # in input order, so cids follow it
             self.add_row(c, self._as_clause(c))
@@ -237,15 +267,18 @@ class Propagator:
         self.constraints.append(c)
         self.lits.append(lits)
         self.reasons.append(ReasonInfo(None, cid, c))  # reason set derived on demand
-        self.filters.append(0)
         if lits is None:
             for var, coeff in c.monomials:
                 self.occs[2 * var + (coeff > 0)].append((cid, abs(coeff)))
-            self.filters[cid] = exact_filter(c, self.trail)
+            slack, widest = slack_and_widest(c, self.trail)
+            self.filters.append(widest - slack)
+            self.widest.append(widest)
             self.saves[-1][cid] = None  # recomputed if its level is undone
-            if self.filters[cid] > 0:
+            if widest > slack:
                 self.queue.append(cid)
             return cid
+        self.filters.append(0)
+        self.widest.append(0)
         if not self.lit_bounds:
             n = self.problem.num_vars
             self.watch = [[] for _ in range(2 * n)]
@@ -306,11 +339,11 @@ class Propagator:
         if info is DECISION:
             self.saves.append({})
         if occs:  # a general row sits on the pushed side
-            filters, saved = self.filters, self.saves[-1]
+            filters, widest, saved = self.filters, self.widest, self.saves[-1]
             for cid, weight in occs:
                 old = filters[cid]
                 if cid not in saved:
-                    saved[cid] = old
+                    saved[cid] = (old, widest[cid])
                 new = old + weight * delta
                 filters[cid] = new
                 if new > 0 >= old:  # queued iff positive
@@ -331,17 +364,17 @@ class Propagator:
 
     def pop_one(self) -> list:
         """Undo the top decision level: pop its trail entries, write back
-        its filter saves newest first, and return the rows filed in it,
+        its saved pairs newest first, and return the rows filed in it,
         newest first, for ``pop_to`` to recompute.  The benchmark's tracer
         (``bench/tracer.py``) wraps it by name."""
         trail = self.trail
         trail.pop_to(trail.decision_heights[-1])
-        filters, filed = self.filters, []
+        filters, widest, filed = self.filters, self.widest, []
         for cid, old in reversed(self.saves.pop().items()):
             if old is None:
                 filed.append(cid)
             else:
-                filters[cid] = old
+                filters[cid], widest[cid] = old
         return filed
 
     def pop_to(self, height: int):
@@ -362,10 +395,11 @@ class Propagator:
         self.clause_cursor = min(self.clause_cursor, height)
         if not (recomputed or self.queue):  # nothing to recompute or requeue
             return
-        filters, landing = self.filters, self.saves[level]
+        filters, widest, landing = self.filters, self.widest, self.saves[level]
         for cid in recomputed:  # filed above: exact here, None in the landing level
             landing[cid] = None
-            filters[cid] = exact_filter(self.constraints[cid], trail)
+            slack, widest[cid] = slack_and_widest(self.constraints[cid], trail)
+            filters[cid] = widest[cid] - slack
         # a restored save is <= 0, as the level started at a fixpoint: only
         # recomputed rows join the queue, in the order they were filed
         rows = dict.fromkeys([*self.queue, *reversed(recomputed)])
@@ -446,17 +480,19 @@ class Propagator:
     # -- general tier ---------------------------------------------------------
 
     def _visit_general(self, cid: int) -> Optional[Conflict]:
+        # both looked up through the module, where the benchmark's tracer wraps them
         c = self.constraints[cid]
-        trail = self.trail
-        slack, widest = slack_and_widest(c, trail)
+        slack = self.widest[cid] - self.filters[cid]
         if slack < 0:
-            return find_conflict(c, trail, cid)
-        if widest > slack:
+            return find_conflict(c, self.trail, cid, slack)
+        fresh = propagate_constraint(c, self.trail, slack)
+        if fresh:
             info = self.reasons[cid]
-            for b in propagate_constraint(c, trail, slack):
+            for b in fresh:
                 self.push_bound(b, info, tier=GENERAL)
-            slack, widest = slack_and_widest(c, trail)
-        self.filters[cid] = widest - slack  # saved in this level by what queued it
+        # saved in this level by what queued it; the row's own pushes leave both alone
+        self.widest[cid] = widest = fresh.widest
+        self.filters[cid] = widest - slack
         return None
 
     # -- the fixpoint loop ------------------------------------------------------

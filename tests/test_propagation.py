@@ -167,6 +167,7 @@ class TestVisitsInSearch:
                         for h in range(height, len(t))] == props
                 if got is None:
                     assert pr.filters[cid] == exact_filter(c, t)
+                    assert pr.widest[cid] == slack_and_widest(c, t)[1]
                     seen["propagating" if props else "idle"] += 1
                     if cid == s.strengthening_cid:
                         seen["strengthening"] += 1
@@ -178,39 +179,47 @@ class TestVisitsInSearch:
             s.solve()
         assert min(seen[k] for k in ("propagating", "idle", "conflict", "strengthening")) >= 20
 
-    def test_wrapped_calls_fire_and_an_idle_visit_takes_one_pass(self, monkeypatch):
+    def test_wrapped_calls_fire_and_every_visit_takes_one_pass(self, monkeypatch):
         # the benchmark's tracer counts a visit as useful when a wrapped
-        # find_conflict or propagate_constraint call finds something
-        calls = Counter()
+        # find_conflict or propagate_constraint call finds something.  A
+        # visit reads its slack from the stored widest term and filter: one
+        # with no conflict makes exactly one propagate_constraint pass, which
+        # returns bounds iff the visit pushes, and no slack_and_widest call;
+        # a conflicting visit makes no pass before find_conflict
+        calls, seen, results = Counter(), Counter(), []
 
-        def counting(name, fn, fires=lambda out: True):
+        def counting(name, fn):
             def wrapped(*args, **kwargs):
                 calls[name] += 1
                 out = fn(*args, **kwargs)
-                assert fires(out), name
+                results.append(out)
                 return out
             return wrapped
 
-        monkeypatch.setattr(propagation, "find_conflict", counting(
-            "find_conflict", propagation.find_conflict, lambda out: out is not None))
-        monkeypatch.setattr(propagation, "propagate_constraint", counting(
-            "propagate_constraint", propagation.propagate_constraint, lambda out: len(out) > 0))
-        monkeypatch.setattr(propagation, "slack_and_widest", counting(
-            "slack_and_widest", propagation.slack_and_widest))
+        for name in ("find_conflict", "propagate_constraint", "slack_and_widest"):
+            monkeypatch.setattr(propagation, name, counting(name, getattr(propagation, name)))
         visit = propagation.Propagator._visit_general
 
         def counted(self, cid):
-            before, height = calls["slack_and_widest"], len(self.trail)
+            before, height = calls.copy(), len(self.trail)
+            results.clear()
             got = visit(self, cid)
-            if got is None and len(self.trail) == height:
-                calls["idle"] += 1
-                assert calls["slack_and_widest"] == before + 1
+            made = calls - before  # the calls this visit made
+            if got is None:
+                assert made == {"propagate_constraint": 1}, made
+                pushed = len(self.trail) > height
+                assert bool(results[0]) == pushed
+                seen["pushed" if pushed else "idle"] += 1
+            else:
+                assert made == {"find_conflict": 1}, made
+                assert results[0] is got
+                seen["conflict"] += 1
             return got
 
         monkeypatch.setattr(propagation.Propagator, "_visit_general", counted)
         for s in solvers_in_both_modes(34, 20):
             s.solve()
-        assert min(calls[k] for k in ("find_conflict", "propagate_constraint", "idle")) >= 20
+        assert min(seen[k] for k in ("conflict", "pushed", "idle")) >= 20, seen
 
 
 class TestLazyReasons:
@@ -285,6 +294,15 @@ class TestPropagatorLayout:
         assert len(vars(pr)) <= 29
 
 
+def assert_exact_slack(pr, cid):
+    """A general row's stored widest term minus its filter is its exact
+    slack, and the widest term is at least the true one, so the filter is
+    at least ``exact_filter``."""
+    slack, widest = slack_and_widest(pr.constraints[cid], pr.trail)
+    assert pr.widest[cid] - pr.filters[cid] == slack, cid
+    assert pr.widest[cid] >= widest, cid
+
+
 class TestFilters:
     def solver(self, constraints, lbs, ubs):
         return Solver(Problem(len(lbs), lbs, ubs, constraints))
@@ -321,10 +339,13 @@ class TestFilters:
         assert len(t) == start and pr.filters[cid] == before
 
     def test_invariants_hold_after_every_push_visit_and_backjump(self):
-        # filters[cid] >= exact_filter, and a live row is queued iff its
-        # filter is positive, never twice; the row a visit reads is off the
-        # queue until the visit ends, and a row that a visit found false
-        # stays off it until the backjump.
+        # widest[cid] - filters[cid] is the row's exact slack and widest[cid]
+        # at least its widest term, so filters[cid] >= exact_filter, checked
+        # after every push, visit, filing, kill, backjump, restart and
+        # cleanup; a live row is queued iff its filter is positive, never
+        # twice; the row a visit reads is off the queue until the visit
+        # ends, and a row that a visit found false stays off it until the
+        # backjump.
         # There is one dict of saves per level, 0 included, no dict names a
         # literal row, and a visit above level 0 reads only a row saved in
         # the current level, as it saves nothing itself.  A backjump files
@@ -350,24 +371,26 @@ class TestFilters:
         assert seen["cleanup"] >= 20 and seen["strengthening"] >= 20, seen
         assert seen["saved"] >= 1_000_000 and seen["requeued"] >= 100, seen
         assert seen["purged filed"] >= 100 and seen["purged filter"] >= 60, seen
+        assert seen["filed"] >= 250 and seen["killed"] >= 100 and seen["restart"] >= 150, seen
 
     @staticmethod
     def check_invariants_during(s, seen):
         pr, t = s.propagator, s.trail
         push, visit, pop_to, add_row, kill_rows = (
             pr.push_bound, pr._visit_general, pr.pop_to, pr.add_row, pr.kill_rows)
-        cleanup, strengthen = s._cleanup, s._install_strengthening
+        cleanup, strengthen, restart = s._cleanup, s._install_strengthening, s._restart
         off_queue = set()
         registered = {}  # row registered above level 0 -> trail length then
+        killed = set()  # a strengthening row is killed before its owner forgets it
 
         def check():
             queued = set(pr.queue)
             assert len(queued) == len(pr.queue)  # no row is queued twice
             assert all(pr.filters[cid] > 0 for cid in queued)
-            live = live_rows(s)
+            live = live_rows(s) - killed
             for cid, c in enumerate(pr.constraints):
                 if cid in live and pr.lits[cid] is None:  # a live general row
-                    assert pr.filters[cid] >= exact_filter(c, t), cid
+                    assert_exact_slack(pr, cid)
                     if pr.filters[cid] > 0 and cid not in off_queue:
                         assert cid in queued, cid
             assert len(pr.saves) == t.num_decisions + 1
@@ -411,8 +434,12 @@ class TestFilters:
 
         def checked_add_row(c, lits=None):
             cid = add_row(c, lits)
-            if t.num_decisions and pr.lits[cid] is None:
-                registered[cid] = len(t)
+            if pr.lits[cid] is None:
+                assert_exact_slack(pr, cid)
+                if t.num_decisions:
+                    registered[cid] = len(t)
+            check()
+            seen["filed"] += 1
             return cid
 
         def checked_kill_rows(dead):
@@ -420,6 +447,14 @@ class TestFilters:
                 for cid in dead & saved.keys():
                     seen["purged filed" if saved[cid] is None else "purged filter"] += 1
             kill_rows(dead)
+            killed.update(dead)
+            check()
+            seen["killed"] += len(dead)
+
+        def checked_restart():
+            restart()
+            check()
+            seen["restart"] += 1
 
         def check_deaths(event):
             check()
@@ -442,6 +477,7 @@ class TestFilters:
         pr.pop_to, pr.add_row = checked_pop_to, checked_add_row
         pr.kill_rows = checked_kill_rows
         s._cleanup, s._install_strengthening = checked_cleanup, checked_strengthen
+        s._restart = checked_restart
         s.solve()
 
     def test_filter_upper_bounds_exact_value(self):
@@ -478,8 +514,10 @@ class TestFilters:
         # decisions at fixpoints, bounds pushed with no row after them and
         # general rows filed mid-level, then backjumps to random level
         # starts: after each one the trail equals a fresh trail replaying
-        # the surviving entries, every general filter is at least exact and
-        # queued iff positive, and pop_one ran once per undone level
+        # the surviving entries, every general row's widest term minus its
+        # filter is its exact slack, its widest term is at least the true
+        # one, it is queued iff its filter is positive, and pop_one ran once
+        # per undone level
         rng = random.Random(2702)
         seen = Counter()
         for _ in range(120):
@@ -542,9 +580,9 @@ class TestFilters:
         assert len(pr.saves) == t.num_decisions + 1
         queued = set(pr.queue)
         assert len(queued) == len(pr.queue)
-        for cid, c in enumerate(pr.constraints):
+        for cid in range(len(pr.constraints)):
             if pr.lits[cid] is None:
-                assert pr.filters[cid] >= exact_filter(c, t), cid
+                assert_exact_slack(pr, cid)
                 assert (pr.filters[cid] > 0) == (cid in queued), cid
 
 

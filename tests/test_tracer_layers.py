@@ -7,11 +7,16 @@ it installs, so a refactor that moves work out of a wrapped function
 fails here instead of silently zeroing a per-layer figure.  The solves
 also take the tracer's ``Probe`` as instrumentation, so a refactor that
 drops the ``on_cs`` or ``post_push`` hook fails here instead of zeroing
-``analysis.rewrite_steps`` or ``trail.max_height``.
+``analysis.rewrite_steps`` or ``trail.max_height``.  The tracer counts a
+general visit as useful from the wrapped ``find_conflict`` and
+``propagate_constraint`` results; that count must equal the visits that
+pushed a bound or found a conflict, counted here from the trail, so a
+visit that bypasses those two calls fails here too.
 """
 
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -19,6 +24,7 @@ sys.path.insert(0, str(BENCH_DIR))
 
 from tracer import Probe, Tracer, hooks  # noqa: E402
 
+from intsat import propagation  # noqa: E402
 from intsat.io import parse  # noqa: E402
 from intsat.search import Solver, SolverConfig  # noqa: E402
 from conftest import planted_3sat_problem  # noqa: E402
@@ -39,9 +45,20 @@ class RecordingTracer(Tracer):
         return super().wrap(fn, name, inspect)
 
 
-def test_small_solves_enter_every_span_the_tracer_installs():
+def test_small_solves_enter_every_span_the_tracer_installs(monkeypatch):
     tracer = RecordingTracer()
     probe = Probe(tracer)
+    visits = Counter()
+    visit = propagation.Propagator._visit_general
+
+    def counted(self, cid):
+        height = len(self.trail)
+        got = visit(self, cid)
+        visits["all"] += 1
+        visits["useful"] += got is not None or len(self.trail) > height
+        return got
+
+    monkeypatch.setattr(propagation.Propagator, "_visit_general", counted)
     with hooks(tracer):
         # cut mode: integer rows with an objective (general tier, cuts,
         # the early-backjump scan, strengthening)
@@ -64,6 +81,7 @@ def test_small_solves_enter_every_span_the_tracer_installs():
     for name in sorted(tracer.installed):
         assert tracer.calls[name] > 0, name
     assert tracer.counts["analysis.scan_hits"] > 0
-    assert tracer.counts["propagation.general_useful"] > 0
+    assert tracer.calls["propagation.general_visit"] == visits["all"]
+    assert 0 < tracer.counts["propagation.general_useful"] == visits["useful"] < visits["all"]
     assert tracer.counts["analysis.cs_snapshots"] > tracer.counts["analysis.analyses"]
     assert tracer.maxima["trail.max_height"] > 0
