@@ -13,11 +13,12 @@ a conflicting constraint, updated by eliminating cuts against reason
 constraints, and learns it only once a cut derived it.  A learned row
 is the reason row of its bound, as in MiniSat, but for a resolution
 unit: it lands at level 0, and the Solver pushes its bound with no row.
-After the first rewrite step and after each new cut,
-``early_backjump_scan`` checks whether that constraint is a unit row that
-tightens its variable's level-0 box.  A hit stops the walk early: it
-backjumps to level 0 and pushes the row's bound there with an empty
-reason set, as MiniSat goes to level 0 only for a learned unit.
+After the first rewrite step and after each new cut, if that constraint
+is a unit row, ``early_backjump_scan`` checks whether it tightens its
+variable's level-0 box; a longer row is never scanned.  A hit stops the
+walk early: it backjumps to level 0 and pushes the row's bound there
+with an empty reason set, as MiniSat goes to level 0 only for a learned
+unit.
 ``analyze_resolution`` and ``analyze_hybrid`` stay the two entry points,
 for the search and for hooks that wrap them by name.
 """
@@ -46,7 +47,7 @@ class AnalysisResult(NamedTuple):
     early: bool
     bumped_vars: frozenset
     touched_cids: tuple  # conflicting/reason constraints seen (activity counters)
-    scans: int  # early_backjump_scan calls
+    scans: int  # early_backjump_scan calls, one per distinct unit row cc
 
 
 def analyze_resolution(conflict: Conflict, trail: Trail, constraints: list,
@@ -68,7 +69,7 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
     cc_cid = conflict.cid if cut_mode else None  # None once a cut replaced cc
     bumped = {trail.entries[h].bound.var for h in cs}
     touched = [conflict.cid]
-    pending_scan = cut_mode  # scan once per distinct conflicting constraint
+    pending_scan = cut_mode  # scan once per distinct conflicting unit row
     hit = None
     scans = 0
     if probe is not None:
@@ -125,8 +126,9 @@ def _analyze(conflict, trail, constraints, problem, trace, probe, cut_mode):
                 pending_scan = True
         if pending_scan:
             pending_scan = False
-            scans += 1
-            hit = early_backjump_scan(cc, trail)
+            if len(cc.monomials) == 1:  # only a unit row can hit
+                scans += 1
+                hit = early_backjump_scan(cc, trail)
     if hit is not None:  # the unit row's own propagation at level 0
         pop_to = trail.level_start(1)
         bound, reason_set = hit, ()

@@ -136,7 +136,9 @@ def cut(c1: Constraint, c2: Constraint, var: int) -> Optional[Constraint]:
     Requires opposite-sign coefficients on ``var``.  The multipliers are
     the minimal pair (|b|/g, |a|/g).  Returns None when the coefficients
     have the same sign or when any coefficient of the result, normalised
-    in one merge of the sorted rows, would exceed the cap.
+    in one merge of the sorted rows, would exceed the cap.  The merge
+    raises RuntimeError should ``var`` not cancel, which these
+    multipliers rule out.
     """
     a = c1.coeff_of(var)
     b = c2.coeff_of(var)
@@ -167,6 +169,8 @@ def cut(c1: Constraint, c2: Constraint, var: int) -> Optional[Constraint]:
             j += 1
             if c == 0:
                 continue
+            if v == var:
+                raise RuntimeError(f"internal error: the cut left x{var} with coefficient {c}")
         if abs(c) > COEFF_CAP:
             return None
         terms.append((v, c))
@@ -177,9 +181,7 @@ def cut(c1: Constraint, c2: Constraint, var: int) -> Optional[Constraint]:
     if abs(rhs) > COEFF_CAP:
         # learned constraints keep the same cap as coefficients
         return None
-    result = Constraint(tuple(map(_NEW, repeat(Monomial), terms)), rhs)
-    assert result.coeff_of(var) == 0
-    return result
+    return Constraint(tuple(map(_NEW, repeat(Monomial), terms)), rhs)
 
 
 @dataclass

@@ -36,12 +36,13 @@ problem's rows in input order by this rule.  A later row (learned, or
 strengthening the objective) joins a literal tier only with the codes
 ``analysis.learned_clause`` supplies; every other later row is general.
 The literal-code tables are built with the first literal row, whoever
-files it.  Later rows alone die, through ``kill_rows`` (learned rows at
-a cleanup, a replaced strengthening row): a dead row leaves the occurs
-lists of its variables, or its watch lists or implication edges, and the
-queue and the saves, so every queued or saved row is live.  The trail
-holds the initial box from birth, as level-0 seeds with an empty reason
-and no row.
+files it.  A row dies through ``kill_rows`` when its owner drops it: the
+Solver's cut-mode presolve (an input row a clique replaces, at level 0
+before the search), a cleanup (learned rows) or a new strengthening row
+(the old one).  A dead row leaves the occurs lists of its variables, or
+its watch lists or implication edges, and the queue and the saves, so
+every queued or saved row is live.  The trail holds the initial box from
+birth, as level-0 seeds with an empty reason and no row.
 
 A literal row has no filter and is never saved.  A live general row
 keeps a widest term at least its true one and a filter at which
@@ -202,9 +203,10 @@ class Propagator:
 
     Every row enters through add_row: the constructor classifies the
     problem's rows, and a later row joins a literal tier only with the
-    codes ``analysis.learned_clause`` supplies.  Later rows leave through
-    kill_rows.  Every trail change goes through push_bound / pop_to, so
-    filters, cursors and saved phases stay consistent.
+    codes ``analysis.learned_clause`` supplies.  Rows leave through
+    kill_rows, when their owner says so.  Every trail change goes through
+    push_bound / pop_to, so filters, cursors and saved phases stay
+    consistent.
     """
 
     def __init__(self, problem, trail: Trail, stats, trace=None):
@@ -266,10 +268,15 @@ class Propagator:
         cid = len(self.constraints)
         self.constraints.append(c)
         self.lits.append(lits)
-        self.reasons.append(ReasonInfo(None, cid, c))  # reason set derived on demand
+        # reason set derived on demand; tuple.__new__ builds it with no Python frame
+        self.reasons.append(tuple.__new__(ReasonInfo, (None, cid, c)))
         if lits is None:
+            occs = self.occs
             for var, coeff in c.monomials:
-                self.occs[2 * var + (coeff > 0)].append((cid, abs(coeff)))
+                if coeff > 0:
+                    occs[2 * var + 1].append((cid, coeff))
+                else:
+                    occs[2 * var].append((cid, -coeff))
             slack, widest = slack_and_widest(c, self.trail)
             self.filters.append(widest - slack)
             self.widest.append(widest)
@@ -300,14 +307,15 @@ class Propagator:
         for cid in dead:
             lits = self.lits[cid]
             if lits is None:
-                sides.update(2 * var + (coeff > 0)
-                             for var, coeff in self.constraints[cid].monomials)
+                for var, coeff in self.constraints[cid].monomials:
+                    sides.add(2 * var + (coeff > 0))
             elif len(lits) == 2:
                 edged.update(lits)
             else:
                 watched.update(lits[:2])
+        all_occs = self.occs
         for side in sides:
-            occs = self.occs[side]
+            occs = all_occs[side]
             occs[:] = [occ for occ in occs if occ[0] not in dead]
         for code in watched:
             watchers = self.watch[code]
@@ -315,9 +323,10 @@ class Propagator:
         for code in edged:
             edges = self.bin_adj[code]
             edges[:] = [edge for edge in edges if edge[1] not in dead]
-        queued = [cid for cid in self.queue if cid not in dead]
-        self.queue.clear()
-        self.queue.extend(queued)
+        if not dead.isdisjoint(self.queue):
+            queued = [cid for cid in self.queue if cid not in dead]
+            self.queue.clear()
+            self.queue.extend(queued)
         for saved in self.saves:
             for cid in dead & saved.keys():
                 del saved[cid]

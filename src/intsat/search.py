@@ -4,9 +4,15 @@ Parameterised by the conflict-analysis mode, with configurable value
 strategies, Luby or inner-outer geometric restarts, and an optimisation
 wrapper that repeatedly strengthens the objective.  A decision takes the
 most active undefined variable; when none is left, the assignment is total.
-The ``Solver`` owns the learned rows: it keeps the activity of each live
-one, and every ``cleanup_learned_threshold`` learned rows it reduces them at
-the next scheduled restart.  The ``Propagator`` only files and kills rows.
+Rows live by their owners; the ``Propagator`` only files and kills them.
+In cut mode, ``solve`` first replaces the at-most-one input rows that
+extend to larger cliques by those cliques (``presolve``): it owns the rows
+it touches, so a replaced input row is dead from level 0 on and a clique
+row always lives, while every other input row always lives.  The
+``Solver`` owns the learned rows: it keeps the activity of each live one,
+and every ``cleanup_learned_threshold`` learned rows it reduces them at
+the next scheduled restart.  The strengthening row lives until the next
+one replaces it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from math import inf
 from typing import Callable, Optional
 
 from .model import Bound, Problem, Solution, normalize
+from .presolve import clique_rows
 from .propagation import BINARY, CLAUSE, GENERAL, OutOfTime, Propagator
 from .trail import DECISION, ReasonInfo, Trail
 from . import analysis
@@ -116,7 +123,9 @@ class SolverStats:
     cleanups: int = 0
     learned: int = 0
     early_backjumps: int = 0
-    scans: int = 0  # early-backjump scans the analysis made
+    scans: int = 0  # early-backjump scans of unit rows the analysis made
+    clique_rows: int = 0  # clique rows the cut-mode presolve filed
+    replaced_rows: int = 0  # input rows those cliques replaced
     propagations: dict = field(default_factory=lambda: {BINARY: 0, CLAUSE: 0, GENERAL: 0})
 
     def as_dict(self):
@@ -196,6 +205,8 @@ class Solver:
             problem.num_vars, ACTIVITY_BUMP_FACTOR, ACTIVITY_RESCALE_CAP, rng)
         self.last_solution = None
         self.strengthening_cid = None
+        self.clique_cids = None  # the rows the cut-mode presolve filed, once it ran
+        self.replaced_cids = frozenset()  # the input rows they replaced
         self.learned_activity = {}  # cid -> activity of each live learned row, in cid order
         self.cleanup_mark = 0  # rows with cid >= it were added since the last cleanup
         self.next_cleanup = self.config.cleanup_learned_threshold  # a value of stats.learned
@@ -394,8 +405,27 @@ class Solver:
         self.strengthening_cid = self.propagator.add_row(c)
         return True
 
+    def _presolve(self):
+        """Kill the at-most-one input rows that extend to larger cliques and
+        file those cliques, at level 0 before the first fixpoint of the
+        search.  Cut mode only: resolution cannot use a clique row,
+        and its conflicts rose on them."""
+        cliques, replaced = clique_rows(self.problem)
+        pr = self.propagator
+        if replaced:  # first, so that the occurs lists it rewrites are short
+            pr.kill_rows(replaced)
+        first = len(pr.constraints)
+        for c in cliques:
+            pr.add_row(c)
+        self.clique_cids = range(first, len(pr.constraints))
+        self.replaced_cids = replaced
+        self.stats.clique_rows = len(cliques)
+        self.stats.replaced_rows = len(replaced)
+
     def solve(self, on_incumbent: Optional[Callable] = None) -> SolveOutcome:
         start = time.monotonic()
+        if self.config.mode == CUT and self.clique_cids is None:
+            self._presolve()
         time_limit, max_conflicts = self.config.time_limit, self.config.max_conflicts
         deadline = None if time_limit is None else start + time_limit
         best = best_value = None

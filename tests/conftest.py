@@ -104,9 +104,12 @@ def random_problem(rng, max_vars=5, dom_lo=-4, dom_hi=4, max_cons=8,
 
 
 def live_rows(solver):
-    """The cids of the solver's live rows: every input row, every learned
+    """The cids of the solver's live rows: every input row the cut-mode
+    presolve did not replace, every clique row it filed, every learned
     row still in ``learned_activity`` and the strengthening row."""
-    rows = set(range(len(solver.problem.constraints))) | solver.learned_activity.keys()
+    rows = set(range(len(solver.problem.constraints))) - solver.replaced_cids
+    rows.update(solver.clique_cids or ())
+    rows |= solver.learned_activity.keys()
     if solver.strengthening_cid is not None:
         rows.add(solver.strengthening_cid)
     return rows

@@ -430,8 +430,10 @@ def test_every_early_backjump_in_cut_mode_solves_pushes_a_root_fact():
 
 def test_cut_mode_hits_come_only_from_unit_rows(monkeypatch):
     # the scan wrapped through the module, as bench/tracer.py wraps it: it
-    # runs once per distinct conflicting row, on 0-1 and integer problems
-    # alike, and only a one-variable row gives a hit
+    # runs once per distinct conflicting unit row, on 0-1 and integer
+    # problems alike, and only a one-variable row gives a hit; the small
+    # integer draws are there to make unit rows, which the rows of four
+    # integers do not under this cap
     calls, hits = [], []
     scan = analysis.early_backjump_scan
 
@@ -445,7 +447,8 @@ def test_cut_mode_hits_come_only_from_unit_rows(monkeypatch):
     monkeypatch.setattr(analysis, "early_backjump_scan", counted)
     rng = random.Random(7601)
     draws = {"0-1": [pairwise_php_problem(5, 4)] + [cover_packing_problem(rng) for _ in range(30)],
-             "integer": [integer_rows_problem(rng) for _ in range(5)]}
+             "integer": [integer_rows_problem(rng) for _ in range(5)]
+             + [small_integer_problem(rng) for _ in range(12)]}
     for kind, problems in draws.items():
         calls.clear()
         conflicts = scans = 0

@@ -159,6 +159,8 @@ class TestOutput:
         assert any(re.fullmatch(r"c conflicts=\d+", l) for l in stats)
         assert any(re.fullmatch(r"c early_backjumps=\d+", l) for l in stats)
         assert any(re.fullmatch(r"c scans=\d+", l) for l in stats)
+        assert all(any(re.fullmatch(rf"c {key}=\d+", l) for l in stats)
+                   for key in ("clique_rows", "replaced_rows"))
 
     def test_verify_agreement_reports_ok(self, tmp_path, capsys):
         path = write(tmp_path, "opt.ilp", OPT)

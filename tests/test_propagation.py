@@ -709,12 +709,16 @@ class TestClauseTiers:
         # a true partner, as the decisions come at fixpoints and backjumps
         # land on level starts, and no dead row is watched or an edge;
         # learned rows too, filed later, and through the restarts and
-        # cleanups of a cleanup every two learned rows
+        # cleanups of a cleanup every two learned rows.  Only live pair
+        # rows count as edges: in cut mode, a pair row a clique replaced
+        # is dead before the first fixpoint
         seen = Counter()
         rng = random.Random(55)
         problems = ([pairwise_php_problem(5, 4), pairwise_php_problem(6, 5)]
                     + [planted_3sat_problem(rng, n) for n in (40, 50, 60, 70)]
-                    + [cover_packing_problem(rng) for _ in range(8)])
+                    + [cover_packing_problem(rng) for _ in range(8)]
+                    # cut mode refutes pairwise PHP at once: more resolution runs
+                    + [pairwise_php_problem(7, 6)])
         for i, p in enumerate(problems):
             for mode in ("cut", "resolution"):
                 for cleanups in ({}, dict(cleanup_learned_threshold=2, restart=("luby", 1))):

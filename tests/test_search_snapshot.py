@@ -98,6 +98,7 @@ def test_search_matches_the_snapshot_without_asserts():
 
 
 TOTALS = ("conflicts", "decisions", "learned", "early_backjumps", "scans",
+          "clique_rows", "replaced_rows",
           "propagations_binary", "propagations_clause", "propagations_general")
 
 
@@ -124,11 +125,11 @@ def report_changes(want, got):
 
 def test_regeneration_reports_what_moved():
     rec = dict(status="optimal", objective=3, conflicts=9, decisions=20, learned=7,
-               early_backjumps=2, scans=11,
+               early_backjumps=2, scans=11, clique_rows=1, replaced_rows=3,
                propagations_binary=5, propagations_clause=4, propagations_general=30)
     want = {"a/cut": rec, "b/cut": rec, "a/resolution": rec}
     got = {"a/cut": dict(rec, conflicts=8, propagations_general=25, scans=4),
-           "b/cut": dict(rec, objective=2, learned=6, early_backjumps=1),
+           "b/cut": dict(rec, objective=2, learned=6, early_backjumps=1, replaced_rows=2),
            "a/resolution": dict(rec, propagations_clause=9),
            "c/resolution": rec}  # a record the snapshot did not hold
     assert report_changes(want, got) == [
@@ -139,6 +140,8 @@ def test_regeneration_reports_what_moved():
         "  learned: 14 -> 13",
         "  early_backjumps: 4 -> 3",
         "  scans: 22 -> 15",
+        "  clique_rows: 2 -> 2",
+        "  replaced_rows: 6 -> 5",
         "  propagations_binary: 10 -> 10",
         "  propagations_clause: 8 -> 8",
         "  propagations_general: 60 -> 55",
@@ -149,6 +152,8 @@ def test_regeneration_reports_what_moved():
         "  learned: 7 -> 14",
         "  early_backjumps: 2 -> 4",
         "  scans: 11 -> 22",
+        "  clique_rows: 1 -> 2",
+        "  replaced_rows: 3 -> 6",
         "  propagations_binary: 5 -> 10",
         "  propagations_clause: 4 -> 13",
         "  propagations_general: 30 -> 60"]
