@@ -5,8 +5,8 @@ Constraints live in three tiers:
 * general constraints, visited through per-variable occurs lists and a
   cheap per-constraint filter that certifies "cannot propagate" without
   touching the constraint;
-* clauses (input set-covering style constraints over binary variables),
-  propagated with two watches, the first two of the row's literal codes;
+* clauses of three or more binary literals, input or learned by
+  resolution, propagated with two watches on the first two literal codes;
 * binary clauses, kept as edges of a binary implication graph.
 
 The two literal tiers work on integer literal codes, as MiniSat does: on

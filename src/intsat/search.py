@@ -10,9 +10,9 @@ extend to larger cliques by those cliques (``presolve``): it owns the rows
 it touches, so a replaced input row is dead from level 0 on and a clique
 row always lives, while every other input row always lives.  The
 ``Solver`` owns the learned rows: it keeps the activity of each live one,
-and every ``cleanup_learned_threshold`` learned rows it reduces them at
+and every ``CLEANUP_LEARNED_THRESHOLD`` learned rows it reduces them at
 the next scheduled restart.  The strengthening row lives until the next
-one replaces it.
+one replaces it.  A ``Solver`` runs one search.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class SolverConfig:
     mode: str = CUT
     strategy_order: tuple = (7, 5, 1)
     restart: tuple = ("inout", 100, 1000, 1.1)  # or ("luby", unit)
-    cleanup_learned_threshold: int = 10000  # learned rows between two cleanups
     time_limit: Optional[float] = None
     max_conflicts: Optional[int] = None
     random_seed: int = 0
@@ -108,9 +107,6 @@ class SolverConfig:
         if not (isinstance(hint, dict)
                 and all(isinstance(v, int) for v in (*hint, *hint.values()))):
             raise ValueError("user_hint must be None or a dict from variable to integer value")
-        threshold = self.cleanup_learned_threshold
-        if not (isinstance(threshold, int) and threshold >= 1):
-            raise ValueError("cleanup_learned_threshold must be an integer >= 1")
         if not isinstance(self.random_seed, int):
             raise ValueError("random_seed must be an integer")
 
@@ -151,29 +147,28 @@ class SolveOutcome:
 
 
 ACTIVITY_BUMP_FACTOR, ACTIVITY_RESCALE_CAP = 1.05, 1e100
+CLEANUP_LEARNED_THRESHOLD = 10000  # learned rows between two cleanups
 
 
 class ActivityQueue:
     """Variable activities, bumped per conflict as in Chaff."""
 
-    def __init__(self, num_vars, bump_factor, rescale_cap, rng: random.Random):
+    def __init__(self, num_vars, rng: random.Random):
         # tiny jitter makes tie-breaking seed-dependent but deterministic
         self.scores = [rng.random() * 1e-9 for _ in range(num_vars)]
         self.increment = 1.0
-        self.bump_factor = bump_factor
-        self.rescale_cap = rescale_cap
 
     def bump_conflict_vars(self, variables):
         """Bump each variable once, then grow the increment geometrically.
         Only bumped scores grow, so only they can pass the rescale cap."""
         for v in variables:
             self.scores[v] += self.increment
-        self.increment *= self.bump_factor
-        if variables and max(self.scores[v] for v in variables) > self.rescale_cap:
+        self.increment *= ACTIVITY_BUMP_FACTOR
+        if variables and max(self.scores[v] for v in variables) > ACTIVITY_RESCALE_CAP:
             self._rescale()
 
     def _rescale(self):
-        factor = 1.0 / self.rescale_cap
+        factor = 1.0 / ACTIVITY_RESCALE_CAP
         self.scores = [s * factor for s in self.scores]
         self.increment *= factor
 
@@ -200,16 +195,15 @@ class Solver:
         self.stats = SolverStats()
         self.trail = Trail(problem.num_vars, problem.initial_lb, problem.initial_ub)
         self.propagator = Propagator(problem, self.trail, stats=self.stats, trace=trace)
-        rng = random.Random(self.config.random_seed)
-        self.activity = ActivityQueue(
-            problem.num_vars, ACTIVITY_BUMP_FACTOR, ACTIVITY_RESCALE_CAP, rng)
-        self.last_solution = None
+        self.activity = ActivityQueue(problem.num_vars, random.Random(self.config.random_seed))
+        self.searched = False  # a Solver runs one search
+        self.last_solution = None  # the incumbent
         self.strengthening_cid = None
-        self.clique_cids = None  # the rows the cut-mode presolve filed, once it ran
+        self.clique_cids = range(0)  # the rows the cut-mode presolve filed
         self.replaced_cids = frozenset()  # the input rows they replaced
         self.learned_activity = {}  # cid -> activity of each live learned row, in cid order
         self.cleanup_mark = 0  # rows with cid >= it were added since the last cleanup
-        self.next_cleanup = self.config.cleanup_learned_threshold  # a value of stats.learned
+        self.next_cleanup = CLEANUP_LEARNED_THRESHOLD  # a value of stats.learned
         self.restart_limits = restart_limits(self.config.restart)
         self.next_restart = next(self.restart_limits)  # a value of stats.conflicts
         if self.instr is not None:
@@ -347,7 +341,7 @@ class Solver:
         for cid in dead:
             del activity[cid]
         pr.kill_rows(dead)
-        self.next_cleanup = self.stats.learned + self.config.cleanup_learned_threshold
+        self.next_cleanup = self.stats.learned + CLEANUP_LEARNED_THRESHOLD
         self.cleanup_mark = len(pr.constraints)
         self.stats.cleanups += 1
 
@@ -423,32 +417,36 @@ class Solver:
         self.stats.replaced_rows = len(replaced)
 
     def solve(self, on_incumbent: Optional[Callable] = None) -> SolveOutcome:
+        """Run the search; a second call raises, as the first leaves its trail behind."""
+        if self.searched:
+            raise RuntimeError("a Solver runs one search; build a new one to solve again")
+        self.searched = True
         start = time.monotonic()
-        if self.config.mode == CUT and self.clique_cids is None:
+        if self.config.mode == CUT:
             self._presolve()
         time_limit, max_conflicts = self.config.time_limit, self.config.max_conflicts
         deadline = None if time_limit is None else start + time_limit
-        best = best_value = None
+        best_value = None
         while True:
             tag = self._run_core(deadline)
             if tag != "sat":  # "unsat" proves the incumbent optimal, if there is one
-                if best is None:
+                if self.last_solution is None:
                     return SolveOutcome(INFEASIBLE if tag == "unsat" else TIMELIMIT)
-                return SolveOutcome(OPTIMAL if tag == "unsat" else BOUNDED, best, best_value)
+                return SolveOutcome(OPTIMAL if tag == "unsat" else BOUNDED,
+                                    self.last_solution, best_value)
             sol = self._extract_solution()
             if self.problem.objective is None:
                 return SolveOutcome(FEASIBLE, sol)
             value = self.problem.objective.value_of(sol.values)
             if best_value is not None and value >= best_value:
                 raise RuntimeError("internal error: objective did not strictly improve")
-            best, best_value = sol, value
-            self.last_solution = sol
+            self.last_solution, best_value = sol, value
             if on_incumbent is not None:
                 on_incumbent(time.monotonic() - start, value, self.stats.conflicts)
             if max_conflicts is not None and self.stats.conflicts >= max_conflicts:
-                return SolveOutcome(BOUNDED, best, best_value)
+                return SolveOutcome(BOUNDED, sol, value)
             if not self._install_strengthening(value):
-                return SolveOutcome(OPTIMAL, best, best_value)
+                return SolveOutcome(OPTIMAL, sol, value)
 
 
 def solve(problem: Problem, config: Optional[SolverConfig] = None,

@@ -108,7 +108,7 @@ def live_rows(solver):
     presolve did not replace, every clique row it filed, every learned
     row still in ``learned_activity`` and the strengthening row."""
     rows = set(range(len(solver.problem.constraints))) - solver.replaced_cids
-    rows.update(solver.clique_cids or ())
+    rows.update(solver.clique_cids)
     rows |= solver.learned_activity.keys()
     if solver.strengthening_cid is not None:
         rows.add(solver.strengthening_cid)

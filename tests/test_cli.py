@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import os
 import re
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from intsat import cli
-from intsat.search import SolveOutcome, OPTIMAL
+from intsat.io import parse, write_problem
+from intsat.oracle import SearchSpaceTooLarge
+from intsat.search import SolveOutcome, FEASIBLE, INFEASIBLE, OPTIMAL
 
 CORE = """\
 var x int [-10, 10]
@@ -123,6 +126,40 @@ class TestExitCodes:
         assert "DISAGREEMENT" in err
         assert "minimized" in err
 
+    def test_verify_status_mismatch_is_three(self, tmp_path, capsys, monkeypatch):
+        # the oracle says infeasible where the solver finds optimum 1; the
+        # disagreement outlives dropping the one row, so that goes
+        path = write(tmp_path, "opt.ilp", OPT)
+        monkeypatch.setattr(cli, "oracle_solve", lambda p: SolveOutcome(INFEASIBLE))
+        assert cli.main([path, "--verify"]) == 3
+        err = capsys.readouterr().err
+        assert "solver=optimal value=1 oracle=infeasible value=None" in err
+        reduced = err.split("minimized disagreeing instance:\n")[1]
+        assert reduced == write_problem(dataclasses.replace(parse(OPT), constraints=[]))
+
+    def test_verify_keeps_rows_the_oracle_cannot_check_without(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # every smaller candidate is beyond the oracle, so none is kept
+        path = write(tmp_path, "core.ilp", CORE)
+        rows = len(parse(CORE).constraints)
+
+        def oracle(p):
+            if len(p.constraints) < rows:
+                raise SearchSpaceTooLarge("too large")
+            return SolveOutcome(FEASIBLE)
+
+        monkeypatch.setattr(cli, "oracle_solve", oracle)
+        assert cli.main([path, "--verify"]) == 3
+        err = capsys.readouterr().err
+        assert err.split("minimized disagreeing instance:\n")[1] == write_problem(parse(CORE))
+
+    def test_verify_after_an_exhausted_budget_checks_nothing(self, tmp_path, capsys):
+        # with no answer there is nothing to check: exit 1, no verdict
+        path = write(tmp_path, "opt.ilp", OPT)
+        assert cli.main([path, "--verify", "--max-conflicts", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "c verify=ok" not in captured.out and "DISAGREEMENT" not in captured.err
+
     @pytest.mark.parametrize("text", [WIDE_OBJECTIVE, HUGE_RHS], ids=["objective", "rhs"])
     def test_verify_beyond_the_oracle_is_two(self, tmp_path, capsys, text):
         path = write(tmp_path, "big.ilp", text)
@@ -162,10 +199,16 @@ class TestOutput:
         assert all(any(re.fullmatch(rf"c {key}=\d+", l) for l in stats)
                    for key in ("clique_rows", "replaced_rows"))
 
-    def test_verify_agreement_reports_ok(self, tmp_path, capsys):
-        path = write(tmp_path, "opt.ilp", OPT)
-        assert cli.main([path, "--verify"]) == 0
-        assert "c verify=ok" in capsys.readouterr().out
+    @pytest.mark.parametrize("text, args, answer", [
+        (OPT, [], "OPTIMAL 1"),
+        ("var x int [0, 3]\n-x <= -2\n", [], "FEASIBLE"),  # x >= 2
+        (CORE, ["--mode", "resolution"], "INFEASIBLE")],
+        ids=["optimal", "feasible", "infeasible"])
+    def test_verify_agreement_reports_ok(self, tmp_path, capsys, text, args, answer):
+        path = write(tmp_path, "problem.ilp", text)
+        assert cli.main([path, "--verify", *args]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert answer in out and "c verify=ok" in out
 
     def test_deterministic_for_fixed_seed(self, tmp_path, capsys):
         path = write(tmp_path, "opt.ilp", OPT)

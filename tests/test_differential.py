@@ -5,11 +5,12 @@ can solve (up to six variables, or in a second draw a random 3-SAT
 problem over up to 16 binaries), and a valid ``SolverConfig`` from the
 space it exposes: both modes, any value-strategy order ending with a
 total strategy (with a ``user_hint`` when strategy 11 is in it), both
-restart policies, a cleanup after every 1 to 10 learned rows, the random
-seed, an optional conflict budget and an optional time limit (0 or a few
-milliseconds).  A cleanup runs only at a restart, so the Luby unit is
-drawn small half of the time, where restarts come often enough for
-cleanups to run.
+restart policies, the random seed, an optional conflict budget and an
+optional time limit (0 or a few milliseconds).  It also draws a cleanup
+after every 1 to 10 learned rows, which it sets as
+``search.CLEANUP_LEARNED_THRESHOLD`` for that run only.  A cleanup runs
+only at a restart, so the Luby unit is drawn small half of the time,
+where restarts come often enough for cleanups to run.
 
 A run whose config sets no budget gets a safety cap and must give the
 oracle's status and objective.  A run that stops at its drawn conflict
@@ -25,8 +26,10 @@ import os
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from intsat import search
 from intsat.model import Objective, Problem, normalize
 from intsat.oracle import oracle_solve
 from intsat.search import BOUNDED, FEASIBLE, OPTIMAL, TIMELIMIT, Solver, SolverConfig
@@ -90,6 +93,7 @@ def clause_problems(draw):
 
 @st.composite
 def configs(draw, num_vars):
+    """A config, and the number of learned rows between two cleanups."""
     order = draw(st.lists(st.integers(1, 11), max_size=3)) + [draw(st.integers(1, 4))]
     hint = None
     if 11 in order:
@@ -100,32 +104,36 @@ def configs(draw, num_vars):
         inner = draw(st.integers(1, 30))
         restart = ("inout", inner, draw(st.integers(inner, 200)),
                    draw(st.sampled_from([1.1, 1.5, 2.0])))
+    mode = draw(st.sampled_from(["cut", "resolution"]))
+    threshold = draw(st.integers(1, 10))
     return SolverConfig(
-        mode=draw(st.sampled_from(["cut", "resolution"])),
+        mode=mode,
         strategy_order=tuple(order),
         restart=restart,
-        cleanup_learned_threshold=draw(st.integers(1, 10)),
         max_conflicts=draw(st.none() | st.integers(0, 20)),
         time_limit=draw(st.none() | st.sampled_from([0, 0.001, 0.002, 0.005])),
         random_seed=draw(st.integers(0, 2 ** 16)),
-        user_hint=hint)
+        user_hint=hint), threshold
 
 
 @st.composite
 def cases(draw, kind):
     p = draw(kind)
-    return p, draw(configs(p.num_vars))
+    return (p, *draw(configs(p.num_vars)))
 
 
-def check_against_the_oracle(p, config, seen):
-    """Checks one run; counts in ``seen`` the learned rows it filed in a
-    literal tier and those of them a cleanup killed."""
+def check_against_the_oracle(p, config, threshold, seen):
+    """Checks one run, with a cleanup every ``threshold`` learned rows;
+    counts in ``seen`` the learned rows it filed in a literal tier and
+    those of them a cleanup killed."""
     ref = oracle_solve(p)
     budgeted = config.max_conflicts is not None or config.time_limit is not None
     if config.max_conflicts is None:
         config = dataclasses.replace(config, max_conflicts=SAFETY_CAP)
-    s = Solver(p, config)
-    out = s.solve()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "CLEANUP_LEARNED_THRESHOLD", threshold)
+        s = Solver(p, config)
+        out = s.solve()
     pr = s.propagator
     learned = [cid for cid in range(len(p.constraints), len(pr.lits)) if pr.lits[cid]]
     seen["learned literal rows"] += len(learned)
@@ -164,7 +172,7 @@ def test_drawn_configs_match_the_oracle():
 
 # Shrunk failures of the draw above, as plain regression tests.
 
-def test_cut_mode_cleanup_after_every_conflict_answers():
+def test_cut_mode_cleanup_after_every_conflict_answers(monkeypatch):
     # feasible (x0 = 0, x1 = 0, x2 = 2).  Deciding 1 <= x0 and 1 <= x1 meets
     # a conflict whose learned cut, x1 <= 1, does not imply the backjump's
     # x1 <= 0.  When a due cleanup forced a restart after every conflict,
@@ -172,6 +180,7 @@ def test_cut_mode_cleanup_after_every_conflict_answers():
     p = Problem(3, [0, 0, 2], [1, 1, 3], [normalize([(0, -2), (1, 1), (2, 5)], 13),
                                           normalize([(0, 2), (1, 5), (2, -5)], -7)])
     assert oracle_solve(p).status == FEASIBLE
-    config = SolverConfig(mode="cut", strategy_order=(1,), cleanup_learned_threshold=1,
+    monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", 1)
+    config = SolverConfig(mode="cut", strategy_order=(1,),
                           max_conflicts=200)  # a run that answers needs one conflict
     assert Solver(p, config).solve().status == FEASIBLE

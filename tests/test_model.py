@@ -226,6 +226,17 @@ class TestEvaluate:
         assert Constraint((), -1).satisfied_by({}) is False
 
 
+class TestFormat:
+    def test_mixed_signs_and_unit_coefficients(self):
+        c = normalize([(0, -3), (1, 1), (2, -1), (3, 2)], -4)
+        assert c.format() == str(c) == "-3*x0 + x1 - x2 + 2*x3 <= -4"
+        assert c.format(["a", "b", "c", "d"]) == "-3*a + b - c + 2*d <= -4"
+        assert str(normalize([(0, 1), (1, -2)], 0)) == "x0 - 2*x1 <= 0"
+
+    def test_a_row_of_no_terms(self):
+        assert normalize([], -1).format() == str(normalize([], -1)) == "0 <= -1"
+
+
 class TestProblem:
     def test_rejects_empty_domain(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ extend to, before the search."""
 
 import random
 
+import pytest
+
 from intsat.model import Objective, Problem, normalize
 from intsat.oracle import oracle_solve
 from intsat.presolve import clique_rows
@@ -144,15 +146,18 @@ class TestPresolve:
         p = pairwise_php_problem(4, 3)
         s = Solver(p, SolverConfig(mode="resolution"))
         assert s.solve().status == INFEASIBLE
-        assert s.clique_cids is None and not s.replaced_cids
+        assert not s.clique_cids and not s.replaced_cids
         assert s.stats.clique_rows == s.stats.replaced_rows == 0
 
     def test_a_second_solve_files_nothing_again(self):
+        # a Solver runs one search: the second call raises before it files
         s = Solver(pairwise_php_problem(4, 3), SolverConfig(mode="cut"))
         s.solve()
-        cliques = s.clique_cids
-        s.solve()
+        cliques, rows = s.clique_cids, len(s.propagator.constraints)
+        with pytest.raises(RuntimeError, match="one search"):
+            s.solve()
         assert s.clique_cids is cliques and len(cliques) == s.stats.clique_rows == 3
+        assert len(s.propagator.constraints) == rows
 
     def test_pairwise_pigeonhole_7_6_falls_in_a_few_conflicts(self):
         # one clique per hole replaces its 21 pair rows, and cutting planes

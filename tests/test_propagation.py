@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from intsat import propagation
+from intsat import propagation, search
 from intsat.model import Bound, Objective, Problem, normalize
 from intsat.propagation import (BINARY, CLAUSE, GENERAL, exact_filter, falsifying_heights,
                                 find_conflict, propagate_constraint, slack_and_widest)
@@ -14,6 +14,7 @@ from conftest import (C, cover_packing_problem, indexed_rows, live_rows, lo,
                       pairwise_php_problem, planted_3sat_problem, up, random_problem,
                       small_integer_problem, watch_order)
 from lemma_suites import ALL_SUITES, pushed_with_reasons
+from test_search import CLEANUPS
 from test_search_snapshot import integer_rows_problem
 
 
@@ -338,7 +339,7 @@ class TestFilters:
         pr.pop_to(start)
         assert len(t) == start and pr.filters[cid] == before
 
-    def test_invariants_hold_after_every_push_visit_and_backjump(self):
+    def test_invariants_hold_after_every_push_visit_and_backjump(self, monkeypatch):
         # widest[cid] - filters[cid] is the row's exact slack and widest[cid]
         # at least its widest term, so filters[cid] >= exact_filter, checked
         # after every push, visit, filing, kill, backjump, restart and
@@ -363,7 +364,8 @@ class TestFilters:
                     + [integer_rows_problem(rng) for _ in range(6)])
         for i, p in enumerate(problems):
             for mode in ("cut", "resolution"):
-                for cleanups in ({}, dict(cleanup_learned_threshold=2, restart=("luby", 1))):
+                for threshold, cleanups in CLEANUPS:
+                    monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", threshold)
                     s = Solver(p, SolverConfig(mode=mode, max_conflicts=60, random_seed=i,
                                                **cleanups))
                     self.check_invariants_during(s, seen)
@@ -700,7 +702,7 @@ class TestClauseTiers:
         assert s.propagator.propagate_fixpoint() is None
         assert (s.trail.lb[1], s.trail.ub[1]) == (1, 1)
 
-    def test_every_fixpoint_leaves_literal_rows_quiet_and_watched(self):
+    def test_every_fixpoint_leaves_literal_rows_quiet_and_watched(self, monkeypatch):
         # after every fixpoint without a conflict, no live clause or binary
         # row is false or propagates, each live clause row sits in exactly
         # the watch lists of lits[0] and lits[1], each live binary row is
@@ -721,7 +723,8 @@ class TestClauseTiers:
                     + [pairwise_php_problem(7, 6)])
         for i, p in enumerate(problems):
             for mode in ("cut", "resolution"):
-                for cleanups in ({}, dict(cleanup_learned_threshold=2, restart=("luby", 1))):
+                for threshold, cleanups in CLEANUPS:
+                    monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", threshold)
                     s = Solver(p, SolverConfig(mode=mode, max_conflicts=100, random_seed=i,
                                                **cleanups))
                     self.check_literal_rows_during(s, seen)

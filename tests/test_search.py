@@ -4,6 +4,7 @@ from itertools import accumulate, islice
 
 import pytest
 
+import intsat
 from intsat import search
 from intsat.model import Objective, Problem, normalize
 from intsat.oracle import oracle_solve
@@ -106,22 +107,25 @@ class TestDecide:
 
 class TestActivity:
     def test_increment_grows_geometrically(self):
-        q = ActivityQueue(3, 1.05, 1e100, random.Random(0))
+        q = ActivityQueue(3, random.Random(0))
         start = q.increment
         for _ in range(100):
             q.bump_conflict_vars([0])
         assert q.increment == pytest.approx(start * 1.05 ** 100)
 
-    def test_variable_bumped_once_per_conflict(self):
-        q = ActivityQueue(2, 2.0, 1e100, random.Random(0))
+    def test_variable_bumped_once_per_conflict(self, monkeypatch):
+        monkeypatch.setattr(search, "ACTIVITY_BUMP_FACTOR", 2.0)
+        q = ActivityQueue(2, random.Random(0))
         base = q.scores[0]
         q.bump_conflict_vars({0})  # sets, so duplicates are impossible
         assert q.scores[0] == pytest.approx(base + 1.0)
 
-    def test_rescale_preserves_argmax(self):
+    def test_rescale_preserves_argmax(self, monkeypatch):
         # bumps 1, 10, ..., 1e10 take x1 to 1.11e10, over the cap: scores
         # and increment shrink by 1e10, and the 12th bump adds 10
-        q = ActivityQueue(3, 10.0, 1e10, random.Random(0))
+        monkeypatch.setattr(search, "ACTIVITY_BUMP_FACTOR", 10.0)
+        monkeypatch.setattr(search, "ACTIVITY_RESCALE_CAP", 1e10)
+        q = ActivityQueue(3, random.Random(0))
         for _ in range(12):
             q.bump_conflict_vars([1])
         assert max(q.scores) == q.scores[1] == pytest.approx(11.1111111111)
@@ -129,27 +133,30 @@ class TestActivity:
         t = solver_for([0, 0, 0], [1, 1, 1]).trail
         assert q.pick(t) == 1
 
-    def test_rescale_fires_at_the_same_conflicts_as_a_sweep_of_all_scores(self):
+    def test_rescale_fires_at_the_same_conflicts_as_a_sweep_of_all_scores(self, monkeypatch):
         # bump_conflict_vars compares only the bumped scores with the cap;
         # the form that takes max(scores) at every conflict must rescale at
         # the same conflicts and leave the same scores
+        monkeypatch.setattr(search, "ACTIVITY_BUMP_FACTOR", 1.3)
+        monkeypatch.setattr(search, "ACTIVITY_RESCALE_CAP", 1e6)
+
         class SweepingQueue(ActivityQueue):
             def bump_conflict_vars(self, variables):
                 for v in variables:
                     self.scores[v] += self.increment
-                self.increment *= self.bump_factor
-                if self.scores and max(self.scores) > self.rescale_cap:
+                self.increment *= search.ACTIVITY_BUMP_FACTOR
+                if self.scores and max(self.scores) > search.ACTIVITY_RESCALE_CAP:
                     self._rescale()
 
         rng = random.Random(5)
-        queues = [cls(40, 1.3, 1e6, random.Random(1)) for cls in (ActivityQueue, SweepingQueue)]
+        queues = [cls(40, random.Random(1)) for cls in (ActivityQueue, SweepingQueue)]
         rescaled = [[], []]
         for conflict in range(3000):
             variables = set(rng.sample(range(40), rng.randint(1, 8)))
             for q, seen in zip(queues, rescaled):
                 increment = q.increment
                 q.bump_conflict_vars(variables)
-                if q.increment != increment * q.bump_factor:
+                if q.increment != increment * search.ACTIVITY_BUMP_FACTOR:
                     seen.append(conflict)
         assert rescaled[0] == rescaled[1] and len(rescaled[0]) >= 20, rescaled
         assert queues[0].scores == queues[1].scores
@@ -163,6 +170,7 @@ class TestActivity:
         # highest score, the lowest on a tie, or None; a cap of 4 makes
         # bump_conflict_vars rescale every few conflicts
         monkeypatch.setattr(search, "ACTIVITY_RESCALE_CAP", rescale_cap)
+        monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", AGGRESSIVE_THRESHOLD)
         rescales, rescale = [], ActivityQueue._rescale
 
         def counted_rescale(q):
@@ -250,8 +258,9 @@ class TestRestarts:
 
 
 class TestCleanup:
-    def setup_store(self):
-        s = solver_for([0, 0, 0], [3, 3, 3], cleanup_learned_threshold=1)
+    def setup_store(self, monkeypatch):
+        monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", 1)
+        s = solver_for([0, 0, 0], [3, 3, 3])
         cids = []
         for terms, rhs in [([(0, 1), (1, 1), (2, 1)], 5),
                            ([(0, 1), (1, 1)], 5),
@@ -260,8 +269,8 @@ class TestCleanup:
             cids.append(cid)
         return s, cids
 
-    def test_removes_long_inactive_learned(self):
-        s, (c3, c2, c3b) = self.setup_store()
+    def test_removes_long_inactive_learned(self, monkeypatch):
+        s, (c3, c2, c3b) = self.setup_store(monkeypatch)
         s.learned_activity[c3b] = 5
         s._cleanup()  # rows learned since the last cleanup are kept, not aged
         assert live_rows(s) == indexed_rows(s.propagator) == {c3, c2, c3b}
@@ -317,12 +326,13 @@ class TestCleanup:
         assert cid not in indexed_rows(s.propagator)
         assert s.trail.reason_heights(height) == reason
 
-    def test_a_killed_row_leaves_the_queue(self):
+    def test_a_killed_row_leaves_the_queue(self, monkeypatch):
         # a level-0 push after the last fixpoint, as a root fact that a
         # restart pops nothing above, queues an old inactive learned row;
         # the cleanup that kills it takes it out of the queue, so the next
         # fixpoint never visits it
-        s = solver_for([0, 0, 0], [3, 3, 3], cleanup_learned_threshold=1)
+        monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", 1)
+        s = solver_for([0, 0, 0], [3, 3, 3])
         pr = s.propagator
         cid = s._learn(normalize([(0, 1), (1, 1), (2, 1)], 4))
         assert pr.propagate_fixpoint() is None and not pr.queue
@@ -338,7 +348,7 @@ class TestCleanup:
         assert visited == []
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_rebuild_rewatches_literals_false_at_level_zero(self, seed):
+    def test_rebuild_rewatches_literals_false_at_level_zero(self, seed, monkeypatch):
         # with cleanup after every learned row, rebuilt clause watches
         # land on literals already false at level 0
         rows = [normalize([(0, -1), (3, -1), (4, -1), (6, -1)], -1),
@@ -350,8 +360,8 @@ class TestCleanup:
         p = Problem(7, [0] * 7, [1] * 7, rows,
                     Objective({0: 5, 1: -2, 2: 5, 3: 1, 4: 1, 5: -3, 6: 1}))
         ref = oracle_solve(p)
-        s = Solver(p, SolverConfig(mode="cut", cleanup_learned_threshold=1,
-                                   restart=("luby", 1), random_seed=seed))
+        monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", 1)
+        s = Solver(p, SolverConfig(mode="cut", restart=("luby", 1), random_seed=seed))
         out = s.solve()
         assert (out.status, out.objective_value) == (OPTIMAL, ref.objective_value)
         assert s.stats.cleanups > 0
@@ -417,13 +427,6 @@ class TestSolveFeasibility:
         # a deadline of now + nan never passes, so the run would ignore it
         with pytest.raises(ValueError):
             SolverConfig(time_limit=float("nan"))
-
-    @pytest.mark.parametrize("threshold", [None, "10", float("nan"), 2.5, 0, -1])
-    def test_cleanup_threshold_must_be_an_integer_of_at_least_one(self, threshold):
-        # otherwise None or "10" raise TypeError at the first restart,
-        # and nan turns cleanup off
-        with pytest.raises(ValueError):
-            SolverConfig(cleanup_learned_threshold=threshold)
 
     @pytest.mark.parametrize("settings", [
         {"max_conflicts": "10"}, {"time_limit": "1"},
@@ -549,6 +552,38 @@ class TestSolveOptimize:
         assert out.status in (BOUNDED, TIMELIMIT, OPTIMAL, INFEASIBLE)
 
 
+class TestOneSearch:
+    @pytest.mark.parametrize("mode", ["resolution", "cut"])
+    def test_a_second_solve_raises(self, mode):
+        # the first search leaves its trail, rows and queue behind, so a
+        # second one would start from them (on draw 16 it answered optimal
+        # 1, or infeasible, after optimal -2): it raises and moves nothing
+        rng = random.Random(3402)
+        for i in range(20):
+            p = small_integer_problem(rng) if i % 2 == 0 else random_problem(rng, objective=True)
+            s = Solver(p, SolverConfig(mode=mode, max_conflicts=500))
+            out, stats = s.solve(), s.stats.as_dict()
+            with pytest.raises(RuntimeError, match="one search"):
+                s.solve()
+            assert s.stats.as_dict() == stats
+            ref = oracle_solve(p)
+            assert (out.status, out.objective_value) == (ref.status, ref.objective_value), i
+
+    @pytest.mark.parametrize("mode", ["resolution", "cut"])
+    def test_the_module_solve_runs_one_solver(self, mode):
+        rng = random.Random(3404)
+        for _ in range(10):
+            p = random_problem(rng, objective=True)
+            config = SolverConfig(mode=mode, max_conflicts=200, random_seed=3)
+            seen = [], []
+            got = intsat.solve(p, config, on_incumbent=lambda *a: seen[0].append(a[1:]))
+            want = Solver(p, config).solve(on_incumbent=lambda *a: seen[1].append(a[1:]))
+            assert (got.status, got.objective_value) == (want.status, want.objective_value)
+            assert got.solution == want.solution and seen[0] == seen[1]
+            if got.solution is not None:
+                assert [got.solution[v] for v in range(p.num_vars)] == want.solution.values
+
+
 class TestOracleAgreement:
     def test_verdicts_and_optima_match(self, rng):
         for _ in range(120):
@@ -562,12 +597,12 @@ class TestOracleAgreement:
                 if out.solution is not None:
                     assert p.check_solution(out.solution.values)
 
-    def test_luby_restarts_reach_the_same_answers(self, rng):
+    def test_luby_restarts_reach_the_same_answers(self, rng, monkeypatch):
+        monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", 8)
         for _ in range(40):
             p = random_problem(rng)
             ref = oracle_solve(p)
-            out = Solver(p, SolverConfig(
-                restart=("luby", 2), cleanup_learned_threshold=8)).solve()
+            out = Solver(p, SolverConfig(restart=("luby", 2))).solve()
             assert out.status == ref.status
             if ref.status == OPTIMAL:
                 assert out.objective_value == ref.objective_value
@@ -584,12 +619,16 @@ class TestOracleAgreement:
         assert runs[0] == runs[1]
 
 
-AGGRESSIVE_CLEANUP = dict(cleanup_learned_threshold=2, restart=("luby", 1))
+# (CLEANUP_LEARNED_THRESHOLD, SolverConfig settings): the default cadence,
+# and a cleanup every two learned rows, which a Luby unit of 1 runs soon; a
+# test sets the threshold before it builds a Solver
+CLEANUPS = ((search.CLEANUP_LEARNED_THRESHOLD, {}), (2, dict(restart=("luby", 1))))
+AGGRESSIVE_THRESHOLD, AGGRESSIVE_CLEANUP = CLEANUPS[1]
 CONFIG_SPACE = [
-    dict(mode=mode, strategy_order=order, **settings)
+    (threshold, dict(mode=mode, strategy_order=order, **settings))
     for mode in ("cut", "resolution")
     for order in ((7, 5, 1), (10, 4))
-    for settings in ({}, AGGRESSIVE_CLEANUP)
+    for threshold, settings in CLEANUPS
 ]
 
 
@@ -599,30 +638,31 @@ def config_space_problems():
             + [small_integer_problem(rng) for _ in range(60)])
 
 
-def test_config_space_matches_the_oracle():
+def test_config_space_matches_the_oracle(monkeypatch):
     """Every configuration in CONFIG_SPACE answers as the oracle does on
     seeded binary cover/packing and small general-integer instances,
     each run within 300 conflicts."""
     for i, p in enumerate(config_space_problems()):
         ref = oracle_solve(p)
-        for cfg in CONFIG_SPACE:
+        for threshold, cfg in CONFIG_SPACE:
+            monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", threshold)
             out = Solver(p, SolverConfig(random_seed=i % 3, max_conflicts=300,
                                          **cfg)).solve()
             assert (out.status, out.objective_value) == (ref.status, ref.objective_value), (
                 i, cfg)
 
 
-def test_aggressive_cleanup_terminates():
+def test_aggressive_cleanup_terminates(monkeypatch):
     # a cleanup due after every learned row runs at each Luby restart, on
     # the instances where cleanups once met the same conflicts forever:
     # the restart schedule alone makes every run end, at the optimum
+    monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", 1)
     problems = config_space_problems()
     for i in (300, 321, 326, 339):
         ref = oracle_solve(problems[i])
         for order in ((7, 5, 1), (10, 4)):
             s = Solver(problems[i], SolverConfig(mode="cut", strategy_order=order,
-                                                 max_conflicts=300, restart=("luby", 1),
-                                                 cleanup_learned_threshold=1))
+                                                 max_conflicts=300, restart=("luby", 1)))
             out = s.solve()
             assert (out.status, out.objective_value) == (OPTIMAL, ref.objective_value), (
                 i, order)
@@ -631,14 +671,14 @@ def test_aggressive_cleanup_terminates():
 
 @pytest.mark.parametrize("restart", [("luby", 1), ("inout", 2, 8, 1.5)])
 @pytest.mark.parametrize("mode", ["cut", "resolution"])
-def test_cleanups_wait_for_scheduled_restarts(mode, restart):
+def test_cleanups_wait_for_scheduled_restarts(mode, restart, monkeypatch):
     # a cleanup due after every learned row still runs only at a conflict
     # count where the schedule restarts
+    monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", 1)
     scheduled = set(accumulate(islice(restart_limits(restart), 300)))
     at = []
     for p in config_space_problems()[::12]:
-        s = Solver(p, SolverConfig(mode=mode, restart=restart, max_conflicts=300,
-                                   cleanup_learned_threshold=1))
+        s = Solver(p, SolverConfig(mode=mode, restart=restart, max_conflicts=300))
         cleanup = s._cleanup
 
         def recorded(s=s, cleanup=cleanup):

@@ -24,7 +24,7 @@ sys.path.insert(0, str(BENCH_DIR))
 
 from tracer import Probe, Tracer, hooks  # noqa: E402
 
-from intsat import propagation  # noqa: E402
+from intsat import propagation, search  # noqa: E402
 from intsat.io import parse  # noqa: E402
 from intsat.search import Solver, SolverConfig  # noqa: E402
 from conftest import planted_3sat_problem  # noqa: E402
@@ -71,9 +71,9 @@ def test_small_solves_enter_every_span_the_tracer_installs(monkeypatch):
         assert core.solve().status == "infeasible"
         # resolution mode: clause and binary tiers, and a cleanup at every
         # restart
+        monkeypatch.setattr(search, "CLEANUP_LEARNED_THRESHOLD", 1)
         res = Solver(planted_3sat_problem(random.Random(5), 40),
-                     SolverConfig(mode="resolution", max_conflicts=200,
-                                  cleanup_learned_threshold=1, restart=("luby", 1)),
+                     SolverConfig(mode="resolution", max_conflicts=200, restart=("luby", 1)),
                      instrumentation=probe)
         assert res.solve().status in ("feasible", "timelimit")
     assert not tracer.stack
