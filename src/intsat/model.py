@@ -1,9 +1,9 @@
 """Core domain types: variables, bounds, linear constraints, problems.
 
-All arithmetic is exact integer arithmetic.  Coefficients are capped at
-2**30 so that every intermediate result of propagation, cuts and
-normalisation fits comfortably in 64 bits; operations that would break
-the cap refuse to produce a result instead of aborting.
+All arithmetic is exact integer arithmetic, which cannot overflow; the
+cap of 2**30 (``COEFF_CAP``) on the coefficients of parsed and derived
+rows, and on the right-hand sides of derived ones, keeps numbers small.
+An operation that would break the cap refuses to produce a result.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
 COEFF_CAP = 2 ** 30
-RHS_CAP = 2 ** 62
 _END = ((math.inf, 0),)  # appended to rows so that a merge needs no index checks
 _NEW = tuple.__new__  # makes a Monomial from a pair with no Python frame, unlike _make
 
@@ -135,8 +134,8 @@ def cut(c1: Constraint, c2: Constraint, var: int) -> Optional[Constraint]:
 
     Requires opposite-sign coefficients on ``var``.  The multipliers are
     the minimal pair (|b|/g, |a|/g).  Returns None when the coefficients
-    have the same sign or when any coefficient of the result, normalised
-    in one merge of the sorted rows, would exceed the cap.  The merge
+    have the same sign or when the result, normalised in one merge of the
+    sorted rows, would have a coefficient or rhs past the cap.  The merge
     raises RuntimeError should ``var`` not cancel, which these
     multipliers rule out.
     """
@@ -148,8 +147,6 @@ def cut(c1: Constraint, c2: Constraint, var: int) -> Optional[Constraint]:
     m1 = abs(b) // g
     m2 = abs(a) // g
     rhs = m1 * c1.rhs + m2 * c2.rhs
-    if abs(rhs) > RHS_CAP:
-        return None
     t1, t2 = c1.monomials + _END, c2.monomials + _END
     i = j = d = 0
     terms = []
@@ -217,6 +214,15 @@ class Problem:
         for lb, ub in zip(self.initial_lb, self.initial_ub):
             if lb > ub:
                 raise ValueError(f"empty initial domain [{lb}, {ub}]")
+        n = self.num_vars
+        for c in self.constraints:  # in the normal form of Constraint, over x0..x(n-1)
+            last = -1
+            for var, coeff in c.monomials:
+                if not last < var < n or not coeff:
+                    raise ValueError(f"row {c} is not in normal form over x0..x{n - 1}")
+                last = var
+        if self.objective is not None and not all(0 <= v < n for v in self.objective.coeffs):
+            raise ValueError(f"the objective names a variable outside x0..x{n - 1}")
 
     def name_of(self, var: int) -> str:
         if self.var_names:

@@ -5,10 +5,8 @@ strategies, Luby or inner-outer geometric restarts, and an optimisation
 wrapper that repeatedly strengthens the objective.  A decision takes the
 most active undefined variable; when none is left, the assignment is total.
 Rows live by their owners; the ``Propagator`` only files and kills them.
-In cut mode, ``solve`` first replaces the at-most-one input rows that
-extend to larger cliques by those cliques (``presolve``): it owns the rows
-it touches, so a replaced input row is dead from level 0 on and a clique
-row always lives, while every other input row always lives.  The
+Input rows always live, but in cut mode ``solve`` first kills those that
+extend to larger cliques and files the cliques, which always live.  The
 ``Solver`` owns the learned rows: it keeps the activity of each live one,
 and every ``CLEANUP_LEARNED_THRESHOLD`` learned rows it reduces them at
 the next scheduled restart.  The strengthening row lives until the next
@@ -17,7 +15,6 @@ one replaces it.  A ``Solver`` runs one search.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,24 +28,16 @@ from .trail import DECISION, ReasonInfo, Trail
 from . import analysis
 
 
-def luby(i: int) -> int:
-    """The i-th term (1-based) of the Luby restart sequence 1,1,2,1,1,2,4,..."""
-    assert i >= 1
-    k = 1
-    while (1 << k) - 1 < i:
-        k += 1
-    if (1 << k) - 1 == i:
-        return 1 << (k - 1)
-    return luby(i - (1 << (k - 1)) + 1)
-
-
 def restart_limits(policy):
-    """Conflicts allowed before each restart: ``unit * luby(i)``, or the
-    inner limit of ``("inout", inner, outer, factor)``, which grows by
+    """Conflicts allowed before each restart: ``unit`` times the Luby term,
+    made by Knuth's reluctant doubling (run ``u`` doubles ``v`` from 1 to ``u & -u``),
+    or the inner limit of ``("inout", inner, outer, factor)``, which grows by
     ``factor`` and, once past the outer limit, resets as the outer grows."""
     if policy[0] == "luby":
-        for i in itertools.count(1):
-            yield policy[1] * luby(i)
+        u = v = 1
+        while True:
+            yield policy[1] * v
+            u, v = (u + 1, 1) if u & -u == v else (u, 2 * v)
     _, inner0, outer, factor = policy
     inner, outer = float(inner0), float(outer)
     while True:
@@ -199,8 +188,6 @@ class Solver:
         self.searched = False  # a Solver runs one search
         self.last_solution = None  # the incumbent
         self.strengthening_cid = None
-        self.clique_cids = range(0)  # the rows the cut-mode presolve filed
-        self.replaced_cids = frozenset()  # the input rows they replaced
         self.learned_activity = {}  # cid -> activity of each live learned row, in cid order
         self.cleanup_mark = 0  # rows with cid >= it were added since the last cleanup
         self.next_cleanup = CLEANUP_LEARNED_THRESHOLD  # a value of stats.learned
@@ -405,14 +392,9 @@ class Solver:
         search.  Cut mode only: resolution cannot use a clique row,
         and its conflicts rose on them."""
         cliques, replaced = clique_rows(self.problem)
-        pr = self.propagator
-        if replaced:  # first, so that the occurs lists it rewrites are short
-            pr.kill_rows(replaced)
-        first = len(pr.constraints)
+        self.propagator.kill_rows(replaced)  # first, while the occurs lists are short
         for c in cliques:
-            pr.add_row(c)
-        self.clique_cids = range(first, len(pr.constraints))
-        self.replaced_cids = replaced
+            self.propagator.add_row(c)
         self.stats.clique_rows = len(cliques)
         self.stats.replaced_rows = len(replaced)
 

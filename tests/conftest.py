@@ -9,6 +9,7 @@ import pytest
 
 from intsat.analysis import AnalysisInfeasible
 from intsat.model import Bound, Constraint, Monomial, Objective, Problem
+from intsat.presolve import clique_rows
 from intsat.search import Solver, SolverConfig
 
 
@@ -106,9 +107,15 @@ def random_problem(rng, max_vars=5, dom_lo=-4, dom_hi=4, max_cons=8,
 def live_rows(solver):
     """The cids of the solver's live rows: every input row the cut-mode
     presolve did not replace, every clique row it filed, every learned
-    row still in ``learned_activity`` and the strengthening row."""
-    rows = set(range(len(solver.problem.constraints))) - solver.replaced_cids
-    rows.update(solver.clique_cids)
+    row still in ``learned_activity`` and the strengthening row.  The
+    presolve files its cliques right after the input rows; a presolve that
+    counted no row changed none, so only one that did is read back."""
+    inputs = len(solver.problem.constraints)
+    rows = set(range(inputs))
+    if solver.stats.clique_rows or solver.stats.replaced_rows:
+        cliques, replaced = clique_rows(solver.problem)
+        rows -= replaced
+        rows.update(range(inputs, inputs + len(cliques)))
     rows |= solver.learned_activity.keys()
     if solver.strengthening_cid is not None:
         rows.add(solver.strengthening_cid)

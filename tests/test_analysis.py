@@ -824,6 +824,16 @@ class TestClauseToConstraint:
         # x2 <= 3 + 7*x0
         assert got == C([(0, -7), (2, 1)], 3)
 
+    @pytest.mark.parametrize("lits, ubs", [
+        ([], [1, 1, 10]),
+        ([lo(0, 1), lo(2, 0)], [1, 1, 10]),  # the general bound holds on the whole box
+        ([lo(0, 1), up(2, 10)], [1, 1, 10]),
+        ([lo(0, 1), lo(2, 11)], [1, 1, 10]),  # ... and on none of it
+        ([lo(0, 1), lo(1, 2 ** 31)], [1, 2 ** 31 + 5, 1])],  # a weight past COEFF_CAP
+        ids=["empty", "lower-everywhere", "upper-everywhere", "lower-nowhere", "weight-cap"])
+    def test_refused_shapes(self, lits, ubs):
+        assert clause_to_constraint(lits, Problem(3, [0, 0, 0], ubs)) is None
+
     def test_equivalence_over_the_box(self):
         rng = random.Random(31)
         for _ in range(120):

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from intsat.model import (COEFF_CAP, RHS_CAP, Bound, Constraint, Monomial,
+from intsat.model import (COEFF_CAP, Bound, Constraint, Monomial, Objective,
                           Problem, cut, normalize)
 from conftest import C, box_points, lo, up
 
@@ -94,6 +98,12 @@ class TestCut:
             for pt in box_points([-5] * n, [5] * n):
                 if c1.satisfied_by(pt) and c2.satisfied_by(pt):
                     assert r.satisfied_by(pt), (c1, c2, x, r, pt)
+
+
+# The reference keeps the pre-merge rhs cap that ``cut`` no longer has: the
+# gcd of capped coefficients is at most COEFF_CAP, so an rhs past this cap
+# is still past COEFF_CAP once divided, and both versions refuse it.
+RHS_CAP = 2 ** 62
 
 
 def reference_cut(c1, c2, var):
@@ -248,6 +258,45 @@ class TestProblem:
             Problem(3, [0, 0], [1, 1, 1])
         with pytest.raises(ValueError):
             Problem(2, [0, 0, 0], [1, 1, 5])
+
+    @pytest.mark.parametrize("terms, objective", [
+        ([(0, 1), (0, -1)], None),  # x0 twice: the row 0 <= -1
+        ([(1, 1), (0, 1)], None),  # variables out of order
+        ([(0, 1), (2, 1)], None),  # no variable x2
+        ([(-1, 1)], None),
+        ([(0, 1), (1, 0)], None),  # a zero coefficient
+        ([(0, 1)], {2: 1}),  # an objective over no variable x2
+        ([(0, 1)], {-1: 1})],
+        ids=["repeated", "unsorted", "past-the-end", "negative", "zero", "objective",
+             "objective-negative"])
+    def test_rejects_rows_out_of_normal_form(self, terms, objective):
+        row = Constraint(tuple(Monomial(v, c) for v, c in terms), 0)
+        with pytest.raises(ValueError):
+            Problem(2, [0, 0], [1, 1], [row], objective and Objective(objective))
+
+    def test_rejects_rows_out_of_normal_form_without_asserts(self):
+        # an error, not an assert: the repeated variable once made the
+        # oracle answer feasible and the cut-mode search grow without end
+        code = """
+from intsat.model import Constraint, Monomial, Objective, Problem
+import sys
+assert not __debug__
+shapes = [([Constraint((Monomial(0, 1), Monomial(0, -1)), -1)], None),
+          ([Constraint((Monomial(3, 1),), 0)], None),
+          ([], Objective({3: 1}))]
+for rows, objective in shapes:
+    try:
+        Problem(1, [0], [1], rows, objective)
+    except ValueError:
+        continue
+    sys.exit(f"accepted {rows} {objective}")
+"""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
 
     def test_binary_detection(self):
         p = Problem(2, [0, 0], [1, 2])

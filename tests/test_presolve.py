@@ -116,16 +116,18 @@ class TestPresolve:
             assert indexed_rows(pr) == live and set(pr.queue) <= live
             kept = [pr.constraints[cid] for cid in live]
             assert solutions(p, kept) == solutions(p, p.constraints)
-            assert s.stats.clique_rows == len(s.clique_cids)
-            assert s.stats.replaced_rows == len(s.replaced_cids)
-            cliques = [set(pr.constraints[cid].monomials) for cid in s.clique_cids]
-            for cid in s.replaced_cids:
+            cliques, replaced_cids = clique_rows(p)
+            assert pr.constraints[len(p.constraints):] == cliques
+            assert s.stats.clique_rows == len(cliques)
+            assert s.stats.replaced_rows == len(replaced_cids)
+            clique_sets = [set(c.monomials) for c in cliques]
+            for cid in replaced_cids:
                 row = set(p.constraints[cid].monomials)
-                assert any(row < clique for clique in cliques) or any(
+                assert any(row < clique for clique in clique_sets) or any(
                     row < set(p.constraints[k].monomials)
-                    for k in range(len(p.constraints)) if k not in s.replaced_cids)
-            replaced += len(s.replaced_cids)
-            filed += len(s.clique_cids)
+                    for k in range(len(p.constraints)) if k not in replaced_cids)
+            replaced += len(replaced_cids)
+            filed += len(cliques)
         assert replaced >= 1000 and filed >= 80, (replaced, filed)
 
     def test_cut_mode_matches_the_oracle_on_planted_cliques(self):
@@ -146,17 +148,18 @@ class TestPresolve:
         p = pairwise_php_problem(4, 3)
         s = Solver(p, SolverConfig(mode="resolution"))
         assert s.solve().status == INFEASIBLE
-        assert not s.clique_cids and not s.replaced_cids
+        assert clique_rows(p)[0]  # cut mode would file cliques here
+        assert set(range(len(p.constraints))) <= indexed_rows(s.propagator)
         assert s.stats.clique_rows == s.stats.replaced_rows == 0
 
     def test_a_second_solve_files_nothing_again(self):
         # a Solver runs one search: the second call raises before it files
         s = Solver(pairwise_php_problem(4, 3), SolverConfig(mode="cut"))
         s.solve()
-        cliques, rows = s.clique_cids, len(s.propagator.constraints)
+        counts, rows = s.stats.clique_rows, len(s.propagator.constraints)
         with pytest.raises(RuntimeError, match="one search"):
             s.solve()
-        assert s.clique_cids is cliques and len(cliques) == s.stats.clique_rows == 3
+        assert s.stats.clique_rows == counts == 3
         assert len(s.propagator.constraints) == rows
 
     def test_pairwise_pigeonhole_7_6_falls_in_a_few_conflicts(self):

@@ -8,7 +8,7 @@ import intsat
 from intsat import search
 from intsat.model import Objective, Problem, normalize
 from intsat.oracle import oracle_solve
-from intsat.search import (ActivityQueue, Solver, SolverConfig, luby, restart_limits,
+from intsat.search import (ActivityQueue, Solver, SolverConfig, restart_limits,
                            BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT)
 from intsat.trail import DECISION, ReasonInfo
 from conftest import (RecordingSolver, ValidityProbe, cover_packing_problem, indexed_rows,
@@ -212,7 +212,8 @@ class TestActivity:
 
 class TestRestarts:
     def test_luby_heads(self):
-        assert [luby(i) for i in range(1, 8)] == [1, 1, 2, 1, 1, 2, 4]
+        assert list(islice(restart_limits(("luby", 1)), 15)) == [
+            1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
     def test_inner_outer_thresholds(self):
         s = solver_for([0], [1], restart=("inout", 100, 1000, 1.1))
