@@ -38,10 +38,11 @@ strengthening the objective) joins a literal tier only with the codes
 The literal-code tables are built with the first literal row, whoever
 files it.  A row dies through ``kill_rows`` when its owner drops it: the
 Solver's cut-mode presolve (an input row a clique replaces, at level 0
-before the search), a cleanup (learned rows) or a new strengthening row
-(the old one).  A dead row leaves the occurs lists of its variables, or
-its watch lists or implication edges, and the queue and the saves, so
-every queued or saved row is live.  The trail holds the initial box from
+before the search) or a cleanup (learned rows).  A dead row leaves the
+occurs lists of its variables, or its watch lists or implication edges,
+and the queue and the saves, so every queued or saved row is live.  The
+strengthening row never dies: each better incumbent lowers its rhs in
+place through ``tighten_row``.  The trail holds the initial box from
 birth, as level-0 seeds with an empty reason and no row.
 
 A literal row has no filter and is never saved.  A live general row
@@ -54,18 +55,19 @@ which dequeues the row, leaves it at most 0 unless it finds the row
 false.  A row's own pushes never touch its pair, as a normalised row
 holds each variable once.  Pairs are undone per decision level, with one
 dict per level: ``saves[k]`` maps each row that level k changed to its
-(filter, widest) pair at the level's start, and each row filed in level
-k to None.  ``pop_to``, which only lands on a level start, undoes one
-level per ``pop_one`` call, newest first: ``pop_one`` pops the level's
-trail entries in one loop and writes back its saves newest first, so
-the oldest pair is written last.  A row filed above the target is
-recomputed there instead, once every level is undone, and mapped to None
-in the landing level.  ``saves[0]`` is never written back.  A visit
-rewrites the pair but saves nothing: the Solver decides only at a
-fixpoint, so what queued the row saved it in this level.  For the same
-reason every queued row was lifted or filed above the target, every
-filter a backjump writes back is <= 0, and the rows left queued after a
-backjump are the recomputed ones with a positive filter.
+(filter, widest) pair at the level's start, and each row filed or
+tightened in level k to None.  ``pop_to``, which only lands on a level
+start, undoes one level per ``pop_one`` call, newest first: ``pop_one``
+pops the level's trail entries in one loop and writes back its saves
+newest first, so the oldest pair is written last.  A row filed or
+tightened above the target is recomputed there instead, once every level
+is undone, and mapped to None in the landing level, so no pair saved for
+an older rhs outlives the backjump.  ``saves[0]`` is never written back.
+A visit rewrites the pair but saves nothing: the Solver decides only at
+a fixpoint, so what queued the row saved it in this level.  For the same
+reason every queued row was lifted, filed or tightened above the target,
+every filter a backjump writes back is <= 0, and the rows left queued
+after a backjump are the recomputed ones with a positive filter.
 """
 
 from __future__ import annotations
@@ -204,7 +206,8 @@ class Propagator:
     Every row enters through add_row: the constructor classifies the
     problem's rows, and a later row joins a literal tier only with the
     codes ``analysis.learned_clause`` supplies.  Rows leave through
-    kill_rows, when their owner says so.  Every trail change goes through
+    kill_rows, when their owner says so, and tighten_row lowers the
+    strengthening row's rhs in place.  Every trail change goes through
     push_bound / pop_to, so filters, cursors and saved phases stay
     consistent.
     """
@@ -302,7 +305,8 @@ class Propagator:
     def kill_rows(self, dead: set):
         """Take the rows out of the occurs lists, watch lists, implication
         edges, queue and saves that name them, so propagation never reads
-        them again; they stay filed for reasons and cuts."""
+        them again; they stay filed for reasons and cuts.  Only the
+        presolve and cleanups kill rows."""
         sides, watched, edged = set(), set(), set()
         for cid in dead:
             lits = self.lits[cid]
@@ -330,6 +334,23 @@ class Propagator:
         for saved in self.saves:
             for cid in dead & saved.keys():
                 del saved[cid]
+
+    def tighten_row(self, cid: int, c: Constraint):
+        """Replace a general row by ``c``, its terms with a lower rhs.  The
+        slack falls by the fall of the rhs, so the filter rises by it, and
+        the row is queued if that lifts the filter above 0.  It maps to
+        None in this level's saves: a backjump below the level recomputes
+        it over any pair saved for the old rhs."""
+        old = self.constraints[cid]
+        if self.lits[cid] is not None or c.monomials != old.monomials or c.rhs >= old.rhs:
+            raise ValueError(f"row {cid} is not a general row that {c} tightens")
+        self.constraints[cid] = c
+        self.reasons[cid] = tuple.__new__(ReasonInfo, (None, cid, c))
+        before = self.filters[cid]
+        self.filters[cid] = after = before + old.rhs - c.rhs
+        if after > 0 >= before:  # queued iff positive
+            self.queue.append(cid)
+        self.saves[-1][cid] = None
 
     # -- push / pop ----------------------------------------------------------
 
@@ -373,9 +394,9 @@ class Propagator:
 
     def pop_one(self) -> list:
         """Undo the top decision level: pop its trail entries, write back
-        its saved pairs newest first, and return the rows filed in it,
-        newest first, for ``pop_to`` to recompute.  The benchmark's tracer
-        (``bench/tracer.py``) wraps it by name."""
+        its saved pairs newest first, and return the rows filed or
+        tightened in it, newest first, for ``pop_to`` to recompute.  The
+        benchmark's tracer (``bench/tracer.py``) wraps it by name."""
         trail = self.trail
         trail.pop_to(trail.decision_heights[-1])
         filters, widest, filed = self.filters, self.widest, []
@@ -389,9 +410,9 @@ class Propagator:
     def pop_to(self, height: int):
         """Backjump to a level start or the trail's length: saves are exact
         there.  Undoes one level per ``pop_one`` call, newest first, so the
-        oldest save is written last; then recomputes the rows filed above
-        the target, maps them to None in the landing level and rebuilds the
-        queue."""
+        oldest save is written last; then recomputes the rows filed or
+        tightened above the target, maps them to None in the landing level
+        and rebuilds the queue."""
         trail = self.trail
         if height == len(trail.entries):
             return
@@ -405,7 +426,7 @@ class Propagator:
         if not (recomputed or self.queue):  # nothing to recompute or requeue
             return
         filters, widest, landing = self.filters, self.widest, self.saves[level]
-        for cid in recomputed:  # filed above: exact here, None in the landing level
+        for cid in recomputed:  # filed or tightened above: exact here, None in landing
             landing[cid] = None
             slack, widest[cid] = slack_and_widest(self.constraints[cid], trail)
             filters[cid] = widest[cid] - slack

@@ -9,8 +9,9 @@ Input rows always live, but in cut mode ``solve`` first kills those that
 extend to larger cliques and files the cliques, which always live.  The
 ``Solver`` owns the learned rows: it keeps the activity of each live one,
 and every ``CLEANUP_LEARNED_THRESHOLD`` learned rows it reduces them at
-the next scheduled restart.  The strengthening row lives until the next
-one replaces it.  A ``Solver`` runs one search.
+the next scheduled restart.  The strengthening row is filed at the
+first incumbent and lives for the whole search: each better incumbent
+lowers its rhs in place.  A ``Solver`` runs one search.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from math import inf
 from typing import Callable, Optional
 
-from .model import Bound, Problem, Solution, normalize
+from .model import Bound, Constraint, Problem, Solution, normalize
 from .presolve import clique_rows
 from .propagation import BINARY, CLAUSE, GENERAL, OutOfTime, Propagator
 from .trail import DECISION, ReasonInfo, Trail
@@ -375,15 +376,23 @@ class Solver:
         return Solution(values)
 
     def _install_strengthening(self, value: int) -> bool:
-        """Require the next solution to be strictly better; False if impossible."""
+        """Require the next solution to be strictly better; False if
+        impossible.  The first incumbent files ``normalize(objective,
+        value - 1)``; each later one lowers that row's rhs in place to
+        ``(value - 1) // g``, g the gcd the first divided out, so reasons
+        and cuts read the tightest row."""
         obj = self.problem.objective
-        c = normalize(list(obj.coeffs.items()), value - 1)
-        if c.is_degenerate():
-            return False  # constant objective: the incumbent is optimal
-        old = self.strengthening_cid
-        if old is not None:  # the new row implies it, so reasons and cuts may still read it
-            self.propagator.kill_rows({old})
-        self.strengthening_cid = self.propagator.add_row(c)
+        cid = self.strengthening_cid
+        if cid is None:
+            c = normalize(list(obj.coeffs.items()), value - 1)
+            if c.is_degenerate():
+                return False  # constant objective: the incumbent is optimal
+            self.strengthening_cid = self.propagator.add_row(c)
+            return True
+        row = self.propagator.constraints[cid]
+        var, coeff = row.monomials[0]
+        g = obj.coeffs[var] // coeff  # the gcd normalize divided the objective by
+        self.propagator.tighten_row(cid, Constraint(row.monomials, (value - 1) // g))
         return True
 
     def _presolve(self):

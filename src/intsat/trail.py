@@ -70,20 +70,17 @@ class Trail:
     def num_decisions(self) -> int:
         return len(self.decision_heights)
 
-    def is_fresh(self, b: Bound) -> bool:
-        """True iff pushing b would strictly tighten a non-empty interval."""
-        var, is_lower, value = b
-        if is_lower:
-            return self.lb[var] < value <= self.ub[var]
-        return self.lb[var] <= value < self.ub[var]
-
     def push(self, b: Bound, info: ReasonInfo) -> int:
-        assert self.is_fresh(b), f"pushing non-fresh bound {b}"
+        """Push b, which must strictly tighten a non-empty interval, with
+        every explicit reason height below its own."""
+        var, is_lower, value = b
+        assert (self.lb[var] < value <= self.ub[var] if is_lower
+                else self.lb[var] <= value < self.ub[var]), f"pushing non-fresh bound {b}"
         height = len(self.entries)
-        assert info.reason_set is None or all(h < height for h in info.reason_set)
+        assert not info.reason_set or max(info.reason_set) < height, \
+            f"reason heights {info.reason_set} not below {height}"
         if info is DECISION:
             self.decision_heights.append(height)
-        var, is_lower, value = b
         if is_lower:
             pos = self.pl[var]
             self.pl[var] = height

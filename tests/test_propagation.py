@@ -111,7 +111,7 @@ def reference_visit(c, t):
         lb, ub = bounds[v]
         rest = c.rhs - (row_min - (a * lb if a > 0 else a * ub))
         b = up(v, rest // a) if a > 0 else lo(v, -((-rest) // a))
-        if conflict is None and t.is_fresh(b):
+        if conflict is None and (lb < b.value <= ub if b.is_lower else lb <= b.value < ub):
             props.append((b, tuple(side(w, x) for w, x in c.monomials if w != v)))
     widest = max((abs(a) * (bounds[v][1] - bounds[v][0]) for v, a in c.monomials), default=0)
     return conflict, props, widest + row_min - c.rhs
@@ -352,10 +352,14 @@ class TestFilters:
         # the current level, as it saves nothing itself.  A backjump files
         # in the landing level only live rows it recomputed, and leaves
         # queued only rows it recomputed.
-        # With a cleanup every two learned rows, rows die at cleanups and
-        # strengthenings, and then no occurs list, watch list, edge, queue
-        # entry or save names a row its owner no longer keeps (live_rows);
-        # the kills purge saves of rows filed above level 0 and of filters
+        # With a cleanup every two learned rows, rows die at cleanups, and
+        # then, as after every strengthening, no occurs list, watch list,
+        # edge, queue entry or save names a row its owner no longer keeps
+        # (live_rows).  The kills purge saves of rows filed above level 0.
+        # Every kill runs at level 0, where a row is saved only as filed, so
+        # no kill meets a filter pair; the filter pairs an older rhs left in
+        # the saves are those each tightening of the strengthening row makes
+        # stale, which the backjumps below its level recompute over.
         seen = Counter()
         rng = random.Random(42)
         problems = ([random_problem(rng, objective=True) for _ in range(24)]
@@ -372,14 +376,16 @@ class TestFilters:
         assert seen["backjump"] >= 200 and seen["unwound"] >= 20, seen
         assert seen["cleanup"] >= 20 and seen["strengthening"] >= 20, seen
         assert seen["saved"] >= 1_000_000 and seen["requeued"] >= 100, seen
-        assert seen["purged filed"] >= 100 and seen["purged filter"] >= 60, seen
+        assert seen["purged filed"] >= 100 and seen["stale filter"] >= 60, seen
         assert seen["filed"] >= 250 and seen["killed"] >= 100 and seen["restart"] >= 150, seen
+        assert seen["tightened"] >= 60, seen
 
     @staticmethod
     def check_invariants_during(s, seen):
         pr, t = s.propagator, s.trail
-        push, visit, pop_to, add_row, kill_rows = (
-            pr.push_bound, pr._visit_general, pr.pop_to, pr.add_row, pr.kill_rows)
+        push, visit, pop_to, pop_one, add_row, kill_rows, tighten_row = (
+            pr.push_bound, pr._visit_general, pr.pop_to, pr.pop_one, pr.add_row, pr.kill_rows,
+            pr.tighten_row)
         cleanup, strengthen, restart = s._cleanup, s._install_strengthening, s._restart
         off_queue = set()
         registered = {}  # row registered above level 0 -> trail length then
@@ -414,14 +420,21 @@ class TestFilters:
             seen["visit"] += 1
             return conflict
 
+        popped = []  # the rows each pop_one of this backjump returned for recomputing
+
+        def checked_pop_one():
+            filed = pop_one()
+            popped.extend(filed)
+            return filed
+
         def checked_pop_to(height):
             unwound = [cid for cid, at in registered.items() if at > height]
             landing = pr.saves[bisect_left(t.decision_heights, height)]
-            before = set(landing)
+            popped.clear()
             pop_to(height)
             off_queue.clear()
             check()
-            recomputed = set(landing) - before
+            recomputed = set(popped)
             live = live_rows(s)
             assert all(landing[cid] is None and cid in live for cid in recomputed)
             assert set(pr.queue) <= recomputed
@@ -447,11 +460,21 @@ class TestFilters:
         def checked_kill_rows(dead):
             for saved in pr.saves:
                 for cid in dead & saved.keys():
-                    seen["purged filed" if saved[cid] is None else "purged filter"] += 1
+                    assert saved[cid] is None, cid  # at level 0 a row is saved only as filed
+                    seen["purged filed"] += 1
             kill_rows(dead)
             killed.update(dead)
             check()
             seen["killed"] += len(dead)
+
+        def checked_tighten_row(cid, c):
+            # pairs saved for the old rhs: a backjump below this level recomputes the row
+            stale = sum(saved.get(cid) is not None for saved in pr.saves)
+            tighten_row(cid, c)
+            assert cid == s.strengthening_cid and pr.saves[-1][cid] is None
+            check()
+            seen["tightened"] += 1
+            seen["stale filter"] += stale
 
         def checked_restart():
             restart()
@@ -476,8 +499,8 @@ class TestFilters:
             return installed
 
         pr.push_bound, pr._visit_general = checked_push, checked_visit
-        pr.pop_to, pr.add_row = checked_pop_to, checked_add_row
-        pr.kill_rows = checked_kill_rows
+        pr.pop_to, pr.pop_one, pr.add_row = checked_pop_to, checked_pop_one, checked_add_row
+        pr.kill_rows, pr.tighten_row = checked_kill_rows, checked_tighten_row
         s._cleanup, s._install_strengthening = checked_cleanup, checked_strengthen
         s._restart = checked_restart
         s.solve()

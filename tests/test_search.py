@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import accumulate, islice
 
 import pytest
@@ -8,6 +9,7 @@ import intsat
 from intsat import search
 from intsat.model import Objective, Problem, normalize
 from intsat.oracle import oracle_solve
+from intsat.propagation import slack_and_widest
 from intsat.search import (ActivityQueue, Solver, SolverConfig, restart_limits,
                            BOUNDED, FEASIBLE, INFEASIBLE, OPTIMAL, TIMELIMIT)
 from intsat.trail import DECISION, ReasonInfo
@@ -502,8 +504,49 @@ class TestSolveOptimize:
         assert cid is not None
         assert s.propagator.constraints[cid] == normalize([(1, 2)], 5)  # 2*x1 <= 6-1
 
+    @pytest.mark.parametrize("mode", ["cut", "resolution"])
+    def test_one_strengthening_row_is_tightened_in_place(self, mode):
+        # the first incumbent files the strengthening row and each better
+        # one lowers its rhs in place: the cid stays, and the row is the
+        # objective's below the incumbent.  After every backjump its stored
+        # slack is exact, its widest term an upper bound, and it is queued
+        # iff its filter is positive.
+        rng = random.Random(3701)
+        seen = Counter()
+        for i in range(300):
+            p = (small_integer_problem(rng, n=6, dom=6) if i % 2
+                 else cover_packing_problem(rng, n=14))
+            s = Solver(p, SolverConfig(mode=mode, max_conflicts=200, random_seed=i))
+            pr, cids = s.propagator, []
+            strengthen, pop_to = s._install_strengthening, pr.pop_to
+
+            def checked_strengthen(value, s=s, p=p, cids=cids, strengthen=strengthen):
+                installed = strengthen(value)
+                if installed:
+                    cids.append(s.strengthening_cid)
+                    assert cids[0] == cids[-1], cids
+                    assert s.propagator.constraints[cids[0]] == normalize(
+                        list(p.objective.coeffs.items()), value - 1)
+                    seen["incumbent"] += 1
+                return installed
+
+            def checked_pop_to(height, s=s, pr=pr, pop_to=pop_to):
+                pop_to(height)
+                cid = s.strengthening_cid
+                if cid is not None:
+                    slack, widest = slack_and_widest(pr.constraints[cid], pr.trail)
+                    assert pr.widest[cid] - pr.filters[cid] == slack
+                    assert pr.widest[cid] >= widest
+                    assert (cid in pr.queue) == (pr.filters[cid] > 0)
+                    seen["backjump"] += 1
+
+            s._install_strengthening, pr.pop_to = checked_strengthen, checked_pop_to
+            s.solve()
+            seen["tightened"] += max(len(cids) - 1, 0)
+        assert seen["tightened"] >= 700 and seen["backjump"] >= 1200, seen
+
     def test_incumbents_strictly_decrease(self):
-        # each better incumbent replaces the strengthening row, which is
+        # each better incumbent tightens the strengthening row, which is
         # not a learned row: the learned rows and their activity stay
         rng = random.Random(1)
         changes = []

@@ -89,24 +89,44 @@ class TestCurrentBounds:
         assert (t.lb[0], t.ub[0]) == (3, 9)
 
 
-class TestIsFresh:
-    def test_strictly_tightening_lower(self):
-        assert fresh_trail().is_fresh(lo(0, 3))
+class TestPushChecks:
+    """``Trail.push`` takes only a bound that strictly tightens a non-empty
+    interval, and only reason heights below the new entry's; a refused
+    push raises AssertionError and leaves the trail as it was."""
 
-    def test_redundant_lower(self):
+    @staticmethod
+    def refused(t, b, info=DECISION):
+        before = (list(t.entries), list(t.lb), list(t.ub), list(t.decision_heights))
+        with pytest.raises(AssertionError):
+            t.push(b, info)
+        assert (t.entries, t.lb, t.ub, t.decision_heights) == before
+
+    def test_strictly_tightening_lower_pushes(self):
+        t = fresh_trail()
+        assert t.push(lo(0, 3), DECISION) == 6 and t.lb[0] == 3
+
+    def test_redundant_lower_raises(self):
         t = fresh_trail()
         t.push(lo(0, 3), DECISION)
-        assert not t.is_fresh(lo(0, 2))
+        self.refused(t, lo(0, 2))
 
-    def test_contradictory_upper(self):
+    def test_contradictory_upper_raises(self):
         t = fresh_trail()
         t.push(lo(0, 3), DECISION)
-        assert not t.is_fresh(up(0, 2))
+        self.refused(t, up(0, 2))
 
-    def test_equal_to_current_is_not_fresh(self):
+    def test_equal_to_current_raises(self):
         t = fresh_trail()
-        assert not t.is_fresh(lo(0, 0)) and not t.is_fresh(up(0, 9))
-        assert t.is_fresh(up(0, 0))  # defines the variable, still fresh
+        self.refused(t, lo(0, 0))
+        self.refused(t, up(0, 9))
+        assert t.push(up(0, 0), DECISION) == 6  # defines the variable, still fresh
+        assert (t.lb[0], t.ub[0]) == (0, 0)
+
+    @pytest.mark.parametrize("reason_set", [(6,), (7,), (0, 6), (6, 0), (3, 9, 1)])
+    def test_a_reason_height_at_or_above_the_entry_raises(self, reason_set):
+        t = fresh_trail()
+        self.refused(t, lo(0, 3), ReasonInfo.propagated(reason_set, None))
+        assert t.push(lo(0, 3), ReasonInfo.propagated((0, 5), None)) == 6
 
 
 class TestLevels:
